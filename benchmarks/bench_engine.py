@@ -11,7 +11,8 @@ Three scoring paths are timed from equally cold generator state (the
 process-level generator memo is dropped before each run; the universe
 build is paid once up front, outside all timings):
 
-* per-slice serial (``SerialExecutor(batch=False)``) — the reference;
+* per-slice serial (:func:`tests.oracles.scorer.execute_reference`) —
+  the byte-identity oracle, scoring one breakdown at a time;
 * batched serial (``SerialExecutor()``) — the headline path, asserted
   ≥ 3× the per-slice baseline and byte-identical to it;
 * batched parallel — country grids shipped whole to forked workers
@@ -34,8 +35,9 @@ from repro.engine import (
     SlicePlan,
 )
 from repro.engine.executor import _GENERATORS
-from repro.synth import GeneratorConfig
+from repro.synth import GeneratorConfig, TelemetryGenerator
 from repro.synth.universe import build_universe
+from tests.oracles.scorer import execute_reference
 
 from _bench_utils import print_comparison, write_bench_json
 
@@ -78,7 +80,7 @@ def test_engine_full_grid(benchmark, tmp_path):
     )
 
     perslice_t, perslice_lists = _timed(
-        lambda: cold_engine(SerialExecutor(batch=False)).run(plan)
+        lambda: execute_reference(TelemetryGenerator(config), plan)
     )
 
     batched_engine = cold_engine(SerialExecutor())

@@ -28,12 +28,10 @@ import repro.stats.fisher as fisher_mod
 from repro.analysis.weighting import weighted_volume_by_category
 from repro.core import Metric, Platform, REFERENCE_MONTH
 from repro.stats.correction import bonferroni
-from repro.stats.dbscan import dbscan, dbscan_reference
+from repro.stats.dbscan import dbscan
 from repro.stats.fisher import proportion_test, proportion_test_batch
-from repro.stats.silhouette import (
-    silhouette_samples,
-    silhouette_samples_reference,
-)
+from repro.stats.silhouette import silhouette_samples
+from tests.oracles.stats import dbscan_reference, silhouette_samples_reference
 
 from _bench_utils import print_comparison, write_bench_json
 

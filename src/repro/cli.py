@@ -179,10 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--store", default=None,
                      help="artifact store directory "
                           "(default: <data>/.artifacts)")
-    rep.add_argument("--artifacts", default=None,
-                     help="deprecated alias for --store")
-    rep.add_argument("--no-store", "--no-artifacts", dest="no_store",
-                     action="store_true",
+    rep.add_argument("--no-store", action="store_true",
                      help="recompute everything; do not read or write "
                           "the artifact store")
     rep.add_argument("--month", type=_parse_month, default=None,
@@ -208,10 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--store", default=None,
                      help="artifact store directory "
                           "(default: <data>/.artifacts)")
-    srv.add_argument("--artifacts", default=None,
-                     help="deprecated alias for --store")
-    srv.add_argument("--no-store", "--no-artifacts", dest="no_store",
-                     action="store_true",
+    srv.add_argument("--no-store", action="store_true",
                      help="serve analyses without reading or writing "
                           "the artifact store")
     srv.add_argument("--workers", type=int, default=1,
@@ -458,15 +452,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _store_path(args: argparse.Namespace, command: str):
-    from ._compat import deprecated_alias
-
-    return deprecated_alias(
-        args.store, args.artifacts,
-        owner=f"repro {command}", old="--artifacts", new="--store",
-    )
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from . import api
     from .core.errors import DatasetError
@@ -476,7 +461,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         store = None
     else:
         store = ArtifactStore(
-            _store_path(args, "report") or Path(args.data) / ".artifacts"
+            args.store or Path(args.data) / ".artifacts"
         )
     try:
         report = api.report(
@@ -519,7 +504,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "(fleet workers would race on one trace file)",
               file=sys.stderr)
         return 2
-    store = _store_path(args, "serve")
     # Either branch prints `serving {data} on {url}` first — the URL is
     # the *resolved* bound address (also for --port 0), and CI smoke
     # greps exactly this line.  The served dataset version goes on its
@@ -535,7 +519,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 host=args.host,
                 port=args.port,
                 workers=args.workers,
-                store=store,
+                store=args.store,
                 no_store=args.no_store,
                 cache_size=args.cache_size,
                 cache_bytes=args.cache_bytes,
@@ -561,7 +545,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.data,
             host=args.host,
             port=args.port,
-            store=store,
+            store=args.store,
             no_store=args.no_store,
             cache_size=args.cache_size,
             cache_bytes=args.cache_bytes,

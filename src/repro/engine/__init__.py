@@ -6,7 +6,7 @@ Three layers on top of :mod:`repro.synth`:
   dedupe requested breakdowns and partition them into per-country
   :class:`CountryWorkUnit`\\ s (country is the natural shard key: country
   state and month walks are shared within a country).
-* **Execution** — :class:`SerialExecutor` (the reference) and the
+* **Execution** — the in-process :class:`SerialExecutor` and the
   process-pool :class:`ParallelExecutor`, both required to produce
   byte-identical output for the same config.
 * **Caching** — :class:`SliceCache`, a content-addressed on-disk store

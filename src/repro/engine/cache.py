@@ -2,34 +2,26 @@
 
 Layout::
 
-    <root>/<fingerprint>/<country>_<platform>_<metric>_<YYYY-MM>.txt   # text
-    <root>/<fingerprint>/<country>_<platform>_<metric>_<YYYY-MM>.slc   # columnar
+    <root>/<fingerprint>/<country>_<platform>_<metric>_<YYYY-MM>.slc
 
 The fingerprint directory is :meth:`GeneratorConfig.fingerprint` — a
 hash of every generation knob including the universe and privacy
 configs — so a hit is guaranteed byte-identical to regeneration and two
-different configurations can never collide.  The cache speaks both
-slice codecs: ``codec="text"`` (the default) writes the
-:mod:`repro.export.io` text format (one site per line, rank order), so
-a cache stays greppable and diffable with standard tools;
-``codec="columnar"`` writes the binary slice files of
-:mod:`repro.store.slicefile`, which carry an explicit count (truncation
-is detected, not silently served) and skip line splitting on read.
-Reads always try both extensions, so a cache directory can be shared by
-engines configured either way.  A warm cache serves slices without
-constructing a generator at all, skipping both scoring and the ~25 s
-full-scale universe build.
+different configurations can never collide.  Each slice file is the
+packed string table of :mod:`repro.store.format` under the
+``RPROSLC1`` magic — names in rank order, so position == rank - 1.  The
+header carries an explicit count, so a truncated file is detected
+(:class:`~repro.core.errors.DatasetError`) instead of silently yielding
+a short list.  A warm cache serves slices without constructing a
+generator at all, skipping both scoring and the ~25 s full-scale
+universe build.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
-from ..core.errors import DatasetError
 from ..core.rankedlist import RankedList
 from ..core.types import Breakdown
 from ..export.io import breakdown_slug
@@ -50,113 +42,48 @@ class CacheStats:
 class SliceCache:
     """A content-addressed slice store under a configurable directory."""
 
-    _SUFFIXES = (".txt", ".slc")
-
-    def __init__(self, root: str | Path, *, codec: str = "text") -> None:
-        if codec not in ("text", "columnar"):
-            raise DatasetError(
-                f"unknown slice-cache codec {codec!r}; "
-                "choose 'text' or 'columnar'"
-            )
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.codec = codec
         self.stats = CacheStats()
 
-    def dir_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint
-
     def path_for(self, fingerprint: str, breakdown: Breakdown) -> Path:
-        """Where :meth:`put` writes this slice under the configured codec."""
-        suffix = ".slc" if self.codec == "columnar" else ".txt"
-        return self.dir_for(fingerprint) / f"{breakdown_slug(breakdown)}{suffix}"
-
-    def _candidates(self, fingerprint: str, breakdown: Breakdown) -> tuple[Path, ...]:
-        """Read candidates, configured codec's extension first."""
-        base = self.dir_for(fingerprint) / breakdown_slug(breakdown)
-        first = self.path_for(fingerprint, breakdown)
-        return tuple(
-            dict.fromkeys(
-                (first, *(base.with_suffix(s) for s in self._SUFFIXES))
-            )
-        )
+        """Where :meth:`put` writes this slice."""
+        return self.root / fingerprint / f"{breakdown_slug(breakdown)}.slc"
 
     def get(self, fingerprint: str, breakdown: Breakdown) -> RankedList | None:
-        """The cached slice, or ``None`` on a miss (either codec)."""
-        for path in self._candidates(fingerprint, breakdown):
-            if path.suffix == ".slc":
-                from ..store.slicefile import read_slice
+        """The cached slice, or ``None`` on a miss.
 
-                try:
-                    ranked = read_slice(path)
-                except OSError:
-                    continue
-            else:
-                try:
-                    text = path.read_text(encoding="utf-8")
-                except OSError:
-                    continue
-                ranked = RankedList(
-                    line for line in text.splitlines() if line
-                )
-            self.stats.hits += 1
-            return ranked
-        self.stats.misses += 1
-        return None
+        A file that exists but is malformed raises
+        :class:`~repro.core.errors.DatasetError` — corruption should
+        surface, not regenerate silently.
+        """
+        # Deferred: the store package is only needed once a cache is used.
+        from ..store.format import MAGIC_SLICE, unpack_string_table
+
+        path = self.path_for(fingerprint, breakdown)
+        try:
+            data = path.read_bytes()
+        except OSError:
+            self.stats.misses += 1
+            return None
+        ranked = RankedList(unpack_string_table(data, path, MAGIC_SLICE))
+        self.stats.hits += 1
+        return ranked
 
     def put(self, fingerprint: str, breakdown: Breakdown, ranked: RankedList) -> Path:
         """Store one slice; the write is atomic (tmp file + rename)."""
-        path = self.path_for(fingerprint, breakdown)
-        if self.codec == "columnar":
-            from ..store.slicefile import write_slice
+        from ..store.format import MAGIC_SLICE, atomic_write_bytes, pack_string_table
 
-            write_slice(path, ranked)
-            self.stats.writes += 1
-            return path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = "\n".join(ranked.sites) + "\n"
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{path.name}.", dir=path.parent
+        path = atomic_write_bytes(
+            self.path_for(fingerprint, breakdown),
+            pack_string_table(ranked.sites, MAGIC_SLICE),
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
         self.stats.writes += 1
         return path
 
-    def put_many(
-        self, fingerprint: str, items: Iterable[tuple[Breakdown, RankedList]]
-    ) -> int:
-        """Store a batch of slices; returns the number written.
-
-        The engine's write-back path hands over whole country grids at
-        a time (the batched executor produces them together), so the
-        fingerprint directory is ensured once up front instead of once
-        per slice; each file write stays individually atomic.
-        """
-        count = 0
-        for breakdown, ranked in items:
-            if count == 0:
-                self.dir_for(fingerprint).mkdir(parents=True, exist_ok=True)
-            self.put(fingerprint, breakdown, ranked)
-            count += 1
-        return count
-
     def __contains__(self, key: tuple[str, Breakdown]) -> bool:
         fingerprint, breakdown = key
-        return any(
-            path.is_file()
-            for path in self._candidates(fingerprint, breakdown)
-        )
+        return self.path_for(fingerprint, breakdown).is_file()
 
     def __repr__(self) -> str:
-        return (
-            f"SliceCache({str(self.root)!r}, codec={self.codec!r}, "
-            f"{self.stats})"
-        )
+        return f"SliceCache({str(self.root)!r}, {self.stats})"

@@ -39,14 +39,7 @@ class GenerationEngine:
         jobs: int | None = None,
         cache: SliceCache | str | Path | None = None,
         generator: TelemetryGenerator | None = None,
-        cache_dir: str | Path | None = None,
     ) -> None:
-        from .._compat import deprecated_alias
-
-        cache = deprecated_alias(
-            cache, cache_dir,
-            owner="GenerationEngine", old="cache_dir", new="cache",
-        )
         if generator is not None:
             config = generator.config
         self.config = config or GeneratorConfig()
@@ -130,7 +123,8 @@ class GenerationEngine:
                     with tracer.span(
                         "engine.cache_write", slices=len(produced)
                     ):
-                        self.cache.put_many(self.fingerprint, produced.items())
+                        for breakdown, ranked in produced.items():
+                            self.cache.put(self.fingerprint, breakdown, ranked)
                 results.update(produced)
             return {b: results[b] for b in plan.breakdowns()}
 
@@ -157,9 +151,9 @@ class GenerationEngine:
     ) -> BrowsingDataset:
         """An eagerly materialised dataset for the requested grid.
 
-        The grid knobs are keyword-only (PR-3 API normalization): every
-        subsystem spells them the same way, and call sites stay readable
-        as the grid grows dimensions.
+        The grid knobs are keyword-only: every subsystem spells them
+        the same way, and call sites stay readable as the grid grows
+        dimensions.
         """
         return self.generate_plan(
             SlicePlan.from_grid(countries, platforms, metrics, months)

@@ -1,14 +1,15 @@
-"""Slice executors: the serial reference and the process-pool fast path.
+"""Slice executors: in-process and process-pool.
 
 Both executors turn a :class:`~repro.engine.plan.SlicePlan` into
 ``{Breakdown: RankedList}`` and are required to produce *byte-identical*
 output for the same :class:`~repro.synth.generator.GeneratorConfig`:
 every noise component is a pure function of ``(seed, country,
 component)``, so where a slice is computed cannot change what it
-contains.  :class:`SerialExecutor` is the reference implementation;
-:class:`ParallelExecutor` fans per-country work units out to worker
-processes, each of which builds (or, under ``fork``, inherits) its own
-generator from the picklable config.
+contains.  Both score each per-country work unit in one matrix pass
+(:meth:`TelemetryGenerator.rank_lists_batch`).  :class:`SerialExecutor`
+scores in process; :class:`ParallelExecutor` fans work units out to
+worker processes, each of which builds (or, under ``fork``, inherits)
+its own generator from the picklable config.
 """
 
 from __future__ import annotations
@@ -45,44 +46,16 @@ def _run_work_unit(
     config: GeneratorConfig,
     unit: CountryWorkUnit,
     tracer: Tracer | NullTracer = NULL_TRACER,
-    batch: bool = True,
 ) -> list[tuple[Breakdown, RankedList]]:
-    """Worker entry point: generate every slice of one country's unit.
-
-    ``batch=True`` scores the whole unit in one matrix pass
-    (:meth:`TelemetryGenerator.rank_lists_batch`); ``batch=False`` keeps
-    the per-slice reference path.  Both emit the same per-slice
-    ``engine.generate_slice`` spans and are byte-identical (asserted in
-    ``tests/engine/test_batch_parity.py``).
-    """
-    generator = generator_for(config)
-    if batch:
-        produced = generator.rank_lists_batch(
-            unit.country, unit.breakdowns(), tracer=tracer
-        )
-        return list(produced.items())
-    results: list[tuple[Breakdown, RankedList]] = []
-    for request in unit.requests:
-        with tracer.span(
-            "engine.generate_slice",
-            country=request.country,
-            platform=request.platform.value,
-            metric=request.metric.value,
-            month=str(request.month),
-            cache="miss",
-        ):
-            results.append((
-                request.breakdown,
-                generator.rank_list(
-                    request.country, request.platform,
-                    request.metric, request.month,
-                ),
-            ))
-    return results
+    """Worker entry point: generate every slice of one country's unit."""
+    produced = generator_for(config).rank_lists_batch(
+        unit.country, unit.breakdowns(), tracer=tracer
+    )
+    return list(produced.items())
 
 
 def _run_work_unit_traced(
-    config: GeneratorConfig, unit: CountryWorkUnit, batch: bool = True
+    config: GeneratorConfig, unit: CountryWorkUnit
 ) -> tuple[list[tuple[Breakdown, RankedList]], list[dict[str, object]]]:
     """Worker entry point when the parent traces: ship span dicts back.
 
@@ -95,22 +68,14 @@ def _run_work_unit_traced(
     grid = "x".join(str(extent) for extent in unit.grid_shape())
     with tracer.span("engine.work_unit", country=unit.country,
                      pid=os.getpid(), slices=len(unit), grid=grid):
-        results = _run_work_unit(config, unit, tracer, batch)
+        results = _run_work_unit(config, unit, tracer)
     return results, tracer.collector.drain()
 
 
 class SerialExecutor:
-    """In-process execution — the reference implementation.
-
-    ``batch=True`` (the default) scores each country's work unit in one
-    matrix pass; ``batch=False`` keeps the original per-slice loop as
-    the byte-identity reference and benchmark baseline.
-    """
+    """In-process execution with the given (or memoised) generator."""
 
     name = "serial"
-
-    def __init__(self, *, batch: bool = True) -> None:
-        self.batch = batch
 
     def execute(
         self,
@@ -125,7 +90,9 @@ class SerialExecutor:
             tracer = NULL_TRACER
         results: dict[Breakdown, RankedList] = {}
         for unit in plan.partition():
-            results.update(_run_work_unit(config, unit, tracer, self.batch))
+            results.update(generator.rank_lists_batch(
+                unit.country, unit.breakdowns(), tracer=tracer
+            ))
         return results
 
 
@@ -139,19 +106,17 @@ class ParallelExecutor:
     Results are keyed by breakdown, so scheduling order never affects
     the output — a requirement, not an accident (see module docstring).
     Each shipped work unit is a whole country grid, which the worker
-    scores in one batched matrix pass by default (``batch=False`` for
-    the per-slice reference path).
+    scores in one batched matrix pass.
     """
 
     name = "parallel"
 
-    def __init__(self, jobs: int | None = None, *, batch: bool = True) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise GenerationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.batch = batch
 
     @staticmethod
     def _context():
@@ -171,7 +136,7 @@ class ParallelExecutor:
             tracer = NULL_TRACER
         units = plan.partition()
         if self.jobs == 1 or len(units) <= 1:
-            return SerialExecutor(batch=self.batch).execute(
+            return SerialExecutor().execute(
                 config, plan, generator=generator, tracer=tracer
             )
         results: dict[Breakdown, RankedList] = {}
@@ -184,7 +149,7 @@ class ParallelExecutor:
                 # their results; adopting re-parents them under the
                 # caller's active span so one file covers the whole run.
                 futures = [
-                    pool.submit(_run_work_unit_traced, config, unit, self.batch)
+                    pool.submit(_run_work_unit_traced, config, unit)
                     for unit in units
                 ]
                 for future in as_completed(futures):
@@ -193,7 +158,7 @@ class ParallelExecutor:
                     tracer.adopt(spans)
             else:
                 futures = [
-                    pool.submit(_run_work_unit, config, unit, NULL_TRACER, self.batch)
+                    pool.submit(_run_work_unit, config, unit)
                     for unit in units
                 ]
                 for future in as_completed(futures):

@@ -8,7 +8,7 @@ noise streams; the only state *shared* between breakdowns is per-country
 country × platform × metric × month loop with an explicit, deduplicated
 request list partitioned into per-country :class:`CountryWorkUnit`\\ s —
 the natural shard: each unit can run on any worker, in any order, and
-still produce lists byte-identical to the serial reference.
+still produce lists byte-identical to in-process execution.
 """
 
 from __future__ import annotations

@@ -91,10 +91,6 @@ def breakdown_slug(breakdown: Breakdown) -> str:
     )
 
 
-# Backwards-compatible alias for the pre-engine private name.
-_slug = breakdown_slug
-
-
 def _jsonable_metadata(metadata: Mapping[str, object]) -> dict[str, object]:
     """Coerce metadata for the manifest, or raise instead of dropping."""
     out: dict[str, object] = {}
@@ -488,15 +484,3 @@ register_codec(
     )
 )
 
-
-def __getattr__(name: str):  # pragma: no cover - compat shim
-    if name == "_FORMAT_VERSION":
-        from .._compat import warn_once
-
-        warn_once(
-            ("repro.export.io", "_FORMAT_VERSION"),
-            "repro.export.io._FORMAT_VERSION is deprecated; "
-            "use TEXT_FORMAT_VERSION",
-        )
-        return TEXT_FORMAT_VERSION
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

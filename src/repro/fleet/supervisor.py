@@ -39,7 +39,7 @@ import time
 from multiprocessing import connection
 from pathlib import Path
 
-from .worker import FleetSpec, worker_main
+from .worker import STOP_SIGNALS, FleetSpec, worker_main
 
 log = logging.getLogger("repro.fleet")
 
@@ -154,7 +154,13 @@ class FleetSupervisor:
             name=f"repro-fleet-worker-{index}",
             daemon=True,
         )
-        proc.start()
+        # The child inherits the signal mask: a stop sent before it has
+        # installed its handlers stays pending instead of killing it.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+        try:
+            proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         self._procs[index] = proc
 
     def _watch(self) -> None:

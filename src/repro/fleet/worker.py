@@ -50,6 +50,9 @@ from .ring import HashRing
 
 log = logging.getLogger("repro.fleet")
 
+#: Signals that stop a worker; blocked across the supervisor's fork.
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
 #: ``/v1`` heads whose payloads are cacheable and therefore owned by
 #: exactly one worker.  ``healthz``/``metrics``/index stay local.
 _ROUTED_HEADS = frozenset({"rankings", "sites", "distributions", "analyses"})
@@ -351,7 +354,32 @@ def worker_main(
     spec: FleetSpec,
     restarts=None,
 ) -> int:
-    """The worker process body: serve until SIGTERM, then drain."""
+    """The worker process body: serve until SIGTERM, then drain.
+
+    The supervisor forks with :data:`STOP_SIGNALS` blocked, so a stop
+    that lands while the worker is still starting stays pending until
+    the handlers below are installed.  Until both servers exist there
+    is nothing to drain, and a stop signal exits the worker with 0.
+    """
+    servers: list[FleetHTTPServer] = []
+    draining = threading.Event()
+
+    def _drain(signum, frame):  # pragma: no cover - signal path
+        if not servers:
+            raise SystemExit(0)
+        if draining.is_set():
+            return
+        draining.set()
+        # shutdown() blocks until the accept loop exits; never call it
+        # from the loop's own thread (the signal runs on the main
+        # thread, which is inside serve_forever).
+        for server in servers:
+            threading.Thread(target=server.shutdown, daemon=True).start()
+
+    for signum in STOP_SIGNALS:
+        signal.signal(signum, _drain)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
+
     runtime = FleetWorkerRuntime(
         index=index,
         internal_ports=internal_ports,
@@ -364,21 +392,7 @@ def worker_main(
     internal = FleetHTTPServer(
         internal_sock, service, runtime=runtime, local_only=True
     )
-
-    draining = threading.Event()
-
-    def _drain(signum, frame):  # pragma: no cover - signal path
-        if draining.is_set():
-            return
-        draining.set()
-        # shutdown() blocks until the accept loop exits; never call it
-        # from the loop's own thread (the signal runs on the main
-        # thread, which is inside serve_forever).
-        threading.Thread(target=public.shutdown, daemon=True).start()
-        threading.Thread(target=internal.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
+    servers.extend((public, internal))
 
     internal_thread = threading.Thread(
         target=internal.serve_forever,

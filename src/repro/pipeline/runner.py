@@ -281,18 +281,11 @@ def run_pipeline(
     store: ArtifactStore | str | Path | None = None,
     config: object | None = None,
     month: Month | None = None,
-    artifacts: ArtifactStore | str | Path | None = None,
 ) -> RunReport:
     """One-call pipeline run: the registry's tasks over ``dataset``.
 
-    ``store`` accepts a path or an :class:`ArtifactStore`; ``artifacts``
-    is the deprecated pre-normalization alias (it warns once).
+    ``store`` accepts a path or an :class:`ArtifactStore`.
     """
-    from .._compat import deprecated_alias
-
-    store = deprecated_alias(
-        store, artifacts, owner="run_pipeline", old="artifacts", new="store"
-    )
     if registry is None:
         from .tasks import default_registry
 

@@ -1,7 +1,7 @@
 """Statistics toolkit: every method the paper names, from first principles."""
 
 from .affinity import AffinityResult, affinity_propagation
-from .dbscan import NOISE, DBSCANResult, dbscan, dbscan_reference, eps_sweep
+from .dbscan import NOISE, DBSCANResult, dbscan, eps_sweep
 from .correction import bonferroni, bonferroni_adjusted, holm
 from .descriptive import Quartiles, mean, median, quantile, quartiles, rankdata
 from .fisher import (
@@ -13,7 +13,7 @@ from .fisher import (
     proportion_test,
     proportion_test_batch,
 )
-from .kendall import kendall_from_lists, kendall_tau, kendall_tau_reference
+from .kendall import kendall_from_lists, kendall_tau
 from .kernels import (
     agreement_sequence_ids,
     bucket_intersections,
@@ -28,7 +28,6 @@ from .rbo import agreement_sequence, rbo, traffic_weighted_rbo, weighted_rbo
 from .silhouette import (
     SilhouetteReport,
     silhouette_samples,
-    silhouette_samples_reference,
     similarity_to_distance,
 )
 from .spearman import spearman_from_lists, spearman_rho
@@ -57,12 +56,10 @@ __all__ = [
     "holm",
     "hypergeom_logpmf",
     "dbscan",
-    "dbscan_reference",
     "eps_sweep",
     "iqr_outliers",
     "kendall_from_lists",
     "kendall_tau",
-    "kendall_tau_reference",
     "mad_outliers",
     "mean",
     "median",
@@ -74,7 +71,6 @@ __all__ = [
     "rankdata",
     "rbo",
     "silhouette_samples",
-    "silhouette_samples_reference",
     "similarity_to_distance",
     "spearman_from_lists",
     "spearman_rho",

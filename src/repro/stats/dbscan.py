@@ -6,20 +6,19 @@ rather than rhetorical, this module implements DBSCAN (Ester et al.
 1996) on the same pairwise-distance inputs, and the ablation benchmark
 compares the two on the country-similarity matrix.
 
-Two paths, per the kernel-layer discipline (DESIGN.md, "Stats
-kernels"): :func:`dbscan_reference` is the per-row/queue scalar loop —
-the executable definition — and :func:`dbscan` replaces it with a
-boolean eps-neighborhood matrix and frontier-array BFS.  Cluster growth
-is wave-by-wave instead of point-by-point, but the set of points each
-cluster reaches (and the order clusters are seeded, and therefore every
-label, including which cluster claims a contested border point first)
-is identical — labels and core masks are exactly equal, asserted by
-the parity suite in ``tests/stats/test_dbscan.py``.
+Per the kernel-layer discipline (DESIGN.md, "Stats kernels"),
+:func:`dbscan` replaces the per-row/queue scalar loop (kept as a test
+oracle under ``tests/oracles``) with a boolean eps-neighborhood matrix
+and frontier-array BFS.  Cluster growth is wave-by-wave instead of
+point-by-point, but the set of points each cluster reaches (and the
+order clusters are seeded, and therefore every label, including which
+cluster claims a contested border point first) is identical — labels
+and core masks are exactly equal, asserted by the parity suite in
+``tests/stats/test_dbscan.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +73,7 @@ def dbscan(
 
     Vectorized: neighborhoods come from one boolean ``d <= eps`` matrix
     and each BFS wave labels a whole frontier at once — label-identical
-    to :func:`dbscan_reference`.
+    to the per-point queue BFS.
     """
     d = _validated(distances, eps, min_samples)
     n = d.shape[0]
@@ -98,37 +97,6 @@ def dbscan(
                 frontier = np.flatnonzero(reached & (labels == NOISE))
                 labels[frontier] = cluster
             cluster += 1
-
-    return DBSCANResult(labels=labels, core_mask=core)
-
-
-def dbscan_reference(
-    distances: np.ndarray,
-    eps: float,
-    min_samples: int = 3,
-) -> DBSCANResult:
-    """The per-point queue BFS :func:`dbscan` reproduces."""
-    d = _validated(distances, eps, min_samples)
-    n = d.shape[0]
-    neighbors = [np.flatnonzero(d[i] <= eps) for i in range(n)]
-    core = np.array([len(nb) >= min_samples for nb in neighbors])
-    labels = np.full(n, NOISE, dtype=int)
-
-    cluster = 0
-    for start in range(n):
-        if labels[start] != NOISE or not core[start]:
-            continue
-        queue = deque([start])
-        labels[start] = cluster
-        while queue:
-            point = queue.popleft()
-            if not core[point]:
-                continue
-            for neighbor in neighbors[point]:
-                if labels[neighbor] == NOISE:
-                    labels[neighbor] = cluster
-                    queue.append(int(neighbor))
-        cluster += 1
 
     return DBSCANResult(labels=labels, core_mask=core)
 

@@ -5,15 +5,12 @@ Spearman's rho for the metric/temporal agreement analyses (ablation
 benchmarks compare the two — conclusions must not hinge on the choice
 of rank-correlation coefficient).
 
-Two implementations, required to agree exactly:
-
-* :func:`kendall_tau` — Knight's O(n log n) algorithm: sort by (x, y),
-  count discordant pairs as merge-sort inversions in y, and adjust for
-  ties by run-length counting.  Every intermediate is an exact integer,
-  so the final quotient is bit-identical to the quadratic definition.
-* :func:`kendall_tau_reference` — the O(n²) pair loop from the
-  definition, kept as the ground truth for the hypothesis parity suite
-  in ``tests/stats/test_kendall.py``.
+:func:`kendall_tau` is Knight's O(n log n) algorithm: sort by (x, y),
+count discordant pairs as merge-sort inversions in y, and adjust for
+ties by run-length counting.  Every intermediate is an exact integer,
+so the final quotient is bit-identical to the O(n²) pair loop from the
+definition (the ``tests/oracles`` reference the hypothesis parity suite
+in ``tests/stats/test_kendall.py`` compares against).
 """
 
 from __future__ import annotations
@@ -24,41 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from ..core.rankedlist import RankedList
-
-
-def kendall_tau_reference(x: Sequence[float], y: Sequence[float]) -> float:
-    """Kendall's tau-b (tie-adjusted), O(n²) from the definition.
-
-    Returns ``nan`` for fewer than 2 pairs or when either input is
-    constant.  Matches ``scipy.stats.kendalltau``.
-    """
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 2:
-        return float("nan")
-    concordant = discordant = 0
-    ties_x = ties_y = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = x[i] - x[j]
-            dy = y[i] - y[j]
-            if dx == 0 and dy == 0:
-                ties_x += 1
-                ties_y += 1
-            elif dx == 0:
-                ties_x += 1
-            elif dy == 0:
-                ties_y += 1
-            elif (dx > 0) == (dy > 0):
-                concordant += 1
-            else:
-                discordant += 1
-    total = n * (n - 1) // 2
-    denom = math.sqrt((total - ties_x) * (total - ties_y))
-    if denom == 0.0:
-        return float("nan")
-    return (concordant - discordant) / denom
 
 
 def _sort_and_count(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -99,7 +61,7 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     """Kendall's tau-b (tie-adjusted), O(n log n) via Knight's algorithm.
 
     Returns ``nan`` for fewer than 2 pairs or when either input is
-    constant.  Bit-identical to :func:`kendall_tau_reference` (every
+    constant.  Bit-identical to the quadratic definition (every
     count below is an exact integer and the final expression is the
     same) and matches ``scipy.stats.kendalltau``.
     """

@@ -5,10 +5,9 @@ which, given cluster labels and pairwise distances between data points,
 quantifies how dense and well separated clusters are on a [−1, 1]
 scale."  (Rousseeuw 1987.)
 
-Two paths, per the kernel-layer discipline (DESIGN.md, "Stats
-kernels"): :func:`silhouette_samples_reference` is the per-point Python
-loop — the executable definition — and :func:`silhouette_samples` is
-its vectorized form.  The kernel groups the distance matrix's columns
+Per the kernel-layer discipline (DESIGN.md, "Stats kernels"),
+:func:`silhouette_samples` is the vectorized form of the per-point
+Python loop kept as a test oracle under ``tests/oracles``.  The kernel groups the distance matrix's columns
 by cluster (stable argsort, preserving original index order within a
 cluster) and takes one contiguous ``sum(axis=1)`` per cluster block, so
 every per-point per-cluster sum applies numpy's pairwise reduction to
@@ -75,8 +74,7 @@ def silhouette_samples(distances: np.ndarray, labels: np.ndarray) -> SilhouetteR
     other cluster.  Singleton clusters score 0 by convention.
 
     Vectorized: one contiguous block sum per cluster replaces the
-    per-point loop, bit-identical to
-    :func:`silhouette_samples_reference`.
+    per-point loop, bit-identical to it.
     """
     d, labels, unique = _validated(distances, labels)
     n = d.shape[0]
@@ -107,32 +105,6 @@ def silhouette_samples(distances: np.ndarray, labels: np.ndarray) -> SilhouetteR
         values = np.where(
             own_size <= 1, 0.0, np.where(denom == 0.0, 0.0, scores)
         )
-    return SilhouetteReport(values=values, labels=labels)
-
-
-def silhouette_samples_reference(
-    distances: np.ndarray, labels: np.ndarray
-) -> SilhouetteReport:
-    """The per-point scalar loop :func:`silhouette_samples` reproduces."""
-    d, labels, unique = _validated(distances, labels)
-    n = d.shape[0]
-    values = np.zeros(n, dtype=float)
-    for i in range(n):
-        own = labels[i]
-        own_mask = labels == own
-        own_size = int(own_mask.sum())
-        if own_size <= 1:
-            values[i] = 0.0
-            continue
-        a_i = d[i, own_mask].sum() / (own_size - 1)
-        b_i = np.inf
-        for other in unique:
-            if other == own:
-                continue
-            other_mask = labels == other
-            b_i = min(b_i, float(d[i, other_mask].mean()))
-        denom = max(a_i, b_i)
-        values[i] = 0.0 if denom == 0.0 else (b_i - a_i) / denom
     return SilhouetteReport(values=values, labels=labels)
 
 

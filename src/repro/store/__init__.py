@@ -30,7 +30,6 @@ from .columnar import (
 from .format import COLUMNAR_VERSION
 from .ingest import IngestReport, ingest_months
 from .mapped import MappedBrowsingDataset, MappedStringTable
-from .slicefile import SLICE_SUFFIX, read_slice, write_slice
 
 __all__ = [
     "COLUMNAR_CODEC",
@@ -40,11 +39,8 @@ __all__ = [
     "MANIFEST_NAME",
     "MappedBrowsingDataset",
     "MappedStringTable",
-    "SLICE_SUFFIX",
     "VOCAB_NAME",
     "ingest_months",
     "open_columnar",
-    "read_slice",
     "write_columnar",
-    "write_slice",
 ]

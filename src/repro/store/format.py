@@ -24,7 +24,7 @@ All integers are little-endian.  The three file kinds:
                 distribution vectors and per-file content fingerprints.
 
 The same string-table packing, under a fourth magic, backs the slice
-cache's per-slice binary files (:mod:`repro.store.slicefile`).
+cache's per-slice binary files (:class:`repro.engine.SliceCache`).
 
 Writes are crash-safe: :func:`atomic_write_bytes` writes a temp sibling
 and ``os.replace``\\ s it into place, so an interrupted save never
@@ -101,14 +101,15 @@ def unpack_string_table(
     if len(data) < offsets_end:
         raise DatasetError(f"{path}: truncated string-table offsets")
     offsets = np.frombuffer(data, dtype=np.int64, count=count + 1,
-                            offset=HEADER_SIZE)
+                            offset=HEADER_SIZE).tolist()
     blob = data[offsets_end:]
-    if count and int(offsets[-1]) > len(blob):
+    if count and offsets[-1] > len(blob):
         raise DatasetError(f"{path}: string-table blob shorter than offsets")
-    return tuple(
-        blob[int(offsets[i]):int(offsets[i + 1])].decode("utf-8")
-        for i in range(count)
-    )
+    bounds = map(slice, offsets[:-1], offsets[1:])
+    if blob.isascii():
+        # Byte offsets are character offsets: decode the blob once.
+        return tuple(map(blob.decode("ascii").__getitem__, bounds))
+    return tuple(blob[bound].decode("utf-8") for bound in bounds)
 
 
 # -- id arrays ----------------------------------------------------------------------

@@ -24,10 +24,11 @@ walk by every platform × metric, the December mixture by both
 platforms), :meth:`TelemetryGenerator.rank_lists_batch` scores a whole
 per-country grid in one matrix pass: each deterministic component is
 drawn exactly once into a keyed component cache and broadcast into the
-columns that use it, preserving the serial path's per-element order of
-additions so every column is byte-identical to
-:meth:`TelemetryGenerator.rank_list` (asserted in
-``tests/engine/test_batch_parity.py``).
+columns that use it, preserving the per-element order of additions of
+the score sum above so every column is byte-identical to scoring that
+slice on its own (asserted against the per-slice oracle in
+``tests/engine/test_batch_parity.py``).  :meth:`TelemetryGenerator.rank_list`
+is the one-breakdown case of the same pass.
 
 Two structural choices are calibration-critical:
 
@@ -72,7 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..world.countries import get_country
 from .privacy import (
     PrivacyConfig,
-    apply_threshold,
     threshold_rank,
     time_sampling_noise_sigma,
 )
@@ -252,9 +252,9 @@ class TelemetryGenerator:
         noise = np.where(mask, shift_sigma, base_sigma) * gauss
         return noise * self.universe.noise_scale[candidates]
 
-    def _churn(
-        self, country: str, component: str, base: np.ndarray,
-        prob: float, lo: float, hi: float,
+    def _churn_from_draws(
+        self, country: str, base: np.ndarray,
+        rand: np.ndarray, magnitude: np.ndarray, prob: float,
     ) -> np.ndarray:
         """Boundary churn: shift sites *across* the top-N cutoff.
 
@@ -265,23 +265,13 @@ class TelemetryGenerator:
         churn lowers list intersection without degrading the rank
         correlation within it — the combination Section 4.4 reports.
 
-        The RNG draws depend only on (seed, country, component) and the
-        pool size, while the quantile/direction logic also depends on
+        The draws (``rand`` for the churn mask, ``magnitude`` for the
+        shift) depend only on (seed, country, component) and the pool
+        size, while the quantile/direction logic also depends on
         ``base`` (which carries the month walk); the two halves are
         split so :meth:`rank_lists_batch` can draw once per platform
-        and re-derive only the base-dependent half per month.
+        and re-derive only this base-dependent half per month.
         """
-        rng = self._stream(country, component)
-        n = len(self.universe.candidates(country))
-        rand = rng.random(n)
-        magnitude = rng.uniform(lo, hi, size=n)
-        return self._churn_from_draws(country, base, rand, magnitude, prob)
-
-    def _churn_from_draws(
-        self, country: str, base: np.ndarray,
-        rand: np.ndarray, magnitude: np.ndarray, prob: float,
-    ) -> np.ndarray:
-        """The base-dependent half of :meth:`_churn`, given its draws."""
         candidates = self.universe.candidates(country)
         n = len(candidates)
         q_cut = 1.0 - min(self.config.list_size / max(n, 1), 1.0)
@@ -385,68 +375,6 @@ class TelemetryGenerator:
             cfg.month_sigma, cfg.month_shift_prob, cfg.month_shift_sigma,
         )
 
-    # -- scoring -----------------------------------------------------------------------
-
-    def _scores(
-        self, country: str, platform: Platform, metric: Metric, month: Month
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(candidate uids, log scores) for one breakdown, pre-truncation."""
-        cfg = self.config
-        uni = self.universe
-        state = self._country_state(country)
-        candidates = state["candidates"]
-        score = state["base"].copy()
-
-        # Platform effect.
-        if platform.is_mobile:
-            score += uni.log_mobile[candidates]
-        score += self._gauss(country, f"platform:{platform.value}", cfg.platform_sigma)
-
-        # Slow popularity drift — applied before the metric effect so the
-        # churn component sees the exact loads-side ranking score.
-        score += self._month_walk(country, month)
-
-        # Metric effect.  Initiated page loads track completed page loads
-        # almost exactly (Section 3.1), so they share the completed-loads
-        # component plus a whisker of independent noise.
-        if metric is Metric.TIME_ON_PAGE:
-            score += uni.log_time[candidates]
-            churn_prob = cfg.metric_churn_prob
-            diffuse_sigma = cfg.metric_sigma
-            if platform.is_mobile:
-                churn_prob *= cfg.mobile_metric_factor
-            # Churn direction/cutoff use the loads-side score (base +
-            # platform effects), i.e. membership in the list the site is
-            # entering or leaving, so shifts almost never misfire.
-            score += self._churn(
-                country, f"metric:churn:{platform.value}", score,
-                churn_prob, cfg.metric_churn_lo, cfg.metric_churn_hi,
-            )
-            score += self._gauss(
-                country, f"metric:time:{platform.value}", diffuse_sigma
-            )
-        elif metric is Metric.INITIATED_PAGE_LOADS:
-            score += self._gauss(country, "metric:initiated", 0.05)
-
-        # December transient: seasonal category multipliers plus extra
-        # holiday churn that reverts in January.
-        if month.is_december:
-            score += uni.log_december[candidates]
-            score += self._mixture(
-                country, f"december:{month.year}:{metric.value}",
-                cfg.december_extra_sigma, cfg.december_shift_prob,
-                cfg.december_shift_sigma,
-            )
-
-        # Time-on-page sampling error (privacy pipeline): transient per
-        # month, grows as the sampling rate shrinks.
-        if metric is Metric.TIME_ON_PAGE:
-            sampling_sigma = time_sampling_noise_sigma(cfg.privacy.time_sampling_rate)
-            score += self._gauss(country, f"sampling:{month}", sampling_sigma)
-
-        keep = state["keep"]
-        return candidates[keep], score[keep]
-
     # -- list generation ----------------------------------------------------------------
 
     @staticmethod
@@ -524,24 +452,8 @@ class TelemetryGenerator:
     ) -> RankedList:
         """The top-N ranked list for one breakdown."""
         get_country(country)
-        uids, scores = self._scores(country, platform, metric, month)
-        n = min(self.config.list_size, len(uids))
-        if n == 0:
-            raise GenerationError(f"no candidates survive for {country}")
-        order = self._top_order(scores, n)
-        top_uids = uids[order]
-
-        names = self._emit_names(country)[top_uids].tolist()
-        ranked = RankedList(names)
-
-        if self.config.privacy.client_threshold > 0:
-            install_base = get_country(country).web_scale * INSTALL_BASE_UNIT
-            dist = self.distribution(
-                platform if platform in Platform.studied() else Platform.WINDOWS,
-                metric if metric in Metric.studied() else Metric.PAGE_LOADS,
-            )
-            ranked = apply_threshold(ranked, install_base, dist, self.config.privacy)
-        return ranked
+        breakdown = Breakdown(country, platform, metric, month)
+        return self.rank_lists_batch(country, (breakdown,))[breakdown]
 
     def rank_lists_batch(
         self,
@@ -559,20 +471,18 @@ class TelemetryGenerator:
         (year, metric) and the sampling gauss per month are computed
         exactly once and broadcast into every row that uses them.
 
-        Byte-identity with :meth:`rank_list` is by construction, not by
-        tolerance: IEEE addition is commutative but not associative, so
-        the batch path never re-associates — rows sharing a prefix of
-        the serial accumulation (base → platform → walk → metric →
-        season → sampling) share the *computed prefix array* and then
-        apply the remaining ``+=`` in the serial order, making every
-        partial sum bitwise equal to the serial one.  Top-k, emit and
-        the privacy cutoff then reuse the same primitives as the serial
-        path (the cutoff via :meth:`_threshold_cutoff`, which memoises
-        the identical binary search).
+        Byte-identity with scoring each slice on its own is by
+        construction, not by tolerance: IEEE addition is commutative but
+        not associative, so the batch path never re-associates — rows
+        sharing a prefix of the per-slice accumulation (base → platform
+        → walk → metric → season → sampling) share the *computed prefix
+        array* and then apply the remaining ``+=`` in that order, making
+        every partial sum bitwise equal to the per-slice one.  The
+        privacy cutoff comes from :meth:`_threshold_cutoff`, which
+        memoises the binary search :func:`apply_threshold` performs.
 
-        Under an active tracer every slice gets the same
-        ``engine.generate_slice`` span the per-slice executor path
-        emits.
+        Under an active tracer every slice gets an
+        ``engine.generate_slice`` span.
         """
         cfg = self.config
         uni = self.universe
@@ -600,7 +510,7 @@ class TelemetryGenerator:
 
         # Per-call component caches (walks and thresholds are memoised
         # on the generator itself; these are cheap to rebuild and keyed
-        # the same way the serial noise streams are).
+        # the same way the noise streams are).
         gauss_cache: dict[str, np.ndarray] = {}
         prefix: dict[Platform, np.ndarray] = {}
         prefix_month: dict[tuple[Platform, int], np.ndarray] = {}
@@ -641,11 +551,16 @@ class TelemetryGenerator:
                             f"platform:{platform.value}", cfg.platform_sigma
                         )
                         prefix[platform] = p
+                    # Slow popularity drift — applied before the metric
+                    # effect so churn sees the loads-side ranking score.
                     pm = p.copy()
                     pm += self._month_walk(country, month)
                     prefix_month[month_key] = pm
                 np.copyto(row, pm)
 
+                # Metric effect.  Initiated page loads track completed
+                # page loads almost exactly (Section 3.1), so they share
+                # the completed-loads score plus a whisker of noise.
                 if metric is Metric.TIME_ON_PAGE:
                     row += log_time_c
                     churn = churn_comp.get(month_key)
@@ -668,8 +583,9 @@ class TelemetryGenerator:
                         if platform.is_mobile:
                             churn_prob *= cfg.mobile_metric_factor
                         # The churn input is the loads-side score so far
-                        # (prefix + walk + log_time), exactly what the
-                        # serial path passes.
+                        # (prefix + walk + log_time), so churn direction
+                        # follows membership in the list a site is
+                        # entering or leaving.
                         churn = self._churn_from_draws(
                             country, row, draws[0], draws[1], churn_prob
                         )
@@ -681,6 +597,8 @@ class TelemetryGenerator:
                 elif metric is Metric.INITIATED_PAGE_LOADS:
                     row += gauss("metric:initiated", 0.05)
 
+                # December transient: seasonal category multipliers plus
+                # extra holiday churn that reverts in January.
                 if month.is_december:
                     row += log_december_c
                     mix_key = (month.year, metric.value)
@@ -694,6 +612,8 @@ class TelemetryGenerator:
                         mixture_cache[mix_key] = mix
                     row += mix
 
+                # Time-on-page sampling error (privacy pipeline):
+                # transient per month, grows as the sampling rate shrinks.
                 if metric is Metric.TIME_ON_PAGE:
                     row += gauss(f"sampling:{month}", sampling_sigma)
 
@@ -723,7 +643,7 @@ class TelemetryGenerator:
         """Generate a dataset covering the requested breakdown grid.
 
         Delegates to :class:`repro.engine.GenerationEngine` with the
-        serial reference executor and this generator's state; pass an
+        serial executor, which scores with this generator; pass an
         engine explicitly (with a :class:`~repro.engine.ParallelExecutor`
         or a :class:`~repro.engine.SliceCache`) for the fast paths.
         """

@@ -1,11 +1,12 @@
-"""Batched grid generation must be byte-identical to the per-slice path.
+"""Batched grid generation must be byte-identical to the per-slice oracle.
 
 The batched scorer (:meth:`TelemetryGenerator.rank_lists_batch`) shares
 every component of the score sum across the slices of a country's grid;
 its contract is that sharing is *invisible* — each emitted list matches
-the serial :meth:`rank_list` output byte for byte, through every route
-a slice can take: direct calls, both executors with ``batch`` on and
-off, the on-disk slice cache, and an incremental ingest append.
+the per-slice scorer in :mod:`tests.oracles.scorer` byte for byte,
+through every route a slice can take: direct calls, :meth:`rank_list`,
+both executors, the on-disk slice cache, and an incremental ingest
+append.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.engine import (
 from repro.export.io import load_dataset, save_dataset
 from repro.store import ingest_months
 from repro.synth import GeneratorConfig, TelemetryGenerator
+from tests.oracles.scorer import execute_reference, rank_list_reference
 
 #: December 2021 sits inside the study months, so every full-grid case
 #: below exercises the seasonal transient (category multipliers + extra
@@ -52,27 +54,33 @@ def _full_grid(country: str) -> tuple[Breakdown, ...]:
 
 class TestGeneratorParity:
     def test_full_grid_byte_identical(self, generator):
-        """Batched == serial over platforms × all metrics × all months."""
+        """Batched == per-slice over platforms × all metrics × all months."""
         for country in ("US", "KR", "NG"):
             grid = _full_grid(country)
             batched = generator.rank_lists_batch(country, grid)
             assert tuple(batched) == grid
             for breakdown in grid:
-                serial = generator.rank_list(
-                    breakdown.country, breakdown.platform,
+                serial = rank_list_reference(
+                    generator, breakdown.country, breakdown.platform,
                     breakdown.metric, breakdown.month,
                 )
                 assert _blob(serial) == _blob(batched[breakdown]), breakdown
+                single = generator.rank_list(
+                    breakdown.country, breakdown.platform,
+                    breakdown.metric, breakdown.month,
+                )
+                assert _blob(single) == _blob(serial), breakdown
 
     def test_cold_generator_matches_warm_serial(self, generator):
         """A fresh generator batching first (no caches primed by any
-        serial call) still matches the session generator's serial path."""
+        per-slice call) still matches the session generator's oracle."""
         fresh = TelemetryGenerator(GeneratorConfig.small())
         grid = _full_grid("BR")
         batched = fresh.rank_lists_batch("BR", grid)
         for breakdown in grid:
-            serial = generator.rank_list(
-                "BR", breakdown.platform, breakdown.metric, breakdown.month
+            serial = rank_list_reference(
+                generator, "BR", breakdown.platform, breakdown.metric,
+                breakdown.month,
             )
             assert _blob(serial) == _blob(batched[breakdown]), breakdown
 
@@ -85,8 +93,9 @@ class TestGeneratorParity:
         )
         batched = gen.rank_lists_batch("GB", grid)
         for breakdown in grid:
-            serial = gen.rank_list(
-                "GB", breakdown.platform, breakdown.metric, breakdown.month
+            serial = rank_list_reference(
+                gen, "GB", breakdown.platform, breakdown.metric,
+                breakdown.month,
             )
             assert _blob(serial) == _blob(batched[breakdown])
 
@@ -94,8 +103,9 @@ class TestGeneratorParity:
         breakdown = Breakdown(
             "US", Platform.WINDOWS, Metric.PAGE_LOADS, Month(2021, 7)
         )
-        serial = generator.rank_list(
-            "US", Platform.WINDOWS, Metric.PAGE_LOADS, Month(2021, 7)
+        serial = rank_list_reference(
+            generator, "US", Platform.WINDOWS, Metric.PAGE_LOADS,
+            Month(2021, 7),
         )
         batched = generator.rank_lists_batch("US", (breakdown,))
         assert _blob(serial) == _blob(batched[breakdown])
@@ -117,15 +127,13 @@ class TestExecutorParity:
         countries=("US", "KR", "NG"),
         platforms=Platform.studied(),
         metrics=Metric.studied(),
-        months=(Month(2021, 12), Month(2022, 2)),
+        months=(Month(2021, 7), Month(2021, 12), Month(2022, 2)),
     )
 
     @pytest.fixture(scope="class")
     def reference(self, generator):
-        """The per-slice serial output — the byte-identity anchor."""
-        return SerialExecutor(batch=False).execute(
-            generator.config, self.PLAN, generator=generator
-        )
+        """The per-slice oracle output — the byte-identity anchor."""
+        return execute_reference(generator, self.PLAN)
 
     def test_serial_batched_matches_reference(self, generator, reference):
         batched = SerialExecutor().execute(
@@ -161,9 +169,7 @@ class TestCacheParity:
         assert cache.stats.writes == len(plan)
         warm = GenerationEngine(generator.config, cache=cache,
                                 generator=generator).run(plan)
-        reference = SerialExecutor(batch=False).execute(
-            generator.config, plan, generator=generator
-        )
+        reference = execute_reference(generator, plan)
         for breakdown in plan.breakdowns():
             assert _blob(produced[breakdown]) == _blob(reference[breakdown])
             assert _blob(warm[breakdown]) == _blob(reference[breakdown])
@@ -194,8 +200,6 @@ class TestIngestParity:
             metrics=(Metric.PAGE_LOADS,),
             months=base_months + (new_month,),
         )
-        reference = SerialExecutor(batch=False).execute(
-            generator.config, full_plan, generator=generator
-        )
+        reference = execute_reference(generator, full_plan)
         for breakdown, ranked in reference.items():
             assert _blob(grown[breakdown]) == _blob(ranked), breakdown

@@ -51,6 +51,19 @@ class TestSerialEngine:
         theirs = generator.rank_list("KR", Platform.ANDROID, Metric.TIME_ON_PAGE)
         assert _blob(ours) == _blob(theirs)
 
+    def test_generate_scores_with_its_own_generator(self):
+        # A config no other test uses, so no memoised generator exists;
+        # the small universe itself is shared with the session fixture.
+        from repro.engine.executor import _GENERATORS
+        from repro.synth import GeneratorConfig, TelemetryGenerator
+
+        gen = TelemetryGenerator(GeneratorConfig.small(list_size=700))
+        before = dict(_GENERATORS)
+        dataset = gen.generate(countries=("US", "KR"))
+        assert len(dataset) == 8
+        assert set(gen._per_country) == {"US", "KR"}
+        assert _GENERATORS == before
+
     def test_run_returns_plan_order(self, generator):
         engine = GenerationEngine(generator.config, generator=generator)
         plan = SlicePlan.from_grid(countries=("US", "BR"))

@@ -278,16 +278,13 @@ class TestServeParser:
         assert args.cache_size == 256
         assert args.jobs == 1
         assert args.store is None
-        assert args.artifacts is None
         assert not args.no_store
         assert args.trace is None
 
     def test_port_zero_and_flags_accepted(self):
-        # --no-artifacts is the legacy spelling of --no-store; both
-        # land on the same namespace attribute.
         args = _build_parser().parse_args([
             "serve", "--data", "ds", "--port", "0",
-            "--cache-size", "16", "--jobs", "4", "--no-artifacts",
+            "--cache-size", "16", "--jobs", "4", "--no-store",
         ])
         assert args.port == 0
         assert args.cache_size == 16
@@ -413,7 +410,7 @@ class TestTraceFlag:
         trace = tmp_path / "rep.jsonl"
         assert main([
             "report", "--data", str(dataset_dir),
-            "--out", str(tmp_path / "run"), "--no-artifacts", "--small",
+            "--out", str(tmp_path / "run"), "--no-store", "--small",
             "--tasks", "concentration", "--trace", str(trace),
         ]) == 0
         assert f"wrote trace {trace}" in capsys.readouterr().out
@@ -430,7 +427,7 @@ class TestTraceSummarize:
         trace = tmp_path / "rep.jsonl"
         assert main([
             "report", "--data", str(dataset_dir),
-            "--out", str(tmp_path / "run"), "--no-artifacts", "--small",
+            "--out", str(tmp_path / "run"), "--no-store", "--small",
             "--tasks", "concentration", "--trace", str(trace),
         ]) == 0
         capsys.readouterr()
@@ -542,12 +539,10 @@ class TestIngestAdjacentConventions:
             args = _build_parser().parse_args(command + ["--as-of", "3"])
             assert args.as_of == 3
 
-    def test_store_is_canonical_with_artifacts_as_alias(self):
-        args = _build_parser().parse_args([
-            "report", "--data", "d", "--out", "o", "--store", "s",
-        ])
-        assert args.store == "s" and args.artifacts is None
-        legacy = _build_parser().parse_args([
-            "serve", "--data", "d", "--artifacts", "a",
-        ])
-        assert legacy.artifacts == "a" and legacy.store is None
+    def test_store_flag_names_the_artifact_store(self):
+        for command in (
+            ["report", "--data", "d", "--out", "o"],
+            ["serve", "--data", "d"],
+        ):
+            args = _build_parser().parse_args(command + ["--store", "s"])
+            assert args.store == "s" and not args.no_store

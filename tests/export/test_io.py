@@ -254,22 +254,10 @@ class TestCrashSafety:
 
 
 class TestDeprecatedAliases:
-    def test_format_version_alias_warns_once_per_process(self):
-        import repro._compat
-        import repro.export.io as io
-
-        repro._compat._warned.discard(("repro.export.io", "_FORMAT_VERSION"))
-        with pytest.warns(DeprecationWarning, match="TEXT_FORMAT_VERSION"):
-            value = io._FORMAT_VERSION
-        assert value == io.TEXT_FORMAT_VERSION
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert io._FORMAT_VERSION == io.TEXT_FORMAT_VERSION
-
     def test_unknown_attribute_still_raises(self):
         import repro.export.io as io
 
-        with pytest.raises(AttributeError):
-            io.no_such_name
+        # The retired aliases are plain unknown names now.
+        for name in ("no_such_name", "_FORMAT_VERSION", "_slug"):
+            with pytest.raises(AttributeError):
+                getattr(io, name)

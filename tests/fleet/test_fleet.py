@@ -194,6 +194,17 @@ class TestLifecycle:
         finally:
             rebound.stop()
 
+    def test_stop_during_startup_exits_cleanly(self, columnar_data):
+        # A stop that lands while workers are still forking or loading
+        # the dataset must end them with 0, never -SIGTERM.
+        for _ in range(20):
+            fleet = FleetSupervisor(
+                columnar_data, port=0, workers=2, small=True,
+                drain_timeout=5.0,
+            ).start()
+            fleet.stop()
+            assert [proc.exitcode for proc in fleet._procs] == [0, 0]
+
     def test_workers_must_be_positive(self, columnar_data):
         with pytest.raises(ValueError, match="workers"):
             FleetSupervisor(columnar_data, workers=0)

@@ -60,12 +60,12 @@ class TestReportCommand:
 
     def test_serial_and_parallel_run_dirs_match(self, dataset_dir, tmp_path):
         main([
-            "report", "--data", str(dataset_dir), "--no-artifacts",
+            "report", "--data", str(dataset_dir), "--no-store",
             "--out", str(tmp_path / "serial"), "--jobs", "1",
             "--tasks", "concentration", "clusters",
         ])
         main([
-            "report", "--data", str(dataset_dir), "--no-artifacts",
+            "report", "--data", str(dataset_dir), "--no-store",
             "--out", str(tmp_path / "parallel"), "--jobs", "4",
             "--tasks", "concentration", "clusters",
         ])
@@ -77,7 +77,7 @@ class TestReportCommand:
 
     def test_task_subset_pulls_dependencies(self, dataset_dir, tmp_path):
         code = main([
-            "report", "--data", str(dataset_dir), "--no-artifacts",
+            "report", "--data", str(dataset_dir), "--no-store",
             "--out", str(tmp_path / "subset"),
             "--tasks", "endemic_categories",
         ])

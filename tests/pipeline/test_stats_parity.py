@@ -20,11 +20,8 @@ from repro.stats.affinity import affinity_propagation
 from repro.stats.correction import bonferroni
 from repro.stats.descriptive import median
 from repro.stats.fisher import normalized_difference, proportion_test
-from repro.stats.silhouette import (
-    SilhouetteReport,
-    silhouette_samples_reference,
-    similarity_to_distance,
-)
+from repro.stats.silhouette import SilhouetteReport, similarity_to_distance
+from tests.oracles.stats import silhouette_samples_reference
 
 
 def run_task(name, ctx, inputs=None):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.dbscan import NOISE, dbscan, dbscan_reference, eps_sweep
+from repro.stats.dbscan import NOISE, dbscan, eps_sweep
+from tests.oracles.stats import dbscan_reference
 
 
 def _distance_matrix(points):

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from repro.core import RankedList
-from repro.stats.kendall import (
-    kendall_from_lists,
-    kendall_tau,
-    kendall_tau_reference,
-)
+from repro.stats.kendall import kendall_from_lists, kendall_tau
+from tests.oracles.stats import kendall_tau_reference
 
 paired = st.lists(
     st.tuples(

@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.silhouette import (
-    silhouette_samples,
-    silhouette_samples_reference,
-    similarity_to_distance,
-)
+from repro.stats.silhouette import silhouette_samples, similarity_to_distance
+from tests.oracles.stats import silhouette_samples_reference
 
 
 def _two_blobs():

@@ -3,23 +3,12 @@
 import json
 import threading
 import urllib.request
-import warnings
 
 import pytest
 
 import repro
 import repro.api
 from repro.core import Metric, Month, Platform, REFERENCE_MONTH
-
-
-@pytest.fixture()
-def clear_deprecation_memo():
-    """Warn-once aliases memoize; reset so each test observes its warning."""
-    from repro import _compat
-
-    _compat._warned.clear()
-    yield
-    _compat._warned.clear()
 
 
 @pytest.fixture(scope="module")
@@ -169,39 +158,3 @@ class TestParameterConventions:
             GenerationEngine(
                 generator.config, executor=SerialExecutor(), jobs=2
             )
-
-    def test_cache_dir_alias_warns_once(
-        self, generator, tmp_path, clear_deprecation_memo
-    ):
-        from repro.engine import GenerationEngine
-
-        with pytest.warns(DeprecationWarning, match="cache_dir"):
-            engine = GenerationEngine(generator.config, cache_dir=tmp_path)
-        assert engine.cache is not None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second use: no warning
-            GenerationEngine(generator.config, cache_dir=tmp_path)
-
-    def test_cache_and_cache_dir_together_is_an_error(
-        self, generator, tmp_path, clear_deprecation_memo
-    ):
-        from repro.engine import GenerationEngine
-
-        with pytest.raises(TypeError, match="cache"):
-            GenerationEngine(
-                generator.config, cache=tmp_path, cache_dir=tmp_path
-            )
-
-    def test_run_pipeline_artifacts_alias_warns(
-        self, facade_dataset, generator, tmp_path, clear_deprecation_memo
-    ):
-        from repro.pipeline import run_pipeline
-
-        with pytest.warns(DeprecationWarning, match="artifacts"):
-            run = run_pipeline(
-                facade_dataset,
-                ["concentration"],
-                artifacts=tmp_path / "store",
-                config=generator.config,
-            )
-        assert run.ok
