@@ -5,7 +5,7 @@ lists) — the configuration whose noise model is calibrated against the
 paper's numbers.  Dataset fixtures route through the generation engine
 (:mod:`repro.engine`) with a persistent content-addressed slice cache,
 so the full-grid fixtures amortize across sessions: the first session
-pays the ~25 s universe build plus scoring, later sessions read the
+pays the universe build plus scoring, later sessions read the
 cached slices and skip both.  Delete the cache directory (or point
 ``REPRO_SLICE_CACHE`` elsewhere) to force regeneration.
 

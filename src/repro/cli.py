@@ -91,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "output is byte-identical either way)")
     gen.add_argument("--cache-dir", default=None,
                      help="content-addressed slice cache directory; warm "
-                          "slices skip scoring and the universe build")
+                          "slices skip scoring (saving still builds the "
+                          "universe, for the stored ground truth)")
     gen.add_argument("--format", default="text",
                      choices=("text", "columnar"),
                      help="storage codec for --out (default: text; "

@@ -15,6 +15,7 @@ from .errors import (
     TaxonomyError,
 )
 from .rankedlist import RankedList
+from .truth import GroundTruth
 from .vocab import SiteVocabulary
 from .types import (
     DECEMBER,
@@ -34,6 +35,7 @@ __all__ = [
     "DatasetError",
     "DistributionError",
     "GenerationError",
+    "GroundTruth",
     "Metric",
     "MissingBreakdownError",
     "Month",

@@ -6,7 +6,10 @@ sharing with the authors:
 * one :class:`~repro.core.rankedlist.RankedList` per
   (country, platform, metric, month) breakdown, and
 * one global :class:`~repro.core.distribution.TrafficDistribution` per
-  (platform, metric) pair (Section 4.1.1's traffic-volume curves).
+  (platform, metric) pair (Section 4.1.1's traffic-volume curves), and
+* optionally, the per-site :class:`~repro.core.truth.GroundTruth`
+  (category, tags, Android app) that the generator knows and the
+  paper's labelled analyses read.
 
 Analyses never see the generator; they consume a dataset, exactly as the
 paper's analyses consume the telemetry export.
@@ -20,8 +23,14 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .distribution import TrafficDistribution
 from .errors import DatasetError, MissingBreakdownError
 from .rankedlist import RankedList
+from .truth import GroundTruth
 from .types import Breakdown, Metric, Month, Platform
 from .vocab import SiteVocabulary
+
+#: A dataset's ground truth: the table itself, a function of the
+#: dataset producing it on first use (engine datasets and the codecs'
+#: loaders), or ``None`` when the dataset has none.
+TruthSource = "GroundTruth | Callable[[BrowsingDataset], GroundTruth] | None"
 
 
 class BrowsingDataset:
@@ -44,6 +53,7 @@ class BrowsingDataset:
         lists: Mapping[Breakdown, RankedList],
         distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
         metadata: Mapping[str, object] | None = None,
+        ground_truth: TruthSource = None,
     ) -> None:
         if not lists:
             raise DatasetError("dataset must contain at least one rank list")
@@ -56,6 +66,8 @@ class BrowsingDataset:
         self._months = tuple(sorted({b.month for b in self._lists}))
         self._vocab: SiteVocabulary | None = None
         self._vocab_lock = threading.Lock()
+        self._ground_truth = ground_truth
+        self._truth_lock = threading.Lock()
 
     # -- indices ------------------------------------------------------------------
 
@@ -149,6 +161,28 @@ class BrowsingDataset:
                 vocab = self._vocab
         return vocab
 
+    def all_sites(self) -> frozenset[str]:
+        """Every site appearing in any of the dataset's lists."""
+        union: set[str] = set()
+        for breakdown in self.breakdowns():
+            union.update(self[breakdown].sites)
+        return frozenset(union)
+
+    def ground_truth(self) -> GroundTruth | None:
+        """The per-site ground truth stored with the dataset (or ``None``).
+
+        Engine datasets compute it from their generator and saved
+        datasets read it from the codec's ground-truth file, both on
+        first use; datasets saved before ground truth was stored with
+        them have none.  The table may hold rows for sites beyond this
+        dataset's lists, so readers filter by :meth:`all_sites`.
+        """
+        with self._truth_lock:
+            truth = self._ground_truth
+            if callable(truth):
+                truth = self._ground_truth = truth(self)
+            return truth
+
     def distribution(self, platform: Platform, metric: Metric) -> TrafficDistribution:
         """The global traffic-distribution curve for a (platform, metric)."""
         try:
@@ -193,7 +227,10 @@ class BrowsingDataset:
         kept = {b: rl for b, rl in self._lists.items() if predicate(b)}
         if not kept:
             raise DatasetError("filter removed every breakdown")
-        return BrowsingDataset(kept, self._distributions, self._metadata)
+        return BrowsingDataset(
+            kept, self._distributions, self._metadata,
+            ground_truth=lambda _: self.ground_truth(),
+        )
 
     def restrict_countries(self, countries: Iterable[str]) -> "BrowsingDataset":
         wanted = set(countries)
@@ -202,7 +239,11 @@ class BrowsingDataset:
     def map_lists(
         self, transform: Callable[[Breakdown, RankedList], RankedList]
     ) -> "BrowsingDataset":
-        """Apply a per-list transformation (e.g. eTLD merging) to all lists."""
+        """Apply a per-list transformation (e.g. eTLD merging) to all lists.
+
+        The result carries no ground truth: the transform may rename
+        sites, and the table is keyed by the original names.
+        """
         return BrowsingDataset(
             {b: transform(b, rl) for b, rl in self._lists.items()},
             self._distributions,
@@ -236,6 +277,7 @@ class DeferredBrowsingDataset(BrowsingDataset):
         breakdowns: Iterable[Breakdown],
         distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
         metadata: Mapping[str, object] | None = None,
+        ground_truth: TruthSource = None,
     ) -> None:
         # Serving reads a deferred dataset from many threads;
         # materialize mutates _pending/_lists, so it runs under a lock.
@@ -244,7 +286,9 @@ class DeferredBrowsingDataset(BrowsingDataset):
         self._pending: set[Breakdown] = set(keys)
         # Placeholder values: the base initialiser only reads keys, and
         # every value-reading path below materialises first.
-        super().__init__(dict.fromkeys(keys), distributions, metadata)
+        super().__init__(
+            dict.fromkeys(keys), distributions, metadata, ground_truth
+        )
 
     # -- production ----------------------------------------------------------------
 
@@ -282,6 +326,10 @@ class DeferredBrowsingDataset(BrowsingDataset):
         if breakdown in self._pending:
             self.materialize((breakdown,))
         return super().__getitem__(breakdown)
+
+    def all_sites(self) -> frozenset[str]:
+        self.materialize()  # one batched production, not one per slice
+        return super().all_sites()
 
     def get_or_none(
         self, country: str, platform: Platform, metric: Metric, month: Month

@@ -13,8 +13,8 @@ packed string table of :mod:`repro.store.format` under the
 header carries an explicit count, so a truncated file is detected
 (:class:`~repro.core.errors.DatasetError`) instead of silently yielding
 a short list.  A warm cache serves slices without constructing a
-generator at all, skipping both scoring and the ~25 s full-scale
-universe build.
+generator at all, skipping both scoring and the full-scale universe
+build.
 """
 
 from __future__ import annotations

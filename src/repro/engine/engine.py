@@ -6,8 +6,9 @@ plan it serves what it can from the content-addressed slice cache and
 hands only the misses to its executor; everything a run produces is
 written back to the cache.  The engine is *lazy about the expensive
 parts*: no generator (and hence no universe) is constructed until a
-cache miss actually requires scoring, so a warm cache answers a full
-grid without paying the ~25 s full-scale universe build.
+cache miss actually requires scoring — or the dataset's ground truth is
+first read — so a warm cache answers a full grid without paying the
+full-scale universe build.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Iterable
 from ..core.dataset import BrowsingDataset
 from ..core.errors import GenerationError
 from ..core.rankedlist import RankedList
+from ..core.truth import GroundTruth
 from ..core.types import Breakdown, Metric, Month, Platform, REFERENCE_MONTH
 from ..obs import get_tracer
 from ..synth.generator import GeneratorConfig, TelemetryGenerator
@@ -160,7 +162,19 @@ class GenerationEngine:
         )
 
     def generate_plan(self, plan: SlicePlan) -> BrowsingDataset:
-        return BrowsingDataset(self.run(plan), global_distributions(), self.metadata())
+        return BrowsingDataset(
+            self.run(plan), global_distributions(), self.metadata(),
+            ground_truth=self.ground_truth,
+        )
+
+    def ground_truth(self, dataset: BrowsingDataset) -> GroundTruth:
+        """The ground-truth table for ``dataset``'s sites.
+
+        The source engine datasets defer to: it needs the universe, so a
+        warm-cache run builds it only when the table is first read
+        (e.g. by ``save_dataset``).
+        """
+        return self.generator.ground_truth(sorted(dataset.all_sites()))
 
     def generate_lazy(
         self,

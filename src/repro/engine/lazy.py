@@ -38,6 +38,7 @@ class LazyBrowsingDataset(DeferredBrowsingDataset):
             plan.breakdowns(),
             global_distributions(),
             engine.metadata(),
+            ground_truth=engine.ground_truth,
         )
 
     def _produce(

@@ -5,13 +5,16 @@ is a **codec**:
 
 ``text``      the original greppable layout — ``manifest.json`` plus
               one ``lists/<slug>.txt`` file per breakdown (one site per
-              line, rank order).  Deliberately boring so exports can be
-              consumed without this library; the export/debug codec.
+              line, rank order) and the ``ground_truth.jsonl`` sidecar
+              (one ``[site, category, has_app, tags]`` JSON row per
+              site).  Deliberately boring so exports can be consumed
+              without this library; the export/debug codec.
 ``columnar``  the binary layout of :mod:`repro.store` — ``manifest.bin``,
-              a packed vocabulary string table (``vocab.bin``) and one
+              a packed vocabulary string table (``vocab.bin``), one
               contiguous ``int32`` id array (``lists.bin``) that
               :func:`load_dataset` memory-maps, so cold start is
-              O(open) and processes share pages.
+              O(open) and processes share pages, and the ground-truth
+              column family (``truth.bin``) keyed by site id.
 
 :func:`save_dataset` takes ``format=``; :func:`load_dataset`
 auto-detects from the files present (a ``manifest.bin`` wins over a
@@ -30,6 +33,12 @@ datasets produced by the generation engine include a ``fingerprint``
 key there — the :meth:`GeneratorConfig.fingerprint` content address of
 every generation knob — so an export can be matched to the exact
 configuration (and slice-cache directory) that produced it.
+
+Both codecs store the dataset's :class:`~repro.core.truth.GroundTruth`
+(category, tags and Android-app flag per site) with its row count and
+SHA-256 in the manifest, and read it lazily, checking the digest, when
+the ground truth is first asked for.  A dataset saved before ground
+truth was stored has none; its next ``ingest`` writes the table.
 
 Metadata values must be JSON-serializable; :class:`Month`,
 :class:`Platform` and :class:`Metric` values are coerced to their
@@ -51,9 +60,14 @@ from ..core.dataset import BrowsingDataset
 from ..core.distribution import TrafficDistribution
 from ..core.errors import DatasetError
 from ..core.rankedlist import RankedList
+from ..core.truth import GroundTruth, check_entries
 from ..core.types import Breakdown, Metric, Month, Platform
+from ..core.vocab import SiteVocabulary
 
 TEXT_FORMAT_VERSION = 1
+
+#: The text codec's ground-truth sidecar.
+TRUTH_TEXT = "ground_truth.jsonl"
 
 #: Subdirectory where superseded manifests are archived by ingest.
 #: ``versions/manifest.v<N>.json`` (text) / ``.bin`` (columnar) pins
@@ -392,16 +406,82 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _truth_text(truth: GroundTruth) -> str:
+    """The sidecar encoding: one canonical JSON row per site."""
+    return "".join(
+        json.dumps([site, category, app, list(tags)],
+                   ensure_ascii=False, separators=(",", ":")) + "\n"
+        for site, category, app, tags in truth.rows()
+    )
+
+
+def _truth_bytes(truth: GroundTruth) -> bytes:
+    return _truth_text(truth).encode("utf-8")
+
+
+def truth_record(truth: GroundTruth) -> tuple[str, dict[str, object]]:
+    """The sidecar text and its manifest record."""
+    text = _truth_text(truth)
+    return text, {
+        "file": TRUTH_TEXT,
+        "entries": len(truth),
+        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    }
+
+
+def _parse_truth_text(data: bytes, path: Path) -> GroundTruth:
+    rows = []
+    # JSON escapes every newline inside a string, so rows split on "\n".
+    for number, line in enumerate(data.decode("utf-8").split("\n")[:-1], 1):
+        try:
+            site, category, app, tags = json.loads(line)
+            rows.append((site, category, bool(app), tuple(tags)))
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(
+                f"{path}:{number}: malformed ground-truth row: {exc}"
+            ) from exc
+    return GroundTruth.from_rows(rows)
+
+
+def _text_truth_loader(root: Path, manifest: dict, manifest_path: Path):
+    """The dataset's lazy ground-truth source, or ``None`` without one."""
+    record = manifest.get("ground_truth")
+    if record is None:
+        return None
+    try:
+        path, entries = root / record["file"], int(record["entries"])
+        sha256 = record["sha256"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(
+            f"{manifest_path}: malformed ground_truth record {record!r}"
+        ) from exc
+
+    def load(dataset: BrowsingDataset) -> GroundTruth:
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            raise DatasetError(
+                f"dataset at {root} is torn: manifest names "
+                f"{record['file']}, but the file is absent"
+            ) from None
+        truth = _parse_truth_text(data, path)
+        return check_entries(truth, entries, sha256, _truth_bytes, path)
+
+    return load
+
+
 def _save_text(dataset: BrowsingDataset, root: Path) -> Path:
     lists_dir = root / "lists"
+    truth = dataset.ground_truth()
+    vocab = SiteVocabulary()
 
     breakdowns = []
     for breakdown in sorted_breakdowns(dataset):
         slug = breakdown_slug(breakdown)
-        _atomic_write_text(
-            lists_dir / f"{slug}.txt",
-            "\n".join(dataset[breakdown].sites) + "\n",
-        )
+        sites = dataset[breakdown].sites
+        _atomic_write_text(lists_dir / f"{slug}.txt", "\n".join(sites) + "\n")
+        if truth is not None:
+            vocab.intern_many(sites)
         breakdowns.append(
             {
                 "country": breakdown.country,
@@ -419,6 +499,12 @@ def _save_text(dataset: BrowsingDataset, root: Path) -> Path:
         "breakdowns": breakdowns,
         "distributions": distribution_entries(dataset),
     }
+    if truth is not None:
+        # Rows in first-seen site order, as a columnar save numbers them.
+        text, manifest["ground_truth"] = truth_record(
+            truth.reindex(vocab.names())
+        )
+        _atomic_write_text(root / TRUTH_TEXT, text)
     # The manifest goes last: a torn save leaves stray list files at
     # worst, never a manifest naming files that are absent or short.
     _atomic_write_text(root / "manifest.json", json.dumps(manifest, indent=2))
@@ -459,7 +545,8 @@ def _load_text(
 
     distributions = parse_distribution_entries(manifest["distributions"])
     dataset = BrowsingDataset(
-        lists, distributions, manifest.get("metadata", {})
+        lists, distributions, manifest.get("metadata", {}),
+        ground_truth=_text_truth_loader(root, manifest, manifest_path),
     )
     dataset.version = int(manifest.get("dataset_version", 1))
     return dataset

@@ -3,10 +3,8 @@
 The context carries what tasks may not compute for themselves: the
 loaded dataset, the reference month (default: the dataset's last
 month), and — optionally — the :class:`GeneratorConfig` matching the
-dataset, which ground-truth tasks (labels, tags, app roster) need to
-rebuild the synthetic universe.  The generator is built lazily behind a
-lock, so a warm artifact cache never pays the universe build and
-concurrent tasks share one instance.
+dataset.  Ground-truth tasks (labels, tags, app roster) read the table
+stored with the dataset; the config only addresses their artifacts.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from ..core.errors import TaskUnavailable
 from ..core.types import Metric, Month, Platform
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..synth.generator import GeneratorConfig, TelemetryGenerator
+    from ..synth.generator import GeneratorConfig
 
 
 class TaskContext:
@@ -36,7 +34,6 @@ class TaskContext:
         self.dataset = dataset
         self.config = config
         self.month = month or dataset.months[-1]
-        self._generator: "TelemetryGenerator | None" = None
         self._fingerprint: str | None = None
         self._sites: frozenset[str] | None = None
         self._lock = threading.Lock()
@@ -78,47 +75,21 @@ class TaskContext:
             )
         return self.config.fingerprint()
 
-    # -- ground truth -------------------------------------------------------------
-
-    @property
-    def generator(self) -> "TelemetryGenerator":
-        """The generator for :attr:`config`, built once per run.
-
-        Raises :class:`TaskUnavailable` when the run has no config —
-        dataset-only tasks never touch this, so a pipeline over an
-        unprovenanced export still runs everything label-free.
-        """
-        if self.config is None:
-            self.config_fingerprint()  # raises with the actionable message
-        with self._lock:
-            if self._generator is None:
-                from ..engine.executor import generator_for
-
-                self._generator = generator_for(self.config)
-            return self._generator
-
     # -- dataset conveniences -----------------------------------------------------
 
     def sites(self) -> frozenset[str]:
         """Every site appearing anywhere in the dataset (memoised).
 
-        Ground-truth tasks restrict their artifacts to this union so a
-        full-scale label map stores ~the dataset's vocabulary, not the
-        whole 1.1M-site universe.  Columnar datasets answer from their
-        packed string table in one bulk decode
-        (:meth:`~repro.store.MappedBrowsingDataset.all_sites`) instead
-        of materialising every list.
+        Ground-truth tasks restrict their artifacts to this union: a
+        table may hold rows beyond it (an ``as_of`` version reads a
+        grown table's prefix, a filtered dataset its parent's table).
+        Columnar datasets answer from their packed string table in one
+        bulk decode (:meth:`~repro.store.MappedBrowsingDataset.all_sites`)
+        instead of materialising every list.
         """
         with self._lock:
             if self._sites is None:
-                all_sites = getattr(self.dataset, "all_sites", None)
-                if all_sites is not None:
-                    self._sites = frozenset(all_sites())
-                else:
-                    union: set[str] = set()
-                    for breakdown in self.dataset.breakdowns():
-                        union.update(self.dataset[breakdown].sites)
-                    self._sites = frozenset(union)
+                self._sites = self.dataset.all_sites()
             return self._sites
 
     @property

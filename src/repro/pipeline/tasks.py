@@ -57,6 +57,19 @@ REGISTRY = TaskRegistry()
 
 
 # -- ground truth ---------------------------------------------------------------------
+#
+# The table is stored with the dataset (see repro.core.truth); the keys
+# still fold in the generator-config fingerprint that produced it.
+
+def _ground_truth(ctx: TaskContext):
+    truth = ctx.dataset.ground_truth()
+    if truth is None:
+        raise TaskUnavailable(
+            "the dataset stores no ground truth (it was saved before "
+            "datasets carried it); `repro ingest` a month to write it"
+        )
+    return truth
+
 
 @REGISTRY.task(
     "labels", section="§3.3", title="Site category labels",
@@ -64,7 +77,7 @@ REGISTRY = TaskRegistry()
 )
 def _labels(ctx: TaskContext, inputs: dict[str, object]) -> object:
     """Ground-truth category per site, restricted to the dataset's sites."""
-    labels = ctx.generator.site_categories()
+    labels = _ground_truth(ctx).labels()
     present = ctx.sites()
     return {site: labels[site] for site in sorted(present) if site in labels}
 
@@ -74,14 +87,10 @@ def _labels(ctx: TaskContext, inputs: dict[str, object]) -> object:
     context_key=_config_key, reads="all-months",
 )
 def _tags(ctx: TaskContext, inputs: dict[str, object]) -> object:
-    universe = ctx.generator.universe
     present = ctx.sites()
-    out: dict[str, list[str]] = {}
-    for uid, tags in universe.tags.items():
-        site = universe.canonical[uid]
-        if site in present:
-            out[site] = list(tags)
-    return out
+    return {site: list(tags)
+            for site, tags in _ground_truth(ctx).tags_by_site().items()
+            if site in present}
 
 
 @REGISTRY.task(
@@ -89,16 +98,9 @@ def _tags(ctx: TaskContext, inputs: dict[str, object]) -> object:
     context_key=_config_key, reads="all-months",
 )
 def _has_app(ctx: TaskContext, inputs: dict[str, object]) -> object:
-    import numpy as np
-
-    universe = ctx.generator.universe
     present = ctx.sites()
-    sites = sorted(
-        universe.canonical[int(uid)]
-        for uid in np.flatnonzero(universe.has_android_app)
-        if universe.canonical[int(uid)] in present
-    )
-    return {"sites": sites}
+    return {"sites": sorted(site for site in _ground_truth(ctx).app_sites()
+                            if site in present)}
 
 
 # -- concentration (§4.1, Figure 1) ---------------------------------------------------

@@ -158,9 +158,6 @@ class QueryService:
             ctx = TaskContext(
                 dataset, config=self._config, month=self._month_pin
             )
-            # The generator (universe build!) is config-derived, so the
-            # new context can share the one already built, if any.
-            ctx._generator = self.ctx._generator
             version = int(getattr(dataset, "version", 1))
             self._contexts[version] = ctx
             self._latest = version
@@ -215,7 +212,6 @@ class QueryService:
             ctx = TaskContext(
                 dataset, config=self._config, month=self._month_pin
             )
-            ctx._generator = self.ctx._generator
             self._contexts[wanted] = ctx
             return wanted, ctx
 

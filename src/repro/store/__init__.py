@@ -4,9 +4,9 @@ The store gives every layer above it a zero-copy cold path:
 
 * :func:`write_columnar` serialises a :class:`BrowsingDataset` as a
   packed vocabulary string table, one contiguous ``int32`` id array
-  holding every ranked list, and a binary manifest carrying the
-  breakdown index, metadata, distribution vectors and content
-  fingerprints;
+  holding every ranked list, the ground-truth column family keyed by
+  site id, and a binary manifest carrying the breakdown index,
+  metadata, distribution vectors and content fingerprints;
 * :func:`open_columnar` memory-maps those files back as a
   :class:`MappedBrowsingDataset` — cold start is O(open), lists
   materialise lazily from mapped ids plus the shared vocabulary, and
@@ -23,6 +23,7 @@ from .columnar import (
     COLUMNAR_CODEC,
     LISTS_NAME,
     MANIFEST_NAME,
+    TRUTH_NAME,
     VOCAB_NAME,
     open_columnar,
     write_columnar,
@@ -39,6 +40,7 @@ __all__ = [
     "MANIFEST_NAME",
     "MappedBrowsingDataset",
     "MappedStringTable",
+    "TRUTH_NAME",
     "VOCAB_NAME",
     "ingest_months",
     "open_columnar",

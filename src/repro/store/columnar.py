@@ -7,19 +7,25 @@ Directory layout (see :mod:`repro.store.format` for byte layouts)::
     <root>/vocab.bin        # packed string table: site id -> UTF-8 name
     <root>/lists.bin        # one contiguous int32 id array; each
                             # breakdown owns an (offset, length) window
+    <root>/truth.bin        # ground truth per site id: category, tags,
+                            # has-Android-app (absent for datasets saved
+                            # before ground truth was stored)
 
 Saving interns every list through one fresh
 :class:`~repro.core.vocab.SiteVocabulary` (first-seen order over the
 canonical breakdown sort), concatenates the id arrays, and records each
 breakdown's window in the manifest together with per-file SHA-256
-fingerprints and the dataset fingerprint.  Every file is written to a
+fingerprints and the dataset fingerprint.  The ground-truth column
+family is keyed by the same site ids; its digest and row count sit in
+the manifest next to the other files'.  Every file is written to a
 temp sibling and ``os.replace``\\ d, manifest last — an interrupted
 save never leaves a manifest naming torn files.
 
 Opening is O(open): read the manifest, validate the index, and
 ``numpy.memmap`` the two data files.  No list page is touched until a
 breakdown is actually read (:class:`repro.store.MappedBrowsingDataset`
-materialises lazily).
+materialises lazily), and ``truth.bin`` is read — and checked against
+the manifest's digest — only when the ground truth is first asked for.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import numpy as np
 
 from ..core.dataset import BrowsingDataset
 from ..core.errors import DatasetError
+from ..core.truth import check_entries
 from ..core.types import Breakdown
 from ..core.vocab import SiteVocabulary
 from ..export.io import (
@@ -50,8 +57,10 @@ from .format import (
     file_fingerprint,
     map_id_array,
     pack_id_array,
+    pack_ground_truth,
     pack_manifest,
     pack_string_table,
+    unpack_ground_truth,
     unpack_manifest,
 )
 from .mapped import MappedBrowsingDataset, MappedStringTable
@@ -60,6 +69,7 @@ from .mapped import MappedBrowsingDataset, MappedStringTable
 MANIFEST_NAME = "manifest.bin"
 VOCAB_NAME = "vocab.bin"
 LISTS_NAME = "lists.bin"
+TRUTH_NAME = "truth.bin"
 
 
 def write_columnar(dataset: BrowsingDataset, root: str | Path) -> Path:
@@ -98,20 +108,17 @@ def write_columnar(dataset: BrowsingDataset, root: str | Path) -> Path:
         "breakdowns": entries,
         "distributions": distribution_entries(dataset),
         "files": {
-            VOCAB_NAME: {
-                "bytes": len(vocab_bytes),
-                "sha256": file_fingerprint(vocab_bytes),
-                "entries": len(vocab),
-            },
-            LISTS_NAME: {
-                "bytes": len(lists_bytes),
-                "sha256": file_fingerprint(lists_bytes),
-                "entries": int(all_ids.size),
-            },
+            VOCAB_NAME: file_entry(vocab_bytes, len(vocab)),
+            LISTS_NAME: file_entry(lists_bytes, int(all_ids.size)),
         },
     }
     atomic_write_bytes(root / VOCAB_NAME, vocab_bytes)
     atomic_write_bytes(root / LISTS_NAME, lists_bytes)
+    truth = dataset.ground_truth()
+    if truth is not None:
+        truth_bytes = pack_ground_truth(truth.reindex(vocab.names()))
+        manifest["files"][TRUTH_NAME] = file_entry(truth_bytes, len(vocab))
+        atomic_write_bytes(root / TRUTH_NAME, truth_bytes)
     # Manifest last: loaders start here, so a torn save is invisible.
     atomic_write_bytes(root / MANIFEST_NAME, pack_manifest(manifest))
     return root
@@ -149,7 +156,10 @@ def open_columnar(
             f"columnar dataset at {root} is torn: the manifest references "
             f"{LISTS_NAME}, but the file is absent"
         ) from None
-    table = MappedStringTable(root / VOCAB_NAME)
+    files = manifest.get("files") or {}
+    table = MappedStringTable(
+        root / VOCAB_NAME, _entries(files, VOCAB_NAME, manifest_path)
+    )
 
     windows: dict[Breakdown, tuple[int, int]] = {}
     for entry in manifest.get("breakdowns", ()):
@@ -187,9 +197,51 @@ def open_columnar(
         content_fingerprint=(
             fingerprint if isinstance(fingerprint, str) else None
         ),
+        ground_truth=_truth_loader(root, files, manifest_path),
     )
     dataset.version = int(manifest.get("dataset_version", 1))
     return dataset
+
+
+def file_entry(data: bytes, entries: int) -> dict[str, object]:
+    """A manifest ``files`` record: size, SHA-256 and element count."""
+    return {"bytes": len(data), "sha256": file_fingerprint(data),
+            "entries": entries}
+
+
+def _entries(files: dict, name: str, manifest_path: Path) -> int | None:
+    """The element count the manifest records for ``name`` (if any)."""
+    record = files.get(name)
+    if record is None:
+        return None
+    try:
+        return int(record["entries"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(
+            f"{manifest_path}: malformed {name} record {record!r}"
+        ) from exc
+
+
+def _truth_loader(root: Path, files: dict, manifest_path: Path):
+    """The dataset's lazy ground-truth source, or ``None`` without one."""
+    entries = _entries(files, TRUTH_NAME, manifest_path)
+    if entries is None:
+        return None
+    sha256 = files[TRUTH_NAME].get("sha256")
+
+    def load(dataset: MappedBrowsingDataset):
+        path = root / TRUTH_NAME
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            raise DatasetError(
+                f"columnar dataset at {root} is torn: the manifest "
+                f"references {TRUTH_NAME}, but the file is absent"
+            ) from None
+        truth = unpack_ground_truth(data, dataset._table.decode_all(), path)
+        return check_entries(truth, entries, sha256, pack_ground_truth, path)
+
+    return load
 
 
 def _read_columnar_version(manifest_path: Path) -> int:

@@ -7,7 +7,7 @@ Every file the store writes starts with one fixed 24-byte header::
     reserved   uint32    zero today; room for flags
     count      uint64    kind-specific element count (see each writer)
 
-All integers are little-endian.  The three file kinds:
+All integers are little-endian.  The four file kinds:
 
 ``vocab.bin``   packed string table — header (count = number of names),
                 ``int64 offsets[count + 1]`` of byte positions into the
@@ -18,12 +18,17 @@ All integers are little-endian.  The three file kinds:
                 total ids across every ranked list), then the ids.  The
                 manifest records each breakdown's ``(offset, length)``
                 window into this array.
+``truth.bin``   ground truth per site id — header (count = rows), an
+                ``int16`` category column, an ``int16`` tag-set column
+                and a ``uint8`` has-Android-app column, then the
+                category and tag-set string tables the first two index
+                (see :func:`pack_ground_truth`).
 ``manifest.bin`` binary manifest — header (count = payload byte
                 length), then an order-preserving UTF-8 JSON payload
                 carrying the breakdown index, dataset metadata,
                 distribution vectors and per-file content fingerprints.
 
-The same string-table packing, under a fourth magic, backs the slice
+The same string-table packing, under its own magic, backs the slice
 cache's per-slice binary files (:class:`repro.engine.SliceCache`).
 
 Writes are crash-safe: :func:`atomic_write_bytes` writes a temp sibling
@@ -44,6 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.errors import DatasetError
+from ..core.truth import GroundTruth
 
 #: Bump when any file layout changes incompatibly.
 COLUMNAR_VERSION = 1
@@ -52,6 +58,7 @@ MAGIC_VOCAB = b"RPROVOC1"
 MAGIC_LISTS = b"RPROIDS1"
 MAGIC_MANIFEST = b"RPROMAN1"
 MAGIC_SLICE = b"RPROSLC1"
+MAGIC_TRUTH = b"RPROTRU1"
 
 _HEADER = struct.Struct("<8sIIQ")
 #: Fixed size of every file header, in bytes.
@@ -96,15 +103,27 @@ def unpack_string_table(
     data: bytes, path: Path, magic: bytes = MAGIC_VOCAB
 ) -> tuple[str, ...]:
     """Decode every name of a packed string table eagerly."""
-    count = read_header(data, magic, path)
-    offsets_end = HEADER_SIZE + 8 * (count + 1)
+    return _string_table_at(data, 0, path, magic)[0]
+
+
+def _string_table_at(
+    data: bytes, start: int, path: Path, magic: bytes
+) -> tuple[tuple[str, ...], int]:
+    """The names of the string table at byte ``start``, and where it ends."""
+    count = read_header(data[start:start + HEADER_SIZE], magic, path)
+    offsets_end = start + HEADER_SIZE + 8 * (count + 1)
     if len(data) < offsets_end:
         raise DatasetError(f"{path}: truncated string-table offsets")
     offsets = np.frombuffer(data, dtype=np.int64, count=count + 1,
-                            offset=HEADER_SIZE).tolist()
-    blob = data[offsets_end:]
-    if count and offsets[-1] > len(blob):
+                            offset=start + HEADER_SIZE).tolist()
+    end = offsets_end + offsets[-1]
+    if end > len(data):
         raise DatasetError(f"{path}: string-table blob shorter than offsets")
+    return decode_names(data[offsets_end:end], offsets), end
+
+
+def decode_names(blob: bytes, offsets: list[int]) -> tuple[str, ...]:
+    """Name *i* of a string table is ``blob[offsets[i]:offsets[i + 1]]``."""
     bounds = map(slice, offsets[:-1], offsets[1:])
     if blob.isascii():
         # Byte offsets are character offsets: decode the blob once.
@@ -135,6 +154,79 @@ def map_id_array(path: Path) -> np.ndarray:
         return np.empty(0, dtype=np.int32)
     return np.memmap(path, dtype=np.int32, mode="r",
                      offset=HEADER_SIZE, shape=(count,))
+
+
+# -- ground truth -------------------------------------------------------------------
+
+
+def pack_ground_truth(truth: GroundTruth) -> bytes:
+    """Serialise a ground-truth table (rows in site-id order).
+
+    Header (count = rows), ``int16 category[count]`` and ``int32
+    tags[count]`` indexing the two trailing string tables (-1 = none),
+    ``uint8 has_app[count]``, then the category names and the tag sets
+    (each a JSON array), both in first-use order.  The encoding is a
+    pure function of the rows, so the digest a manifest records for its
+    first N rows can be re-derived after ingest has appended more.
+    """
+    categories, category = _first_use_codes(truth.category, None)
+    tag_sets, tags = _first_use_codes(truth.tags, ())
+    return b"".join((
+        pack_header(MAGIC_TRUTH, len(truth)),
+        category.astype(np.int16).tobytes(),
+        tags.tobytes(),
+        np.asarray(truth.has_app, dtype=np.uint8).tobytes(),
+        pack_string_table(categories),
+        pack_string_table([
+            json.dumps(list(t), ensure_ascii=False, separators=(",", ":"))
+            for t in tag_sets
+        ]),
+    ))
+
+
+def _first_use_codes(values: Sequence, none) -> tuple[list, np.ndarray]:
+    """The distinct values other than ``none`` in first-use order, and
+    each value's index among them (-1 for ``none``) as ``int32``."""
+    distinct = dict.fromkeys(values)
+    distinct.pop(none, None)
+    index = dict(zip(distinct, range(len(distinct))))
+    index[none] = -1
+    codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
+    return list(distinct), codes
+
+
+def unpack_ground_truth(
+    data: bytes, sites: Sequence[str], path: Path
+) -> GroundTruth:
+    """Decode the rows of a ground-truth file that ``sites`` name.
+
+    Row *i* belongs to ``sites[i]``; rows past ``len(sites)`` (appended
+    by a later ingest than the dataset version being read) are ignored.
+    """
+    stored = read_header(data, MAGIC_TRUTH, path)
+    columns_end = HEADER_SIZE + 7 * stored
+    if len(data) < columns_end:
+        raise DatasetError(f"{path}: truncated ground-truth columns")
+    count = min(stored, len(sites))
+    category = np.frombuffer(data, np.int16, count, HEADER_SIZE)
+    tags = np.frombuffer(data, np.int32, count, HEADER_SIZE + 2 * stored)
+    has_app = np.frombuffer(data, np.uint8, count, HEADER_SIZE + 6 * stored)
+    names, end = _string_table_at(data, columns_end, path, MAGIC_VOCAB)
+    tag_sets, _ = _string_table_at(data, end, path, MAGIC_VOCAB)
+    if count and not (-1 <= category.min() and category.max() < len(names)
+                      and -1 <= tags.min() and tags.max() < len(tag_sets)):
+        raise DatasetError(f"{path}: ground-truth index out of range")
+    try:
+        tag_sets = tuple(tuple(json.loads(t)) for t in tag_sets) + ((),)
+    except ValueError as exc:
+        raise DatasetError(f"{path}: malformed tag set: {exc}") from exc
+    names += (None,)
+    return GroundTruth(
+        tuple(sites[:count]),
+        tuple(map(names.__getitem__, category.tolist())),
+        tuple(has_app.astype(bool).tolist()),
+        tuple(map(tag_sets.__getitem__, tags.tolist())),
+    )
 
 
 # -- manifest -----------------------------------------------------------------------

@@ -8,11 +8,16 @@ against an existing dataset yields lists byte-identical to a fresh
 N-month generation.  Ingestion therefore never rewrites history:
 
 * **text**: new ``lists/<slug>.txt`` files are written, the manifest
-  gains the new breakdown rows (canonical sort order preserved);
-* **columnar**: the new id windows are *appended* to ``lists.bin`` and
-  new site names to ``vocab.bin``.  Old windows keep their offsets and
-  old ids keep their meaning, because both files only ever grow at the
-  tail.
+  gains the new breakdown rows (canonical sort order preserved) and the
+  ground-truth sidecar gains rows for the new sites;
+* **columnar**: the new id windows are *appended* to ``lists.bin``, new
+  site names to ``vocab.bin`` and their ground-truth rows to
+  ``truth.bin``.  Old windows keep their offsets and old ids keep their
+  meaning, because every file only ever grows at the tail.
+
+Ingest holds the generator, so it is also where the ground truth of a
+dataset saved before ground truth was stored gets written: the table
+gains a row for every site it lacks, so one ingest backfills it.
 
 Every ingest bumps the manifest's monotonic ``dataset_version`` and
 archives the superseded manifest under ``versions/manifest.v<N>.*``.
@@ -24,9 +29,9 @@ and open maps pin the old inode.
 
 Crash safety matches the save path: data files first, manifest last.
 A crash mid-ingest leaves the old manifest live over grown-but-unread
-data files; the next ingest simply appends after the orphaned tail
-(old windows are resolved from the *file* header, not the manifest),
-so correctness is unaffected.
+data files.  Readers take every count from the manifest, never from a
+file header, so the orphaned tails stay invisible, and the next ingest
+appends after the manifest's counts, overwriting them.
 """
 
 from __future__ import annotations
@@ -43,21 +48,31 @@ import numpy as np
 from ..core.dataset import BrowsingDataset
 from ..core.errors import DatasetError
 from ..core.rankedlist import RankedList
+from ..core.truth import GroundTruth
 from ..core.types import Breakdown, Month
 from ..core.vocab import SiteVocabulary
 from ..export.io import (
     TEXT_FORMAT_VERSION,
+    TRUTH_TEXT,
     VERSIONS_DIR,
     _atomic_write_text,
     _resolve_codec,
     breakdown_slug,
+    sorted_breakdowns,
+    truth_record,
 )
-from .columnar import LISTS_NAME, MANIFEST_NAME, VOCAB_NAME
+from .columnar import (
+    LISTS_NAME,
+    MANIFEST_NAME,
+    TRUTH_NAME,
+    VOCAB_NAME,
+    file_entry,
+)
 from .format import (
     HEADER_SIZE,
     MAGIC_LISTS,
     atomic_write_bytes,
-    file_fingerprint,
+    pack_ground_truth,
     pack_header,
     pack_manifest,
     pack_string_table,
@@ -196,10 +211,9 @@ def ingest_months(
     produced = engine.run(plan)
 
     new_version = version_before + 1
-    if codec.name == "columnar":
-        _append_columnar(root, dataset, produced, version_before, new_version)
-    else:
-        _append_text(root, produced, version_before, new_version)
+    append = _append_columnar if codec.name == "columnar" else _append_text
+    append(root, dataset, produced, engine.generator.ground_truth,
+           version_before, new_version)
 
     return IngestReport(
         root=str(root),
@@ -218,9 +232,25 @@ def ingest_months(
 # -- text append --------------------------------------------------------------------
 
 
+def _grown_truth(
+    dataset: BrowsingDataset, sites: tuple[str, ...], truth_for
+) -> GroundTruth:
+    """The dataset's table plus rows for every site of ``sites`` it lacks.
+
+    ``sites`` is the grown site order (old ids first), so this appends
+    rows for the new sites — or, for a dataset saved before ground truth
+    was stored, writes the whole table.
+    """
+    truth = dataset.ground_truth() or GroundTruth.from_rows(())
+    known = set(truth.sites)
+    return truth.extend(truth_for([s for s in sites if s not in known]))
+
+
 def _append_text(
     root: Path,
+    dataset: BrowsingDataset,
     produced: Mapping[Breakdown, RankedList],
+    truth_for,
     version_before: int,
     new_version: int,
 ) -> None:
@@ -228,8 +258,14 @@ def _append_text(
     old_text = manifest_path.read_text(encoding="utf-8")
     old = json.loads(old_text)
 
+    # The order new sidecar rows take: first-seen over the stored
+    # lists, then over the new ones.
+    vocab = SiteVocabulary()
+    for breakdown in sorted_breakdowns(dataset):
+        vocab.intern_many(dataset[breakdown].sites)
     new_entries = []
     for breakdown, ranked in _canonical_produced(produced):
+        vocab.intern_many(ranked.sites)
         slug = breakdown_slug(breakdown)
         _atomic_write_text(
             root / "lists" / f"{slug}.txt", "\n".join(ranked.sites) + "\n"
@@ -254,12 +290,16 @@ def _append_text(
     manifest["breakdowns"] = sorted(
         list(old["breakdowns"]) + new_entries, key=_entry_key
     )
+    truth_text, manifest["ground_truth"] = truth_record(
+        _grown_truth(dataset, vocab.names(), truth_for)
+    )
 
     # Archive the superseded manifest verbatim, then land the new one —
     # manifest last, so a crash leaves version N fully live.
     _atomic_write_text(
         root / VERSIONS_DIR / f"manifest.v{version_before}.json", old_text
     )
+    _atomic_write_text(root / TRUTH_TEXT, truth_text)
     _atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
 
 
@@ -284,6 +324,7 @@ def _append_columnar(
     root: Path,
     dataset: BrowsingDataset,
     produced: Mapping[Breakdown, RankedList],
+    truth_for,
     version_before: int,
     new_version: int,
 ) -> None:
@@ -297,7 +338,9 @@ def _append_columnar(
     old_names = dataset._table.decode_all()
     vocab = SiteVocabulary(old_names)
     lists_bytes = (root / LISTS_NAME).read_bytes()
-    old_total = (len(lists_bytes) - HEADER_SIZE) // 4
+    old_total = old.get("files", {}).get(LISTS_NAME, {}).get(
+        "entries", (len(lists_bytes) - HEADER_SIZE) // 4
+    )
     old_body = lists_bytes[HEADER_SIZE:HEADER_SIZE + 4 * old_total]
 
     chunks: list[np.ndarray] = []
@@ -328,6 +371,9 @@ def _append_columnar(
         + new_ids.tobytes()
     )
     grown_vocab = pack_string_table(vocab.names())
+    grown_truth = pack_ground_truth(
+        _grown_truth(dataset, vocab.names(), truth_for)
+    )
 
     recorded = old.get("metadata", {}).get("fingerprint")
     if isinstance(recorded, str) and recorded:
@@ -357,16 +403,9 @@ def _append_columnar(
         list(old["breakdowns"]) + new_entries, key=_entry_key
     )
     manifest["files"] = {
-        VOCAB_NAME: {
-            "bytes": len(grown_vocab),
-            "sha256": file_fingerprint(grown_vocab),
-            "entries": len(vocab),
-        },
-        LISTS_NAME: {
-            "bytes": len(grown_lists),
-            "sha256": file_fingerprint(grown_lists),
-            "entries": old_total + int(new_ids.size),
-        },
+        VOCAB_NAME: file_entry(grown_vocab, len(vocab)),
+        LISTS_NAME: file_entry(grown_lists, old_total + int(new_ids.size)),
+        TRUTH_NAME: file_entry(grown_truth, len(vocab)),
     }
 
     # Archive first, data files next, manifest last.  Old readers hold
@@ -377,4 +416,5 @@ def _append_columnar(
     )
     atomic_write_bytes(root / VOCAB_NAME, grown_vocab)
     atomic_write_bytes(root / LISTS_NAME, grown_lists)
+    atomic_write_bytes(root / TRUTH_NAME, grown_truth)
     atomic_write_bytes(root / MANIFEST_NAME, pack_manifest(manifest))

@@ -29,7 +29,7 @@ from ..core.errors import DatasetError
 from ..core.rankedlist import RankedList
 from ..core.types import Breakdown, Metric, Platform
 from ..core.vocab import SiteVocabulary
-from .format import HEADER_SIZE, MAGIC_VOCAB, read_header
+from .format import HEADER_SIZE, MAGIC_VOCAB, decode_names, read_header
 
 
 class MappedStringTable:
@@ -38,22 +38,34 @@ class MappedStringTable:
     Index == site id.  Names decode lazily into a per-table cache, so a
     query touching one 10K-site list decodes 10K names, not the whole
     vocabulary.
+
+    ``count`` is the number of names the manifest records.  Ingest grows
+    ``vocab.bin`` under archived manifests (and a crashed ingest can
+    leave an orphaned tail), so the table covers only that prefix of
+    the file; ``None`` takes every name in the file.
     """
 
     __slots__ = ("path", "_offsets", "_blob", "_names")
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, count: int | None = None) -> None:
         self.path = Path(path)
         try:
             with open(self.path, "rb") as handle:
-                count = read_header(
+                stored = read_header(
                     handle.read(HEADER_SIZE), MAGIC_VOCAB, self.path
                 )
         except FileNotFoundError:
             raise DatasetError(
                 f"columnar dataset is missing its vocabulary file {self.path}"
             ) from None
-        offsets_end = HEADER_SIZE + 8 * (count + 1)
+        if count is None:
+            count = stored
+        elif not 0 <= count <= stored:
+            raise DatasetError(
+                f"{self.path}: short vocabulary file (the manifest records "
+                f"{count} names, the file holds {stored})"
+            )
+        offsets_end = HEADER_SIZE + 8 * (stored + 1)
         size = self.path.stat().st_size
         if size < offsets_end:
             raise DatasetError(
@@ -95,12 +107,10 @@ class MappedStringTable:
     def decode_all(self) -> tuple[str, ...]:
         """Every name in id order, bulk-decoded in one blob pass."""
         if None in self._names:
-            blob = self._blob.tobytes()
-            offsets = self._offsets
-            self._names = [
-                blob[int(offsets[i]):int(offsets[i + 1])].decode("utf-8")
-                for i in range(len(self._names))
-            ]
+            offsets = self._offsets.tolist()
+            self._names = list(decode_names(
+                self._blob[:offsets[-1]].tobytes(), offsets
+            ))
         return tuple(self._names)
 
 
@@ -127,6 +137,7 @@ class MappedBrowsingDataset(DeferredBrowsingDataset):
         distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
         metadata: Mapping[str, object],
         content_fingerprint: str | None = None,
+        ground_truth=None,
     ) -> None:
         self.root = Path(root)
         self._windows = dict(windows)
@@ -136,7 +147,7 @@ class MappedBrowsingDataset(DeferredBrowsingDataset):
         #: :func:`repro.export.io.dataset_fingerprint` so addressing an
         #: artifact store never has to hash the mapped lists.
         self.content_fingerprint = content_fingerprint
-        super().__init__(self._windows, distributions, metadata)
+        super().__init__(self._windows, distributions, metadata, ground_truth)
 
     # -- production ----------------------------------------------------------------
 
@@ -182,7 +193,8 @@ class MappedBrowsingDataset(DeferredBrowsingDataset):
     def all_sites(self) -> frozenset[str]:
         """Every site in the dataset, straight from the string table.
 
-        The union over breakdowns that :meth:`TaskContext.sites` would
-        otherwise compute list-by-list — here it is one bulk decode.
+        The union over breakdowns the base class computes list-by-list —
+        here it is one bulk decode of the manifest's vocabulary prefix,
+        which is exactly that union for every dataset version.
         """
         return frozenset(self._table.decode_all())

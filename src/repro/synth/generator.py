@@ -65,6 +65,7 @@ import numpy as np
 from ..core.dataset import BrowsingDataset
 from ..core.errors import GenerationError
 from ..core.rankedlist import RankedList
+from ..core.truth import GroundTruth
 from ..core.types import Breakdown, Metric, Month, Platform, REFERENCE_MONTH
 from ..obs import NULL_TRACER
 
@@ -200,6 +201,7 @@ class TelemetryGenerator:
         #: multi-ccTLD sites differ from their canonical identity, so a
         #: country's array is the canonical one with those rows swapped.
         self._domain_names: dict[str, np.ndarray] = {}
+        self._uid_by_canonical: dict[str, int] | None = None
         self._multi_uids = np.flatnonzero(self.universe.multi_cctld)
         #: Privacy cutoffs keyed by (country, effective platform,
         #: effective metric, pre-truncation length) — ``threshold_rank``
@@ -664,3 +666,27 @@ class TelemetryGenerator:
     def site_categories(self) -> dict[str, str]:
         """canonical site identity → ground-truth category."""
         return self.universe.category_by_canonical()
+
+    def ground_truth(self, sites: Sequence[str]) -> GroundTruth:
+        """The stored ground-truth rows for ``sites``, in that order.
+
+        A site matches the universe by canonical identity; anything else
+        (a ccTLD variant under ``emit="domains"``) gets no label, no
+        tags and no app — what the label map, tag map and app roster
+        would say about it.
+        """
+        universe = self.universe
+        if self._uid_by_canonical is None:
+            self._uid_by_canonical = dict(
+                zip(universe.canonical, range(universe.n_sites))
+            )
+        uids = [self._uid_by_canonical.get(site, -1) for site in sites]
+        names = universe.categories
+        codes = universe.category_id.tolist()
+        apps = universe.has_android_app.tolist()
+        return GroundTruth(
+            tuple(sites),
+            tuple(names[codes[uid]] if uid >= 0 else None for uid in uids),
+            tuple(uid >= 0 and apps[uid] for uid in uids),
+            tuple(universe.tags.get(uid, ()) for uid in uids),
+        )

@@ -14,21 +14,24 @@ endemic pools use ``prevalence × (1 − global_fraction)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.errors import GenerationError
+from ..obs import get_tracer
 from ..world.categories_data import ALL_CATEGORIES
 from ..world.countries import COUNTRIES, by_region_group
 from ..world.profiles import profile_for
 from ..world.sites import CHAMPION_RULES, NAMED_SITES, Archetype, resolve_scope
 from .domains import (
     COUNTRY_SUFFIX,
-    endemic_domain,
-    global_domain,
+    endemic_domains,
+    global_domains,
     multinational_domain,
     neighbor_domain,
+    neighbor_domains,
     unique_labels,
 )
 
@@ -222,112 +225,158 @@ def _strengths_for(rng: np.random.Generator, category_ids: np.ndarray,
 
 
 #: Universes are deterministic functions of their config and expensive to
-#: build (~20 s at full scale), so they are memoised for the process
-#: lifetime.  Treat a built Universe as immutable.
+#: build (~15 s of CPU at full scale, ~2 s at small scale, on one 2.1 GHz
+#: Xeon vCPU), so they are memoised for the process lifetime.  Treat a
+#: built Universe as immutable.
 _UNIVERSE_CACHE: dict[UniverseConfig, Universe] = {}
 
 
 def build_universe(config: UniverseConfig | None = None) -> Universe:
-    """Materialise the full universe from the world ground truth (memoised)."""
+    """Materialise the full universe from the world ground truth (memoised).
+
+    An uncached build records one ``synth.universe_build`` span.
+    """
     config = config or UniverseConfig()
     cached = _UNIVERSE_CACHE.get(config)
     if cached is not None:
         return cached
-    universe = _build_universe_uncached(config)
+    with get_tracer().span("synth.universe_build", seed=config.seed) as span:
+        universe = _build_universe_uncached(config)
+        span.set("sites", universe.n_sites)
     _UNIVERSE_CACHE[config] = universe
     return universe
+
+
+#: The per-site numeric columns of a :class:`Universe`, with their dtypes.
+#: ``log_mults`` holds (log mobile, log time, log December) per site and
+#: is split into the three Universe columns at the end.
+_COLUMNS: tuple[tuple[str, type], ...] = (
+    ("category_id", np.int16),
+    ("log_strength", np.float64),
+    ("log_mults", np.float64),
+    ("noise_scale", np.float64),
+    ("archetype", np.int8),
+    ("multi_cctld", bool),
+    ("has_android_app", bool),
+)
+
+
+class _Sites:
+    """Universe columns, appended in uid order one block of sites at a time."""
+
+    def __init__(self) -> None:
+        self.canonical: list[str] = []
+        self.labels: list[str] = []
+        self.home: list[str | None] = []
+        self.tags: dict[int, tuple[str, ...]] = {}
+        self._blocks: dict[str, list[np.ndarray]] = {n: [] for n, _ in _COLUMNS}
+
+    def __len__(self) -> int:
+        return len(self.canonical)
+
+    def add(
+        self,
+        labels: list[str],
+        canonical: list[str],
+        home: list[str | None],
+        tags: tuple[str, ...] | list[tuple[str, ...]] = (),
+        **columns,
+    ) -> list[int]:
+        """Append one block; a scalar column value applies to every site.
+
+        ``tags`` is either one tuple shared by the block or one tuple
+        per site.  Returns the block's uids.
+        """
+        start, count = len(self.canonical), len(labels)
+        self.labels.extend(labels)
+        self.canonical.extend(canonical)
+        self.home.extend(home)
+        for name, dtype in _COLUMNS:
+            values = np.asarray(columns[name], dtype=dtype)
+            shape = (count, 3) if name == "log_mults" else (count,)
+            self._blocks[name].append(np.broadcast_to(values, shape))
+        uids = list(range(start, start + count))
+        if tags and isinstance(tags[0], str):
+            tags = [tags] * count
+        for uid, site_tags in zip(uids, tags):
+            if site_tags:
+                self.tags[uid] = site_tags
+        return uids
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The Universe's numeric columns, keyed by field name."""
+        out = {name: np.concatenate(self._blocks[name]) for name, _ in _COLUMNS}
+        mults = out.pop("log_mults")
+        out.update(log_mobile=mults[:, 0].copy(), log_time=mults[:, 1].copy(),
+                   log_december=mults[:, 2].copy())
+        return out
+
+
+def _log_mults(site) -> tuple[float, float, float]:
+    """(log mobile, log time, log December) multipliers of a site/profile."""
+    return (float(np.log(site.mobile_mult)), float(np.log(site.time_mult)),
+            float(np.log(site.december_mult)))
 
 
 def _build_universe_uncached(config: UniverseConfig) -> Universe:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xA11CE]))
     categories = tuple(spec.name for spec in ALL_CATEGORIES)
     cat_index = {name: i for i, name in enumerate(categories)}
+    # Per-category log multipliers, indexed by category id.
+    cat_mults = np.array([_log_mults(profile_for(c)) for c in categories],
+                         dtype=np.float64)
 
-    canonical: list[str] = []
-    labels: list[str] = []
-    cat_ids: list[int] = []
-    strengths: list[float] = []
-    log_mobile: list[float] = []
-    log_time: list[float] = []
-    log_december: list[float] = []
-    noise_scale: list[float] = []
-    archetype: list[int] = []
-    home: list[str | None] = []
-    multi: list[bool] = []
-    has_app: list[bool] = []
-    tags: dict[int, tuple[str, ...]] = {}
+    sites = _Sites()
     named_uid: dict[str, int] = {}
     scope_by_uid: dict[int, tuple[str, ...]] = {}
-
     taken_labels: set[str] = set()
 
-    def _append(
-        label: str,
-        canon: str,
-        category: str,
-        strength: float,
-        lm: float,
-        lt: float,
-        ld: float,
-        ns: float,
-        arch: Archetype,
-        home_country: str | None,
-        is_multi: bool,
-        app: bool,
-        site_tags: tuple[str, ...] = (),
-    ) -> int:
-        uid = len(canonical)
-        canonical.append(canon)
-        labels.append(label)
-        cat_ids.append(cat_index[category])
-        strengths.append(strength)
-        log_mobile.append(lm)
-        log_time.append(lt)
-        log_december.append(ld)
-        noise_scale.append(ns)
-        archetype.append(_ARCH_CODE[arch])
-        home.append(home_country)
-        multi.append(is_multi)
-        has_app.append(app)
-        if site_tags:
-            tags[uid] = site_tags
-        return uid
-
     # ---- named anchors ----------------------------------------------------------
-    for site in NAMED_SITES:
-        taken_labels.add(site.name)
-        if site.multi_cctld:
-            canon = site.name
-        else:
-            canon = NAMED_DOMAIN_OVERRIDES.get(site.name, f"{site.name}.com")
-        scope = resolve_scope(site.scope)
-        arch = site.archetype
-        uid = _append(
-            site.name, canon, site.category, site.log_strength,
-            float(np.log(site.mobile_mult)), float(np.log(site.time_mult)),
-            float(np.log(site.december_mult)), site.noise_scale, arch,
-            scope[0] if arch is Archetype.ENDEMIC else None,
-            site.multi_cctld, site.has_android_app, site.tags,
-        )
+    scopes = [resolve_scope(site.scope) for site in NAMED_SITES]
+    taken_labels.update(site.name for site in NAMED_SITES)
+    uids = sites.add(
+        [site.name for site in NAMED_SITES],
+        [site.name if site.multi_cctld
+         else NAMED_DOMAIN_OVERRIDES.get(site.name, f"{site.name}.com")
+         for site in NAMED_SITES],
+        [scope[0] if site.archetype is Archetype.ENDEMIC else None
+         for site, scope in zip(NAMED_SITES, scopes)],
+        [site.tags for site in NAMED_SITES],
+        category_id=[cat_index[site.category] for site in NAMED_SITES],
+        log_strength=[site.log_strength for site in NAMED_SITES],
+        log_mults=[_log_mults(site) for site in NAMED_SITES],
+        noise_scale=[site.noise_scale for site in NAMED_SITES],
+        archetype=[_ARCH_CODE[site.archetype] for site in NAMED_SITES],
+        multi_cctld=[site.multi_cctld for site in NAMED_SITES],
+        has_android_app=[site.has_android_app for site in NAMED_SITES],
+    )
+    for site, uid, scope in zip(NAMED_SITES, uids, scopes):
         named_uid[site.name] = uid
         scope_by_uid[uid] = scope
 
     # ---- national champions -----------------------------------------------------
     for rule in CHAMPION_RULES:
         lo, hi = rule.log_strength_range
-        for country in rule.countries:
-            label = unique_labels(rng, 1, taken_labels)[0]
-            suffix = COUNTRY_SUFFIX[country]
-            canon = f"{label}.{suffix}"
-            strength = float(rng.uniform(lo, hi))
-            uid = _append(
-                label, canon, rule.category, strength,
-                float(np.log(rule.mobile_mult)),
-                float(np.log(rule.time_mult)),
-                float(np.log(rule.december_mult)),
-                0.30, Archetype.ENDEMIC, country, False, rule.has_app,
-                (rule.tag, "champion"),
-            )
+        champ_labels: list[str] = []
+        strengths: list[float] = []
+        for _ in rule.countries:
+            champ_labels.extend(unique_labels(rng, 1, taken_labels))
+            strengths.append(float(rng.uniform(lo, hi)))
+        uids = sites.add(
+            champ_labels,
+            [f"{label}.{COUNTRY_SUFFIX[country]}"
+             for label, country in zip(champ_labels, rule.countries)],
+            list(rule.countries),
+            (rule.tag, "champion"),
+            category_id=cat_index[rule.category],
+            log_strength=strengths,
+            log_mults=_log_mults(rule),
+            noise_scale=0.30,
+            archetype=_ARCH_CODE[Archetype.ENDEMIC],
+            multi_cctld=False,
+            has_android_app=rule.has_app,
+        )
+        for uid, country in zip(uids, rule.countries):
             scope_by_uid[uid] = (country,)
 
     # ---- procedural pools ----------------------------------------------------------
@@ -336,7 +385,7 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
         weight_fn,
         arch: Archetype,
         home_key: str | None,
-        domain_fn,
+        domains_fn,
         store_home: bool = False,
     ) -> list[int]:
         if count == 0:
@@ -349,28 +398,25 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
         # moves and can never overtake the curated anchors.
         noise_arr = np.clip(1.0 - 0.18 * (strength_arr - 1.0), 0.30, 1.0)
         pool_labels = unique_labels(rng, count, taken_labels)
-        uids = []
-        for i in range(count):
-            category = categories[int(ids[i])]
-            profile = profile_for(category)
-            uid = _append(
-                pool_labels[i], domain_fn(pool_labels[i]), category,
-                float(strength_arr[i]),
-                float(np.log(profile.mobile_mult)),
-                float(np.log(profile.time_mult)),
-                float(np.log(profile.december_mult)),
-                float(noise_arr[i]), arch,
-                home_key if (arch is Archetype.ENDEMIC or store_home) else None,
-                False, False,
-            )
-            uids.append(uid)
-        return uids
+        home = home_key if (arch is Archetype.ENDEMIC or store_home) else None
+        return sites.add(
+            pool_labels,
+            domains_fn(pool_labels),
+            [home] * count,
+            category_id=ids,
+            log_strength=strength_arr,
+            log_mults=cat_mults[ids],
+            noise_scale=noise_arr,
+            archetype=_ARCH_CODE[arch],
+            multi_cctld=False,
+            has_android_app=False,
+        )
 
     global_uids = _emit_pool(
         config.global_pool,
         lambda p: p.prevalence * p.global_fraction,
         Archetype.GLOBAL, None,
-        lambda lbl: global_domain(lbl, rng),
+        lambda labels: global_domains(labels, rng),
     )
 
     region_groups = by_region_group()
@@ -380,7 +426,7 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
             config.regional_pool,
             lambda p: p.prevalence * (1.0 - 0.5 * p.global_fraction),
             Archetype.REGIONAL, None,
-            lambda lbl: global_domain(lbl, rng),
+            lambda labels: global_domains(labels, rng),
         )
 
     lang_speakers: dict[str, list[str]] = {}
@@ -394,7 +440,7 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
             config.language_pool,
             lambda p: p.prevalence * (1.0 - 0.5 * p.global_fraction),
             Archetype.REGIONAL, None,
-            lambda lbl: global_domain(lbl, rng),
+            lambda labels: global_domains(labels, rng),
         )
 
     endemic_uids: dict[str, list[int]] = {}
@@ -404,12 +450,12 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
             config.endemic_pool,
             lambda p: p.prevalence * (1.0 - p.global_fraction),
             Archetype.ENDEMIC, code,
-            lambda lbl: endemic_domain(lbl, code, rng),
+            lambda labels: endemic_domains(labels, code, rng),
         )
 
-    # Strong mid-tier sites (see UniverseConfig.strong_pool).
-    import math as _math
-
+    # Strong mid-tier sites (see UniverseConfig.strong_pool).  Their
+    # per-site draws interleave several kinds, so this pool keeps its
+    # per-site loop and only the columns are assembled as arrays.
     strong_membership: dict[str, list[int]] = {c.code: [] for c in COUNTRIES}
     related_map: dict[str, list[str]] = {}
     for country in COUNTRIES:
@@ -424,37 +470,47 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
     for country in COUNTRIES:
         code = country.code
         n_strong = config.strong_pool
-        if n_strong:
-            ids = _sample_categories(
-                rng, n_strong,
-                lambda p: p.prevalence * _math.exp(p.mu) * p.head_boost,
-            )
-            strong_labels = unique_labels(rng, n_strong, taken_labels)
-            shared_mask = rng.random(n_strong) < 0.40
-            related = related_map[code]
-            for i in range(n_strong):
-                category = categories[int(ids[i])]
-                profile = profile_for(category)
-                strength = float(rng.uniform(5.35, 6.55))
-                arch = (Archetype.REGIONAL
-                        if shared_mask[i] and related else Archetype.ENDEMIC)
-                uid = _append(
-                    strong_labels[i],
-                    neighbor_domain(strong_labels[i], code, rng),
-                    category, strength,
-                    float(np.log(profile.mobile_mult)),
-                    float(np.log(profile.time_mult)),
-                    float(np.log(profile.december_mult)),
-                    0.30, arch, code, False, bool(rng.random() < 0.65),
-                    ("strong",),
-                )
-                strong_membership[code].append(uid)
-                if arch is Archetype.REGIONAL:
-                    k = int(rng.integers(1, 3))
-                    picks = rng.choice(len(related), size=min(k, len(related)),
-                                       replace=False)
-                    for idx in picks:
-                        strong_membership[related[int(idx)]].append(uid)
+        if not n_strong:
+            continue
+        ids = _sample_categories(
+            rng, n_strong,
+            lambda p: p.prevalence * math.exp(p.mu) * p.head_boost,
+        )
+        strong_labels = unique_labels(rng, n_strong, taken_labels)
+        shared_mask = rng.random(n_strong) < 0.40
+        related = related_map[code]
+        start = len(sites)
+        domains: list[str] = []
+        strengths = []
+        archetypes: list[Archetype] = []
+        apps: list[bool] = []
+        for i in range(n_strong):
+            strengths.append(float(rng.uniform(5.35, 6.55)))
+            arch = (Archetype.REGIONAL
+                    if shared_mask[i] and related else Archetype.ENDEMIC)
+            archetypes.append(arch)
+            domains.append(neighbor_domain(strong_labels[i], code, rng))
+            apps.append(bool(rng.random() < 0.65))
+            strong_membership[code].append(start + i)
+            if arch is Archetype.REGIONAL:
+                k = int(rng.integers(1, 3))
+                picks = rng.choice(len(related), size=min(k, len(related)),
+                                   replace=False)
+                for idx in picks:
+                    strong_membership[related[int(idx)]].append(start + i)
+        sites.add(
+            strong_labels,
+            domains,
+            [code] * n_strong,
+            ("strong",),
+            category_id=ids,
+            log_strength=strengths,
+            log_mults=cat_mults[ids],
+            noise_scale=0.30,
+            archetype=[_ARCH_CODE[arch] for arch in archetypes],
+            multi_cctld=False,
+            has_android_app=apps,
+        )
 
     # Few-country neighbour sites: primary country plus 1-3 related ones.
     neighbor_membership: dict[str, list[int]] = {c.code: [] for c in COUNTRIES}
@@ -464,7 +520,7 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
             config.neighbor_pool,
             lambda p: p.prevalence * (1.0 - p.global_fraction),
             Archetype.REGIONAL, code,
-            lambda lbl: neighbor_domain(lbl, code, rng),
+            lambda labels: neighbor_domains(labels, code, rng),
             store_home=True,
         )
         related = related_map[code]
@@ -477,7 +533,7 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
                 for idx in picks:
                     neighbor_membership[related[int(idx)]].append(uid)
 
-    n = len(canonical)
+    n = len(sites)
     non_public = np.zeros(n, dtype=bool)
     if config.nonpublic_fraction > 0:
         # Only procedural sites can be non-public; named anchors and
@@ -488,22 +544,14 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
 
     universe = Universe(
         config=config,
-        canonical=canonical,
-        labels=labels,
-        category_id=np.asarray(cat_ids, dtype=np.int16),
+        canonical=sites.canonical,
+        labels=sites.labels,
         categories=categories,
-        log_strength=np.asarray(strengths, dtype=np.float64),
-        log_mobile=np.asarray(log_mobile, dtype=np.float64),
-        log_time=np.asarray(log_time, dtype=np.float64),
-        log_december=np.asarray(log_december, dtype=np.float64),
-        noise_scale=np.asarray(noise_scale, dtype=np.float64),
-        archetype=np.asarray(archetype, dtype=np.int8),
-        home=home,
-        multi_cctld=np.asarray(multi, dtype=bool),
-        has_android_app=np.asarray(has_app, dtype=bool),
+        home=sites.home,
         non_public=non_public,
-        tags=tags,
+        tags=sites.tags,
         named_uid=named_uid,
+        **sites.columns(),
     )
 
     # ---- per-country candidate pools and named boosts ---------------------------------
@@ -523,14 +571,15 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
         pool.extend(endemic_uids[code])
         pool.extend(neighbor_membership[code])
         pool.extend(strong_membership[code])
-        candidate = np.asarray(sorted(set(pool)), dtype=np.int64)
+        candidate = np.unique(np.asarray(pool, dtype=np.int64))
         boost = np.zeros(len(candidate), dtype=np.float64)
-        position = {int(uid): i for i, uid in enumerate(candidate)}
         for name, uid in named_uid.items():
             delta = boosts_by_name.get(name, {}).get(code)
-            if delta is not None and uid in position:
-                boost[position[uid]] = delta
+            at = int(np.searchsorted(candidate, uid))
+            if delta is not None and at < len(candidate) and candidate[at] == uid:
+                boost[at] = delta
         universe.country_candidates[code] = candidate
         universe.country_boost[code] = boost
 
     return universe
+

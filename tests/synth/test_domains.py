@@ -6,9 +6,14 @@ import pytest
 from repro.etld.psl import DEFAULT_PSL
 from repro.synth.domains import (
     COUNTRY_SUFFIX,
+    _integers,
     endemic_domain,
+    endemic_domains,
     global_domain,
+    global_domains,
     multinational_domain,
+    neighbor_domain,
+    neighbor_domains,
     pseudoword,
     unique_labels,
 )
@@ -72,3 +77,50 @@ class TestDomains:
 
     def test_multinational_unknown_country_defaults_to_com(self):
         assert multinational_domain("google", "XX") == "google.com"
+
+
+def _pair(seed: int):
+    """Two generators in the same state, with a pending 32-bit half-word."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    a.integers(5)
+    b.integers(5)
+    return a, b
+
+
+def _same_state_after(a, b) -> None:
+    assert a.integers(1_000, size=9).tolist() == b.integers(1_000, size=9).tolist()
+    assert a.random(3).tolist() == b.random(3).tolist()
+
+
+class TestBatchedDraws:
+    """Batched draws equal per-call draws and leave the stream in step."""
+
+    @pytest.mark.parametrize("calls", [0, 1, 2, 3, 777])
+    def test_replayed_integers_match_scalar_calls(self, calls):
+        a, b = _pair(calls)
+        ranges = [(lo, lo + span) for lo, span in zip(
+            range(calls), [1, 2, 3, 5, 18, 9989, 2**31, 2**32 - 7] * calls)]
+        expected = [int(a.integers(lo, hi)) for lo, hi in ranges]
+        with _integers(b) as draw:
+            assert [draw(lo, hi) for lo, hi in ranges] == expected
+        _same_state_after(a, b)
+
+    @pytest.mark.parametrize("batch, single, args", [
+        (global_domains, global_domain, ()),
+        (endemic_domains, endemic_domain, ("KR",)),
+        (neighbor_domains, neighbor_domain, ("BR",)),
+    ])
+    def test_batched_domains_match_per_site_calls(self, batch, single, args):
+        labels = [f"site{i}" for i in range(2_000)]
+        a, b = _pair(7)
+        expected = [single(label, *args, a) for label in labels]
+        assert batch(labels, *args, b) == expected
+        _same_state_after(a, b)
+
+    def test_non_pcg64_generators_draw_per_call(self):
+        a = np.random.Generator(np.random.MT19937(3))
+        b = np.random.Generator(np.random.MT19937(3))
+        expected = [int(a.integers(2, 5)) for _ in range(50)]
+        with _integers(b) as draw:
+            assert [draw(2, 5) for _ in range(50)] == expected
+        assert len(unique_labels(b, 100, set())) == 100
