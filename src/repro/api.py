@@ -321,51 +321,6 @@ def report(
     return run
 
 
-def _build_service(
-    data: "DatasetLike",
-    *,
-    store: "ArtifactStore | str | Path | None" = None,
-    no_store: bool = False,
-    cache_size: int = 256,
-    cache_bytes: int | None = None,
-    jobs: int = 1,
-    config: "GeneratorConfig | None" = None,
-    month: "Month | str | None" = None,
-    small: bool = False,
-    seed: int | None = None,
-    as_of: int | None = None,
-):
-    """The :class:`~repro.service.QueryService` behind :func:`serve`.
-
-    Shared by the single-process server and every fleet worker (which
-    calls this *after* forking, so a columnar dataset mmaps in the
-    worker and the page cache is the one shared copy).  ``as_of`` pins
-    the service to one dataset version; the default (latest) service
-    follows the live manifest and picks up ingests without a restart.
-    """
-    from .service.query import QueryService
-
-    dataset = load(data, as_of=as_of)
-    if no_store:
-        store = None
-    elif store is None and isinstance(data, (str, Path)):
-        store = Path(data) / ".artifacts"
-    root = data if isinstance(data, (str, Path)) else getattr(
-        dataset, "root", None
-    )
-    return QueryService(
-        dataset,
-        store=store,
-        config=_context_config(dataset, config, small, seed),
-        month=Month.parse(month) if isinstance(month, str) else month,
-        cache=cache_size,
-        cache_bytes=cache_bytes,
-        jobs=jobs,
-        root=root,
-        version=int(as_of) if as_of is not None else None,
-    )
-
-
 def serve(
     data: "DatasetLike",
     *,
@@ -393,20 +348,24 @@ def serve(
     on the next request, and clients can still query older versions per
     request with ``?as_of=``).
 
-    With ``block=True`` (the default) this serves until interrupted and
-    returns ``None``.  With ``block=False`` it returns the bound
-    :class:`~repro.service.ReproHTTPServer` — call ``serve_forever()``
-    (e.g. on a thread) and ``shutdown()`` yourself; ``port=0`` picks a
-    free port, recorded in ``server.server_address``.
+    Every worker count serves through one
+    :class:`~repro.service.spec.ServeSpec` built from these arguments,
+    the same handler and the same drain on SIGTERM/SIGINT.  With
+    ``block=True`` (the default) this serves until stopped and returns
+    ``None``.  With ``block=False`` it returns the bound
+    :class:`~repro.service.ReproHTTPServer` (``.url``, ``.service``) —
+    pass it to :func:`repro.service.serve_forever`, or call its
+    ``serve_forever()`` on a thread and ``shutdown()`` /
+    ``server_close()`` yourself; ``port=0`` picks a free port.
 
     ``workers > 1`` switches to the pre-forked fleet (see
     :mod:`repro.fleet`): N processes share the listening socket and one
     mmap'd dataset, cacheable payloads are consistent-hash-routed so
     each renders once fleet-wide, and ``/v1/metrics`` reports the
     merged view.  ``block=False`` then returns the started
-    :class:`~repro.fleet.FleetSupervisor` (``.url``, ``.stop()``).
-    ``trace`` is single-process only — fleet workers would race on one
-    trace file.
+    :class:`~repro.fleet.FleetSupervisor` (``.url``, ``.wait()``,
+    ``.stop()``).  ``trace`` is single-process only — fleet workers
+    would race on one trace file.
 
     Like :func:`report`, the artifact store defaults to
     ``<data>/.artifacts`` for saved-dataset paths, so analyses whose
@@ -417,64 +376,49 @@ def serve(
     ``server.serve_forever()`` directly should close
     ``server.trace_scope`` themselves.
     """
+    from .service.spec import ServeSpec
+
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    spec = ServeSpec(
+        data=data,
+        store=store,
+        no_store=no_store,
+        cache_size=cache_size,
+        cache_bytes=cache_bytes,
+        jobs=jobs,
+        config=config,
+        month=month,
+        small=small,
+        seed=seed,
+        as_of=as_of,
+    )
     if workers > 1:
         if trace is not None:
             raise ValueError(
                 "trace= cannot be combined with workers > 1 "
                 "(fleet workers would race on one trace file)"
             )
-        if not isinstance(data, (str, Path)):
-            raise ValueError(
-                "fleet serving needs a saved-dataset path — each worker "
-                "opens (mmaps) the dataset itself after forking"
-            )
         from .fleet import FleetSupervisor
 
-        supervisor = FleetSupervisor(
-            data,
-            host=host,
-            port=port,
-            workers=workers,
-            store=store,
-            no_store=no_store,
-            cache_size=cache_size,
-            cache_bytes=cache_bytes,
-            jobs=jobs,
-            month=month,
-            small=small,
-            seed=seed,
-            as_of=as_of,
-        )
+        supervisor = FleetSupervisor(spec, host, port, workers)
         if not block:
             return supervisor.start()
         supervisor.run()
         return None
     from .obs import tracing
     from .service.http import create_server, serve_forever
+    from .service.spec import build_service
 
     scope = tracing(trace)
     scope.__enter__()
     try:
-        service = _build_service(
-            data,
-            store=store,
-            no_store=no_store,
-            cache_size=cache_size,
-            cache_bytes=cache_bytes,
-            jobs=jobs,
-            config=config,
-            month=month,
-            small=small,
-            seed=seed,
-            as_of=as_of,
-        )
-        server = create_server(service, host=host, port=port)
+        server = create_server(build_service(spec), host=host, port=port)
     except BaseException:
         scope.__exit__(None, None, None)
         raise
     server.trace_scope = scope if trace is not None else None
+    server.drain_timeout = spec.drain_timeout
     if not block:
         return server
     serve_forever(server)

@@ -498,6 +498,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from . import api
     from .core.errors import DatasetError
+    from .export.io import latest_version
     from .service import ENDPOINTS, serve_forever
 
     if args.workers > 1 and args.trace:
@@ -505,47 +506,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "(fleet workers would race on one trace file)",
               file=sys.stderr)
         return 2
-    # Either branch prints `serving {data} on {url}` first — the URL is
-    # the *resolved* bound address (also for --port 0), and CI smoke
-    # greps exactly this line.  The served dataset version goes on its
-    # own line right after, so the grep target never changes shape.
-    if args.workers > 1:
-        from .export.io import latest_version
-
-        try:
-            version = (args.as_of if args.as_of is not None
-                       else latest_version(args.data))
-            supervisor = api.serve(
-                args.data,
-                host=args.host,
-                port=args.port,
-                workers=args.workers,
-                store=args.store,
-                no_store=args.no_store,
-                cache_size=args.cache_size,
-                cache_bytes=args.cache_bytes,
-                jobs=args.jobs,
-                month=args.month,
-                small=args.small,
-                seed=args.seed,
-                as_of=args.as_of,
-                block=False,
-            )
-        except DatasetError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        print(f"serving {args.data} on {supervisor.url}", flush=True)
-        print(f"dataset version {version}"
-              + (" (pinned)" if args.as_of is not None else ""), flush=True)
-        pids = " ".join(str(pid) for pid in supervisor.worker_pids())
-        print(f"fleet: {args.workers} workers (pids {pids})", flush=True)
-        print("endpoints: " + " ".join(ENDPOINTS), flush=True)
-        return supervisor.wait()
     try:
+        version = (args.as_of if args.as_of is not None
+                   else latest_version(args.data))
         server = api.serve(
             args.data,
             host=args.host,
             port=args.port,
+            workers=args.workers,
             store=args.store,
             no_store=args.no_store,
             cache_size=args.cache_size,
@@ -561,14 +529,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except DatasetError as exc:
         print(exc, file=sys.stderr)
         return 2
-    # server.url substitutes loopback for a wildcard bind, so the
-    # printed address is always connectable (and greppable by CI).
+    # The first line is `serving {data} on {url}` for every worker
+    # count: the URL is the *resolved*, connectable address (also for
+    # --port 0 and wildcard binds), and smoke tests grep exactly this
+    # line.  The served dataset version goes on its own line right
+    # after, so the grep target never changes shape.
     print(f"serving {args.data} on {server.url}", flush=True)
-    print(f"dataset version {server.service.current_version()}"
+    print(f"dataset version {version}"
           + (" (pinned)" if args.as_of is not None else ""), flush=True)
+    if args.workers > 1:
+        pids = " ".join(str(pid) for pid in server.worker_pids())
+        print(f"fleet: {args.workers} workers (pids {pids})", flush=True)
     print("endpoints: " + " ".join(ENDPOINTS), flush=True)
     if args.trace:
         print(f"tracing to {args.trace} (written on shutdown)", flush=True)
+    if args.workers > 1:
+        return server.wait()
     serve_forever(server)
     return 0
 

@@ -117,9 +117,12 @@ class GenerationEngine:
                 misses = plan
             if len(misses):
                 root.add("cache_misses", len(misses))
+                # Build the generator here, before a process pool
+                # forks: workers inherit it (and its universe) through
+                # ``_GENERATORS`` instead of each building their own.
                 produced = self.executor.execute(
                     self.config, misses,
-                    generator=self._generator, tracer=tracer,
+                    generator=self.generator, tracer=tracer,
                 )
                 if self.cache is not None:
                     with tracer.span(

@@ -2,8 +2,8 @@
 
 The single-process server (:mod:`repro.service`) is thread-per-request
 over Python code that holds the GIL while rendering payloads; one
-process is one core.  The fleet layer scales the same API across cores
-the way production front ends do:
+process is one core.  The fleet layer scales the same server, handler
+and drain across cores the way production front ends do:
 
 * a :class:`FleetSupervisor` binds the listening socket once and forks
   N workers that all ``accept()`` on it (kernel load-balancing), each
@@ -34,11 +34,10 @@ from .loadtest import (
 from .metrics import merge_snapshots
 from .ring import HashRing
 from .supervisor import FleetSupervisor
-from .worker import FleetSpec, payload_route_key, worker_main
+from .worker import payload_route_key, worker_main
 
 __all__ = [
     "SLO",
-    "FleetSpec",
     "FleetSupervisor",
     "HashRing",
     "LoadTestError",

@@ -39,33 +39,27 @@ import time
 from multiprocessing import connection
 from pathlib import Path
 
-from .worker import STOP_SIGNALS, FleetSpec, worker_main
+from ..service.http import STOP_SIGNALS, StopSignals, bind, connectable_url
+from ..service.spec import ServeSpec
+from .worker import worker_main
 
 log = logging.getLogger("repro.fleet")
 
 
 class FleetSupervisor:
-    """Spawns and supervises N pre-forked workers on one shared socket."""
+    """Spawns and supervises N pre-forked workers on one shared socket.
+
+    Every worker builds its service from ``spec``, the same
+    :class:`~repro.service.spec.ServeSpec` a single process serves.
+    """
 
     def __init__(
         self,
-        data: "str | Path",
-        *,
+        spec: ServeSpec,
         host: str = "127.0.0.1",
         port: int = 8000,
         workers: int = 2,
-        store=None,
-        no_store: bool = False,
-        cache_size: int = 256,
-        cache_bytes: int | None = None,
-        jobs: int = 1,
-        month=None,
-        small: bool = False,
-        seed: int | None = None,
-        as_of: int | None = None,
-        replicas: int = 64,
-        proxy_timeout: float = 5.0,
-        drain_timeout: float = 10.0,
+        *,
         restart_backoff: float = 0.2,
         max_restarts: int = 1000,
     ) -> None:
@@ -76,22 +70,12 @@ class FleetSupervisor:
                 "fleet serving pre-forks workers and needs a POSIX fork(); "
                 "use workers=1 (single-process) on this platform"
             )
-        store = getattr(store, "root", store)  # ArtifactStore -> its root
-        self.spec = FleetSpec(
-            data=str(data),
-            store=str(store) if store is not None else None,
-            no_store=no_store,
-            cache_size=cache_size,
-            cache_bytes=cache_bytes,
-            jobs=jobs,
-            month=str(month) if month is not None else None,
-            small=small,
-            seed=seed,
-            as_of=int(as_of) if as_of is not None else None,
-            replicas=replicas,
-            proxy_timeout=proxy_timeout,
-            drain_timeout=drain_timeout,
-        )
+        if not isinstance(spec.data, (str, Path)):
+            raise ValueError(
+                "fleet serving needs a saved-dataset path — each worker "
+                "opens (mmaps) the dataset itself after forking"
+            )
+        self.spec = spec
         self.host = host
         self.port = port
         self.workers = workers
@@ -113,13 +97,9 @@ class FleetSupervisor:
         """Bind the sockets, fork the workers, start the watcher thread."""
         if self._socket is not None:
             raise RuntimeError("fleet already started")
-        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
-        self._socket = socket.create_server(
-            (self.host, self.port), family=family, backlog=128
-        )
+        self._socket = bind(self.host, self.port)
         self._internal = [
-            socket.create_server(("127.0.0.1", 0), backlog=64)
-            for _ in range(self.workers)
+            bind("127.0.0.1", 0, backlog=64) for _ in range(self.workers)
         ]
         self.internal_ports = tuple(
             sock.getsockname()[1] for sock in self._internal
@@ -243,22 +223,16 @@ class FleetSupervisor:
 
     def wait(self) -> int:
         """Block a started fleet until SIGTERM/SIGINT, then drain."""
-        signalled = threading.Event()
-
-        def _interrupt(signum, frame):  # pragma: no cover - signal path
-            signalled.set()
-
-        previous = {
-            sig: signal.signal(sig, _interrupt)
-            for sig in (signal.SIGTERM, signal.SIGINT)
-        }
+        signals = StopSignals()
+        signals.install()
         try:
-            while not signalled.is_set() and not self._stopping.is_set():
-                signalled.wait(0.5)
+            while not self._stopping.is_set() and not signals.wait(0.5):
+                pass
         finally:
-            for sig, handler in previous.items():
-                signal.signal(sig, handler)
+            # Handlers stay installed through the drain, so a repeated
+            # stop signal is ignored as a single process ignores it.
             self.stop()
+            signals.close()
         return 1 if self._failed else 0
 
     # -- introspection ------------------------------------------------------------
@@ -268,12 +242,7 @@ class FleetSupervisor:
         """A connectable base URL (wildcard binds become loopback)."""
         if self._socket is None:
             raise RuntimeError("fleet not started")
-        host, port = self._socket.getsockname()[:2]
-        if host in ("0.0.0.0", "::", ""):
-            host = "::1" if host == "::" else "127.0.0.1"
-        if ":" in host:
-            host = f"[{host}]"
-        return f"http://{host}:{port}"
+        return connectable_url(self._socket.getsockname())
 
     def worker_pids(self) -> tuple[int, ...]:
         """Live worker pids, by index."""

@@ -14,23 +14,25 @@ and analysis-artifact queries over one loaded dataset, with
 * per-endpoint request counters and latency histograms
   (:class:`ServiceMetrics`) surfaced at ``/v1/metrics``;
 * a stdlib :class:`ThreadingHTTPServer` JSON API (:mod:`.http`) with
-  structured 4xx/5xx payloads — an unknown country or task is a 404
-  listing the valid choices, never a traceback.
+  one route table and structured 4xx/5xx payloads — an unknown country,
+  task or route is a 404 listing the valid choices, never a traceback;
+* one :class:`ServeSpec` (:mod:`.spec`) that builds the service, and
+  one handler and drain that serve it, for a single process and for
+  every worker of a :mod:`repro.fleet` alike.
 
 Quick start::
 
     from repro.api import load, serve
-    serve("out/feb", port=8000)              # blocks; ctrl-C to stop
+    serve("out/feb", port=8000)              # blocks; ctrl-C drains
 
 or, composing the pieces::
 
-    from repro.export import load_dataset
-    from repro.service import QueryService, create_server
+    from repro.service import (ServeSpec, build_service, create_server,
+                               serve_forever)
 
-    service = QueryService(load_dataset("out/feb"),
-                           store="out/feb/.artifacts")
+    service = build_service(ServeSpec("out/feb"))   # store: <data>/.artifacts
     server = create_server(service, port=8000)
-    server.serve_forever()
+    serve_forever(server)                    # SIGTERM/ctrl-C drains, returns 0
 """
 
 from .cache import PayloadCache
@@ -44,6 +46,7 @@ from .http import (
 )
 from .metrics import LatencyHistogram, ServiceMetrics
 from .query import DEFAULT_TOP, QueryService, render_payload
+from .spec import ServeSpec, build_service
 
 __all__ = [
     "BadRequest",
@@ -56,8 +59,10 @@ __all__ = [
     "ReproHTTPServer",
     "ReproRequestHandler",
     "ServiceError",
+    "ServeSpec",
     "ServiceMetrics",
     "Unavailable",
+    "build_service",
     "create_server",
     "render_payload",
     "serve_forever",

@@ -1,8 +1,15 @@
 """Tests for the generation engine: executors, cache wiring, lazy datasets."""
 
+import filecmp
+import os
+
 import pytest
 
+import repro
 import repro.synth.generator as generator_module
+import repro.synth.universe as universe_module
+from repro.engine import executor as executor_module
+from repro.obs import read_trace
 from repro.core import Breakdown, Metric, Platform, REFERENCE_MONTH
 from repro.core.errors import GenerationError
 from repro.engine import (
@@ -95,9 +102,40 @@ class TestParallelExecutor:
             ParallelExecutor(jobs=0)
 
     def test_default_jobs_is_cpu_count(self):
-        import os
-
         assert ParallelExecutor().jobs == (os.cpu_count() or 1)
+
+    def test_pool_workers_inherit_the_parents_universe(
+        self, tmp_path, monkeypatch
+    ):
+        """A cold ``jobs=2`` generate builds the universe once, in the
+        parent, before the pool forks: a build in any worker raises."""
+        parent = os.getpid()
+        build = universe_module._build_universe_uncached
+
+        def parent_only(config):
+            assert os.getpid() == parent, "a pool worker built the universe"
+            return build(config)
+
+        monkeypatch.setattr(universe_module, "_UNIVERSE_CACHE", {})
+        monkeypatch.setattr(executor_module, "_GENERATORS", {})
+        monkeypatch.setattr(
+            universe_module, "_build_universe_uncached", parent_only
+        )
+        trace = tmp_path / "trace.jsonl"
+        repro.generate(small=True, countries=COUNTRIES, jobs=2,
+                       out=tmp_path / "parallel", trace=trace)
+        builds = [span for span in read_trace(trace)
+                  if span["name"] == "synth.universe_build"]
+        assert len(builds) == 1
+        repro.generate(small=True, countries=COUNTRIES, jobs=1,
+                       out=tmp_path / "serial")
+        names = sorted(p.relative_to(tmp_path / "serial").as_posix()
+                       for p in (tmp_path / "serial").rglob("*") if p.is_file())
+        assert names
+        match, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "serial", tmp_path / "parallel", names, shallow=False
+        )
+        assert (mismatch, errors) == ([], [])
 
 
 class TestSliceCacheWiring:

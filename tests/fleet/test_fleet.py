@@ -13,6 +13,7 @@ import json
 import os
 import signal
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -20,8 +21,11 @@ import urllib.request
 import pytest
 
 import repro
-from repro.api import _build_service
 from repro.fleet import FleetSupervisor
+from repro.fleet import worker as worker_module
+from repro.fleet.worker import FleetWorkerRuntime, payload_route_key
+from repro.service import ServeSpec, build_service, create_server
+from repro.service.http import ReproHTTPServer, bind
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="fleet serving needs fork()"
@@ -49,7 +53,8 @@ def columnar_data(tmp_path_factory):
 @pytest.fixture(scope="module")
 def fleet(columnar_data):
     supervisor = FleetSupervisor(
-        columnar_data, port=0, workers=2, small=True, drain_timeout=5.0
+        ServeSpec(columnar_data, small=True, drain_timeout=5.0),
+        port=0, workers=2,
     )
     supervisor.start()
     yield supervisor
@@ -59,7 +64,7 @@ def fleet(columnar_data):
 @pytest.fixture(scope="module")
 def reference_service(columnar_data):
     """Single-process ground truth over the same dataset."""
-    return _build_service(columnar_data, small=True)
+    return build_service(ServeSpec(columnar_data, small=True))
 
 
 class TestByteIdentity:
@@ -94,6 +99,91 @@ class TestByteIdentity:
         assert status == 404
         payload = json.loads(body)
         assert set(payload["choices"]) == {"US", "KR"}
+
+
+@pytest.fixture()
+def single_process(columnar_data):
+    """A single-process server over the same dataset, on a thread."""
+    server = create_server(build_service(ServeSpec(columnar_data, small=True)),
+                           port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+#: Paths whose head names an owned payload but whose shape matches no
+#: route: every worker count answers them locally as ``unknown``.
+MALFORMED = ("/v1/sites", "/v1/rankings/extra", "/v1/analyses/x/y")
+
+
+class TestMalformedRoutes:
+    def _requests(self, url: str) -> dict[str, int]:
+        metrics = json.loads(_get(url + "/v1/metrics")[1])
+        counts = {name: stats["requests"]
+                  for name, stats in metrics["endpoints"].items()}
+        counts["requests_total"] = metrics["requests_total"]
+        counts["fleet_proxied"] = metrics["counters"].get("fleet_proxied", 0)
+        return counts
+
+    def test_same_404_bytes_and_label_on_every_worker_count(
+        self, fleet, single_process
+    ):
+        bodies: dict[str, set[bytes]] = {path: set() for path in MALFORMED}
+        for url in (single_process.url, fleet.url):
+            before = self._requests(url)
+            for path in MALFORMED * 4:
+                status, body = _get(url + path)
+                assert status == 404, (url, path)
+                bodies[path].add(body)
+            after = self._requests(url)
+            moved = {name: after[name] - before.get(name, 0)
+                     for name in after if after[name] != before.get(name, 0)}
+            # The metrics requests themselves (a fleet's fan-in adds
+            # its peers' internal ones) move only their own label.
+            polls = moved.pop("metrics")
+            assert moved == {"unknown": 12,
+                             "requests_total": 12 + polls}, (url, moved)
+        for path, seen in bodies.items():
+            assert len(seen) == 1, path
+            assert json.loads(seen.pop())["error"] == "not_found"
+
+
+class TestProxyFallback:
+    def test_unreachable_owner_renders_locally(
+        self, columnar_data, reference_service
+    ):
+        """A worker whose owner's internal port is closed renders the
+        owned payload itself: the same bytes, one fallback counted."""
+        closed = bind("127.0.0.1", 0)
+        dead_port = closed.getsockname()[1]
+        closed.close()
+        service = build_service(ServeSpec(columnar_data, small=True))
+        runtime = FleetWorkerRuntime(index=0, internal_ports=(0, dead_port))
+        top = next(
+            top for top in range(1, 100)
+            if runtime.ring.owner(payload_route_key(
+                ("v1", "rankings"), {"country": "US", "top": str(top)},
+                version=service.current_version(),
+            )) == 1
+        )
+        server = ReproHTTPServer(bind("127.0.0.1", 0), service, fleet=runtime)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            status, body = _get(
+                server.url + f"/v1/rankings?country=US&top={top}"
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert status == 200
+        assert body == reference_service.rankings("US", top=top)
+        assert service.metrics.counter("fleet_proxy_fallback") == 1
+        assert service.metrics.counter("fleet_proxied") == 0
 
 
 class TestFleetMetrics:
@@ -154,8 +244,8 @@ class TestPageSharing:
 class TestLifecycle:
     def test_crashed_worker_restarts_and_serving_survives(self, columnar_data):
         with FleetSupervisor(
-            columnar_data, port=0, workers=2, small=True,
-            drain_timeout=5.0, restart_backoff=0.05,
+            ServeSpec(columnar_data, small=True, drain_timeout=5.0),
+            port=0, workers=2, restart_backoff=0.05,
         ) as fleet:
             reference = _get(fleet.url + "/v1/rankings?country=US&top=4")[1]
             victim = fleet.worker_pids()[0]
@@ -175,7 +265,8 @@ class TestLifecycle:
 
     def test_graceful_stop_drains_and_port_rebinds(self, columnar_data):
         fleet = FleetSupervisor(
-            columnar_data, port=0, workers=2, small=True, drain_timeout=5.0
+            ServeSpec(columnar_data, small=True, drain_timeout=5.0),
+            port=0, workers=2,
         ).start()
         port = int(fleet.url.rsplit(":", 1)[1])
         assert _get(fleet.url + "/v1/healthz")[0] == 200
@@ -187,7 +278,8 @@ class TestLifecycle:
         fleet.stop()  # idempotent
 
         rebound = FleetSupervisor(
-            columnar_data, port=port, workers=2, small=True, drain_timeout=5.0
+            ServeSpec(columnar_data, small=True, drain_timeout=5.0),
+            port=port, workers=2,
         ).start()
         try:
             assert _get(rebound.url + "/v1/healthz")[0] == 200
@@ -199,15 +291,50 @@ class TestLifecycle:
         # the dataset must end them with 0, never -SIGTERM.
         for _ in range(20):
             fleet = FleetSupervisor(
-                columnar_data, port=0, workers=2, small=True,
-                drain_timeout=5.0,
+                ServeSpec(columnar_data, small=True, drain_timeout=5.0),
+                port=0, workers=2,
             ).start()
             fleet.stop()
             assert [proc.exitcode for proc in fleet._procs] == [0, 0]
 
+    def test_stop_where_exceptions_are_swallowed_still_exits(
+        self, columnar_data, monkeypatch, tmp_path
+    ):
+        """A stop that lands in code which swallows exceptions (a
+        finalizer here; C code that clears errors is another) must
+        still end the worker with 0: the stop may not travel as an
+        exception raised from the signal handler."""
+        building = tmp_path / "building"
+        build = worker_module.build_service
+
+        class Finalizer:
+            def __del__(self):
+                building.touch()
+                time.sleep(1.0)  # the SIGTERM lands here
+
+        def build_after_finalizer(spec):
+            Finalizer()
+            return build(spec)
+
+        # The forked worker inherits the patched module global.
+        monkeypatch.setattr(worker_module, "build_service",
+                            build_after_finalizer)
+        fleet = FleetSupervisor(
+            ServeSpec(columnar_data, small=True, drain_timeout=1.0),
+            port=0, workers=1,
+        ).start()
+        try:
+            deadline = time.monotonic() + 30
+            while not building.exists():
+                assert time.monotonic() < deadline, "worker never started"
+                time.sleep(0.01)
+        finally:
+            fleet.stop()
+        assert [proc.exitcode for proc in fleet._procs] == [0]
+
     def test_workers_must_be_positive(self, columnar_data):
         with pytest.raises(ValueError, match="workers"):
-            FleetSupervisor(columnar_data, workers=0)
+            FleetSupervisor(ServeSpec(columnar_data), workers=0)
 
     def test_serve_facade_rejects_trace_with_fleet(self, columnar_data):
         with pytest.raises(ValueError, match="trace"):
