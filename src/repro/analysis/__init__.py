@@ -42,6 +42,7 @@ from .endemicity import (
     PopularityCurve,
     category_split,
     classify_shape,
+    curve_shapes,
     exclusivity_fraction,
     popularity_curves,
     score_endemicity,
@@ -96,6 +97,7 @@ from .top10 import (
 )
 from .weighting import (
     average_over_countries,
+    category_shares,
     count_by_category,
     per_site_share,
     share_by_category,
@@ -136,10 +138,12 @@ __all__ = [
     "average_over_countries",
     "category_overlap",
     "category_presence",
+    "category_shares",
     "category_share_over_months",
     "category_split",
     "classify_leaning",
     "classify_shape",
+    "curve_shapes",
     "cluster_countries",
     "compare_strategies",
     "composition_panel",

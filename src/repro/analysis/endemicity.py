@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -30,71 +31,45 @@ from ..core.rankedlist import RankedList
 from ..core.vocab import SiteVocabulary
 from ..stats.kernels import rank_matrix
 from ..stats.outliers import OutlierResult, mad_outliers
+from .weighting import category_shares
 
 #: The sentinel rank for a country whose top-10K misses the site
 #: ("the lowest possible rank value + 1").
 MISSING_RANK = 10_001
 
+# -- every curve quantity, on a sites × countries matrix of row-sorted ranks ----------
 
-@dataclass(frozen=True)
-class PopularityCurve:
-    """One site's sorted per-country rank vector."""
+_LOG10 = np.empty(0)
 
-    site: str
-    ranks: tuple[int, ...]           # ascending; MISSING_RANK for absences
 
-    def __post_init__(self) -> None:
-        if not self.ranks:
-            raise ValueError("curve needs at least one rank")
-        if any(b < a for a, b in zip(self.ranks, self.ranks[1:])):
-            raise ValueError("ranks must be sorted ascending")
+def _exact_log10(ranks: np.ndarray) -> np.ndarray:
+    """``math.log10`` of positive integer ranks, by table lookup, so the
+    bounds and spreads keep the scalar ``math.log10`` values exactly."""
+    global _LOG10
+    top = max(int(ranks.max(initial=0)), MISSING_RANK)
+    if top >= len(_LOG10):
+        _LOG10 = np.array([0.0] + [math.log10(r) for r in range(1, top + 1)])
+    return _LOG10[ranks]
 
-    @property
-    def best_rank(self) -> int:
-        return self.ranks[0]
 
-    @property
-    def n_present(self) -> int:
-        return sum(1 for r in self.ranks if r < MISSING_RANK)
+def endemicity_scores(ranks: np.ndarray) -> np.ndarray:
+    """E_w = Σ (log10(r_i) − log10(r_1)) for every row."""
+    logs = np.log10(ranks.astype(float))
+    return np.sum(logs - logs[:, :1], axis=1)
 
-    @property
-    def n_countries(self) -> int:
-        return len(self.ranks)
 
-    def values(self) -> np.ndarray:
-        """The plotted curve: −log10(rank) per country, best first."""
-        return -np.log10(np.asarray(self.ranks, dtype=float))
+def upper_bounds(ranks: np.ndarray) -> np.ndarray:
+    """Maximum possible score per row for its best rank (all others missing)."""
+    n = ranks.shape[1]
+    return (n - 1) * (math.log10(MISSING_RANK) - _exact_log10(ranks[:, 0]))
 
-    def endemicity_score(self) -> float:
-        """E_w = Σ (log10(r_i) − log10(r_1))."""
-        logs = np.log10(np.asarray(self.ranks, dtype=float))
-        return float(np.sum(logs - logs[0]))
 
-    def upper_bound(self) -> float:
-        """Maximum possible score for this best rank (all others missing)."""
-        return (self.n_countries - 1) * (
-            math.log10(MISSING_RANK) - math.log10(self.best_rank)
-        )
-
-    def distance_from_bound(self) -> float:
-        """How far below maximal endemicity the site sits (Figure 7's y-gap)."""
-        return self.upper_bound() - self.endemicity_score()
-
-    def relative_distance(self) -> float:
-        """distance_from_bound / upper_bound, in [0, 1].
-
-        Scale-free in the best rank: approximately
-        (countries present − 1) / (countries − 1), weighted by how
-        strong the extra presences are.  0 = maximally endemic,
-        1 = identical rank everywhere.  The outlier detection that
-        separates globally popular sites runs on this quantity, so a
-        champion site with best rank 3 in one country is not confused
-        with a global site merely because its *absolute* bound is huge.
-        """
-        bound = self.upper_bound()
-        if bound <= 0.0:
-            return 0.0
-        return self.distance_from_bound() / bound
+def relative_distances(ranks: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """(upper bound − score) / upper bound per row, 0 where the bound is 0."""
+    bounds = upper_bounds(ranks)
+    out = np.zeros(len(bounds))
+    np.divide(bounds - scores, bounds, out=out, where=bounds > 0.0)
+    return out
 
 
 #: The six curve shapes of Figure 6 / Table 1.
@@ -115,25 +90,124 @@ ALL_SHAPES = (
 )
 
 
+def curve_shapes(ranks: np.ndarray) -> np.ndarray:
+    """The Table 1 shape of every row, as an array of shape names."""
+    n = ranks.shape[1]
+    present = np.count_nonzero(ranks < MISSING_RANK, axis=1)
+    strong = np.count_nonzero(ranks <= 1_000, axis=1)
+    # log10-rank spread over the present countries (a sorted row's
+    # first ``present`` entries); it decides only fully present rows.
+    worst = ranks[np.arange(len(ranks)), np.maximum(present - 1, 0)]
+    spread = _exact_log10(worst) - _exact_log10(ranks[:, 0])
+    everywhere = present >= n
+    return np.select(
+        [present <= 1, everywhere & (spread <= 1.0), everywhere,
+         present >= 0.8 * n,
+         # Partially present: a plateau, consistently strong where present.
+         (strong >= 2) & (strong >= 0.6 * present)],
+        [SHAPE_SINGLE_COUNTRY, SHAPE_GLOBAL_FLAT, SHAPE_GLOBAL_SLOPE,
+         SHAPE_MOSTLY_GLOBAL, SHAPE_MULTI_REGIONAL],
+        default=SHAPE_SCATTERED_TAIL,
+    )
+
+
+@dataclass(frozen=True)
+class PopularityCurve:
+    """One site's sorted per-country rank vector (a one-row rank matrix)."""
+
+    site: str
+    ranks: tuple[int, ...]           # ascending; MISSING_RANK for absences
+
+    def __post_init__(self) -> None:
+        if not self.ranks:
+            raise ValueError("curve needs at least one rank")
+        if any(b < a for a, b in zip(self.ranks, self.ranks[1:])):
+            raise ValueError("ranks must be sorted ascending")
+        if self.ranks[0] < 1:
+            raise ValueError("ranks must be positive")
+
+    @property
+    def best_rank(self) -> int:
+        return self.ranks[0]
+
+    @property
+    def n_present(self) -> int:
+        return sum(1 for r in self.ranks if r < MISSING_RANK)
+
+    @property
+    def n_countries(self) -> int:
+        return len(self.ranks)
+
+    def values(self) -> np.ndarray:
+        """The plotted curve: −log10(rank) per country, best first."""
+        return -np.log10(np.asarray(self.ranks, dtype=float))
+
+    def endemicity_score(self) -> float:
+        """E_w = Σ (log10(r_i) − log10(r_1))."""
+        return float(endemicity_scores(np.array([self.ranks]))[0])
+
+    def upper_bound(self) -> float:
+        """Maximum possible score for this best rank (all others missing)."""
+        return float(upper_bounds(np.array([self.ranks]))[0])
+
+    def distance_from_bound(self) -> float:
+        """How far below maximal endemicity the site sits (Figure 7's y-gap)."""
+        return self.upper_bound() - self.endemicity_score()
+
+    def relative_distance(self) -> float:
+        """distance_from_bound / upper_bound, in [0, 1].
+
+        Scale-free in the best rank: approximately
+        (countries present − 1) / (countries − 1), weighted by how
+        strong the extra presences are.  0 = maximally endemic,
+        1 = identical rank everywhere.  The outlier detection that
+        separates globally popular sites runs on this quantity, so a
+        champion site with best rank 3 in one country is not confused
+        with a global site merely because its *absolute* bound is huge.
+        """
+        ranks = np.array([self.ranks])
+        return float(relative_distances(ranks, endemicity_scores(ranks))[0])
+
+
 def classify_shape(curve: PopularityCurve) -> str:
     """Assign a popularity curve to one of the six Table 1 shapes."""
-    n = curve.n_countries
-    present = curve.n_present
-    logs = [math.log10(r) for r in curve.ranks if r < MISSING_RANK]
-    spread = (logs[-1] - logs[0]) if logs else 0.0
+    return str(curve_shapes(np.array([curve.ranks]))[0])
 
-    if present <= 1:
-        return SHAPE_SINGLE_COUNTRY
-    if present >= n:
-        return SHAPE_GLOBAL_FLAT if spread <= 1.0 else SHAPE_GLOBAL_SLOPE
-    if present >= 0.8 * n:
-        return SHAPE_MOSTLY_GLOBAL
-    # Partially present: plateau (consistently strong where present) vs
-    # scattered tail presence.
-    strong = sum(1 for r in curve.ranks if r <= 1_000)
-    if strong >= 2 and strong >= 0.6 * present:
-        return SHAPE_MULTI_REGIONAL
-    return SHAPE_SCATTERED_TAIL
+
+def _head_ids(
+    lists_by_country: Mapping[str, RankedList],
+    head_rank: int,
+    vocab: SiteVocabulary,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every list's ids (countries sorted), and the ids in some top ``head_rank``."""
+    id_arrays = [lists_by_country[c].ids(vocab) for c in sorted(lists_by_country)]
+    heads = [ids[:head_rank] for ids in id_arrays]
+    return id_arrays, np.unique(np.concatenate(heads or [np.empty(0, np.int32)]))
+
+
+def popularity_matrix(
+    lists_by_country: Mapping[str, RankedList],
+    eligible_rank: int = 1_000,
+    *,
+    vocab: SiteVocabulary | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every site ranking in the top ``eligible_rank`` of at least one
+    country (the paper's 23,785-site population): an object array of
+    names in name order, and the int32 matrix whose row *i* is site
+    *i*'s per-country ranks (:func:`~repro.stats.kernels.rank_matrix`),
+    sorted ascending."""
+    vocab = SiteVocabulary() if vocab is None else vocab
+    id_arrays, eligible = _head_ids(lists_by_country, eligible_rank, vocab)
+    names = np.array([vocab.site_of(s) for s in eligible.tolist()], dtype=object)
+    order = np.argsort(names, kind="stable")
+    ranks = rank_matrix(id_arrays, eligible[order], missing=MISSING_RANK)
+    ranks.sort(axis=1)
+    return names[order], ranks
+
+
+def _curves(sites: np.ndarray, ranks: np.ndarray) -> list[PopularityCurve]:
+    return [PopularityCurve(site, tuple(row))
+            for site, row in zip(sites.tolist(), ranks.tolist())]
 
 
 def popularity_curves(
@@ -142,57 +216,32 @@ def popularity_curves(
     *,
     vocab: SiteVocabulary | None = None,
 ) -> list[PopularityCurve]:
-    """Curves for every site ranking in the top ``eligible_rank``
-    of at least one country (the paper's 23,785-site population).
-
-    Vectorized: the lists are interned once, the eligible population is
-    a ``np.unique`` over the prefix id arrays, and the full site ×
-    country rank matrix comes from
-    :func:`repro.stats.kernels.rank_matrix` (one scatter + gather per
-    country) followed by a row sort — no per-site dict probes.
-    """
-    countries = sorted(lists_by_country)
-    if not countries:
-        return []
-    if vocab is None:
-        vocab = SiteVocabulary()
-    id_arrays = [lists_by_country[c].ids(vocab) for c in countries]
-    prefixes = [ids[:eligible_rank] for ids in id_arrays]
-    eligible_ids = np.unique(np.concatenate(prefixes))
-    if len(eligible_ids) == 0:
-        return []
-    # The curves are emitted in site-name order, exactly as the scalar
-    # reference iterated ``sorted(eligible)``.
-    by_name = sorted(
-        (vocab.site_of(int(sid)), int(sid)) for sid in eligible_ids
-    )
-    site_ids = np.fromiter(
-        (sid for _, sid in by_name), dtype=np.int64, count=len(by_name)
-    )
-    ranks = rank_matrix(id_arrays, site_ids, missing=MISSING_RANK)
-    ranks.sort(axis=1)
-    return [
-        PopularityCurve(name, tuple(int(r) for r in row))
-        for (name, _), row in zip(by_name, ranks)
-    ]
+    """:func:`popularity_matrix` as one :class:`PopularityCurve` per site."""
+    return _curves(*popularity_matrix(lists_by_country, eligible_rank, vocab=vocab))
 
 
 @dataclass(frozen=True)
 class EndemicityResult:
     """Scored and classified site population for one (platform, metric)."""
 
-    curves: tuple[PopularityCurve, ...]
-    scores: np.ndarray                  # endemicity score per curve
+    sites: np.ndarray                   # site names, name order
+    ranks: np.ndarray                   # sorted rank matrix, one row per site
+    scores: np.ndarray                  # endemicity score per site
     global_mask: np.ndarray             # True where globally popular
     outliers: OutlierResult
 
+    @cached_property
+    def curves(self) -> tuple[PopularityCurve, ...]:
+        """One curve object per site, built on first use."""
+        return tuple(_curves(self.sites, self.ranks))
+
     @property
     def global_sites(self) -> set[str]:
-        return {c.site for c, g in zip(self.curves, self.global_mask) if g}
+        return set(self.sites[self.global_mask].tolist())
 
     @property
     def national_sites(self) -> set[str]:
-        return {c.site for c, g in zip(self.curves, self.global_mask) if not g}
+        return set(self.sites[~self.global_mask].tolist())
 
     @property
     def global_fraction(self) -> float:
@@ -214,23 +263,20 @@ def score_endemicity(
     bound (distance / bound); *upper* outliers — sites far below maximal
     endemicity for their own best rank — are the globally popular ones.
     """
-    curves = popularity_curves(lists_by_country, eligible_rank, vocab=vocab)
-    if not curves:
+    sites, ranks = popularity_matrix(lists_by_country, eligible_rank, vocab=vocab)
+    if not len(sites):
         raise ValueError("no eligible sites")
-    scores = np.array([c.endemicity_score() for c in curves])
-    distances = np.array([c.relative_distance() for c in curves])
+    scores = endemicity_scores(ranks)
+    distances = relative_distances(ranks, scores)
     outliers = mad_outliers(distances, threshold=mad_threshold, side="upper")
-    return EndemicityResult(
-        curves=tuple(curves),
-        scores=scores,
-        global_mask=outliers.mask,
-        outliers=outliers,
-    )
+    return EndemicityResult(sites, ranks, scores, outliers.mask, outliers)
 
 
 def exclusivity_fraction(
     lists_by_country: Mapping[str, RankedList],
     head_rank: int = 1_000,
+    *,
+    vocab: SiteVocabulary | None = None,
 ) -> tuple[float, int]:
     """Section 5.1's headline: of the sites ranking in the top
     ``head_rank`` for at least one country, the fraction appearing in
@@ -238,18 +284,12 @@ def exclusivity_fraction(
 
     Paper: 13K of 24K sites (53.9 %).
     """
-    countries = sorted(lists_by_country)
-    membership: dict[str, int] = {}
-    heads: set[str] = set()
-    for country in countries:
-        ranked = lists_by_country[country]
-        heads.update(ranked.top(head_rank).sites)
-        for site in ranked.sites:
-            membership[site] = membership.get(site, 0) + 1
-    if not heads:
+    vocab = SiteVocabulary() if vocab is None else vocab
+    id_arrays, heads = _head_ids(lists_by_country, head_rank, vocab)
+    if not len(heads):
         raise ValueError("no head sites")
-    exclusive = sum(1 for site in heads if membership.get(site, 0) <= 1)
-    return exclusive / len(heads), len(heads)
+    membership = np.bincount(np.concatenate(id_arrays), minlength=len(vocab))
+    return int(np.count_nonzero(membership[heads] <= 1)) / len(heads), len(heads)
 
 
 def category_split(
@@ -257,14 +297,5 @@ def category_split(
     labels: Mapping[str, str],
 ) -> tuple[dict[str, float], dict[str, float]]:
     """Figure 8: category shares of globally vs nationally popular sites."""
-    def shares(sites: set[str]) -> dict[str, float]:
-        if not sites:
-            return {}
-        counts: dict[str, int] = {}
-        for site in sites:
-            category = labels.get(site, "Unknown")
-            counts[category] = counts.get(category, 0) + 1
-        total = len(sites)
-        return {c: n / total for c, n in counts.items()}
-
-    return shares(result.global_sites), shares(result.national_sites)
+    return (category_shares(result.global_sites, labels),
+            category_shares(result.national_sites, labels))

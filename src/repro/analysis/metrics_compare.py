@@ -24,7 +24,7 @@ from ..core.types import Metric, Month, Platform
 from ..stats.descriptive import Quartiles, quartiles
 from ..stats.kernels import rank_pairs_ids
 from ..stats.spearman import spearman_from_lists, spearman_rho
-from .weighting import per_site_share
+from .weighting import category_shares, per_site_share
 
 
 @dataclass(frozen=True)
@@ -197,17 +197,10 @@ def leaning_composition(
         classification = classify_leaning(
             loads[country], time[country], dataset, platform, country, top_n
         )
-        for leaning in per_class_samples:
+        for leaning, samples in per_class_samples.items():
             sites = classification.sites_in(leaning)
-            if not sites:
-                continue
-            counts: dict[str, int] = {}
-            for site in sites:
-                category = labels.get(site, "Unknown")
-                counts[category] = counts.get(category, 0) + 1
-            total = len(sites)
-            for category, count in counts.items():
-                per_class_samples[leaning].setdefault(category, []).append(count / total)
+            for category, share in category_shares(sites, labels).items():
+                samples.setdefault(category, []).append(share)
     shares = {
         leaning: {
             category: quartiles(samples + [0.0] * (len(shared) - len(samples)))

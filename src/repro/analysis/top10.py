@@ -43,22 +43,12 @@ def category_presence(
     labels: Mapping[str, str],
     top_k: int = 10,
 ) -> dict[str, CategoryPresence]:
-    """Per category: which countries have it in their top-K."""
-    countries_per: dict[str, set[str]] = {}
-    sites_per: dict[str, set[str]] = {}
-    for country, ranked in lists_by_country.items():
-        for site in ranked.top(top_k).sites:
-            category = labels.get(site, "Unknown")
-            countries_per.setdefault(category, set()).add(country)
-            sites_per.setdefault(category, set()).add(site)
-    return {
-        category: CategoryPresence(
-            category,
-            tuple(sorted(countries_per[category])),
-            tuple(sorted(sites_per[category])),
-        )
-        for category in countries_per
-    }
+    """Per category: which countries have it in their top-K — :func:`tag_presence`
+    with each site's category (Unknown when unlabeled) as its one tag."""
+    one_tag = {site: (labels.get(site, "Unknown"),)
+               for ranked in lists_by_country.values()
+               for site in ranked.top(top_k).sites}
+    return tag_presence(lists_by_country, one_tag, top_k)
 
 
 def tag_presence(
@@ -66,7 +56,7 @@ def tag_presence(
     tags: Mapping[str, tuple[str, ...]],
     top_k: int = 10,
 ) -> dict[str, CategoryPresence]:
-    """Same as :func:`category_presence` but over descriptive tags.
+    """Per descriptive tag: which countries have it in their top-K.
 
     Tags capture Table 4's long tail (videoconferencing, ISPs, job
     search, ...) and Section 5.3.2's classes (classifieds, forums, ...).

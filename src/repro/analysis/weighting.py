@@ -9,7 +9,9 @@ implement that weighted counting over ranked lists.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections import Counter
+from itertools import repeat
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -19,11 +21,6 @@ from ..core.rankedlist import RankedList
 UNKNOWN = "Unknown"
 
 
-def label_of(site: str, labels: Mapping[str, str]) -> str:
-    """The category label for a site, defaulting to Unknown."""
-    return labels.get(site, UNKNOWN)
-
-
 def count_by_category(
     ranked: RankedList,
     labels: Mapping[str, str],
@@ -31,11 +28,16 @@ def count_by_category(
 ) -> dict[str, int]:
     """Plain site counts per category over the top-N of a list."""
     sites = ranked.sites if top_n is None else ranked.top(top_n).sites
-    counts: dict[str, int] = {}
-    for site in sites:
-        category = label_of(site, labels)
-        counts[category] = counts.get(category, 0) + 1
-    return counts
+    return dict(Counter(map(labels.get, sites, repeat(UNKNOWN))))
+
+
+def category_shares(
+    sites: Iterable[str], labels: Mapping[str, str]
+) -> dict[str, float]:
+    """Fraction of ``sites`` per category (sums to 1; empty for no sites)."""
+    counts = Counter(map(labels.get, sites, repeat(UNKNOWN)))
+    total = sum(counts.values())
+    return {c: n / total for c, n in counts.items()} if total else {}
 
 
 def share_by_category(
@@ -44,11 +46,9 @@ def share_by_category(
     top_n: int | None = None,
 ) -> dict[str, float]:
     """Fraction of top-N *domains* per category (sums to 1)."""
-    counts = count_by_category(ranked, labels, top_n)
-    total = sum(counts.values())
-    if total == 0:
-        return {}
-    return {c: n / total for c, n in counts.items()}
+    return category_shares(
+        ranked.sites if top_n is None else ranked.top(top_n).sites, labels
+    )
 
 
 def weighted_volume_by_category(
@@ -70,8 +70,7 @@ def weighted_volume_by_category(
         return {}
     weights = distribution.weights(len(sites))
     volumes: dict[str, float] = {}
-    for position, site in enumerate(sites):
-        category = label_of(site, labels)
+    for position, category in enumerate(map(labels.get, sites, repeat(UNKNOWN))):
         volumes[category] = volumes.get(category, 0.0) + float(weights[position])
     if normalize:
         total = sum(volumes.values())

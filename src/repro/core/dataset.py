@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Iterable, Iterator, Mapping
 
+from ..obs import span as obs_span
 from .distribution import TrafficDistribution
 from .errors import DatasetError, MissingBreakdownError
 from .rankedlist import RankedList
@@ -307,7 +308,8 @@ class DeferredBrowsingDataset(BrowsingDataset):
         """Materialise the requested (default: all) still-pending slices.
 
         Thread-safe: concurrent readers (e.g. server threads) serialize
-        here, and a slice is produced at most once.
+        here, and a slice is produced at most once.  Each production is
+        one ``store.materialize`` span (attributes ``slices``, ``sites``).
         """
         wanted_input = None if breakdowns is None else set(breakdowns)
         with self._materialize_lock:
@@ -316,7 +318,10 @@ class DeferredBrowsingDataset(BrowsingDataset):
             )
             if not wanted:
                 return
-            produced = self._produce(set(wanted))
+            with obs_span("store.materialize") as span:
+                produced = self._produce(set(wanted))
+                span.set("slices", len(produced))
+                span.set("sites", sum(map(len, produced.values())))
             self._lists.update(produced)
             self._pending -= set(produced)
 

@@ -146,10 +146,6 @@ class RankedList:
         """
         return self._ranks.get(site, default)
 
-    def as_rank_map(self) -> Mapping[str, int]:
-        """A read-only view of site → rank."""
-        return dict(self._ranks)
-
     # -- derived lists ---------------------------------------------------------------
 
     def top(self, n: int) -> "RankedList":

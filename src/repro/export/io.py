@@ -54,7 +54,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ..core.dataset import BrowsingDataset
 from ..core.distribution import TrafficDistribution
@@ -103,6 +103,17 @@ def breakdown_slug(breakdown: Breakdown) -> str:
         f"{breakdown.country}_{breakdown.platform.value}"
         f"_{breakdown.metric.value}_{breakdown.month}"
     )
+
+
+def breakdown_entry(breakdown: Breakdown, **fields: object) -> dict[str, object]:
+    """One breakdown's manifest record: its key, then the codec's ``fields``."""
+    return {
+        "country": breakdown.country,
+        "platform": breakdown.platform.value,
+        "metric": breakdown.metric.value,
+        "month": [breakdown.month.year, breakdown.month.month],
+        **fields,
+    }
 
 
 def _jsonable_metadata(metadata: Mapping[str, object]) -> dict[str, object]:
@@ -187,11 +198,18 @@ def dataset_fingerprint(dataset: BrowsingDataset) -> str:
     recorded = getattr(dataset, "content_fingerprint", None)
     if isinstance(recorded, str) and recorded:
         return recorded
+    return content_hash(
+        (breakdown_slug(b), dataset[b].sites) for b in sorted_breakdowns(dataset)
+    )
+
+
+def content_hash(rows: Iterable[tuple[str, Iterable[str]]]) -> str:
+    """The content fingerprint: SHA-256 over (breakdown slug, sites) rows."""
     digest = hashlib.sha256()
-    for breakdown in sorted_breakdowns(dataset):
-        digest.update(breakdown_slug(breakdown).encode("utf-8"))
+    for slug, sites in rows:
+        digest.update(slug.encode("utf-8"))
         digest.update(b"\x00")
-        for site in dataset[breakdown].sites:
+        for site in sites:
             digest.update(site.encode("utf-8"))
             digest.update(b"\n")
     return digest.hexdigest()[:16]
@@ -482,15 +500,7 @@ def _save_text(dataset: BrowsingDataset, root: Path) -> Path:
         _atomic_write_text(lists_dir / f"{slug}.txt", "\n".join(sites) + "\n")
         if truth is not None:
             vocab.intern_many(sites)
-        breakdowns.append(
-            {
-                "country": breakdown.country,
-                "platform": breakdown.platform.value,
-                "metric": breakdown.metric.value,
-                "month": [breakdown.month.year, breakdown.month.month],
-                "file": f"lists/{slug}.txt",
-            }
-        )
+        breakdowns.append(breakdown_entry(breakdown, file=f"lists/{slug}.txt"))
 
     manifest = {
         "format_version": TEXT_FORMAT_VERSION,

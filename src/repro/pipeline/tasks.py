@@ -422,42 +422,29 @@ def _render_endemicity(result) -> str:
     render=_render_endemicity,
 )
 def _endemicity(ctx: TaskContext, inputs: dict[str, object]) -> object:
-    from ..analysis import classify_shape, exclusivity_fraction, score_endemicity
+    from collections import Counter
+
+    from ..analysis import curve_shapes, exclusivity_fraction, score_endemicity
 
     lists = ctx.primary_lists()
     if len(lists) < 2:
         raise TaskUnavailable("endemicity needs at least two countries")
-    result = score_endemicity(
-        lists, eligible_rank=1_000, mad_threshold=3.5,
-        vocab=ctx.dataset.vocabulary(),
-    )
-    fraction, population = exclusivity_fraction(lists, head_rank=1_000)
-    shapes: dict[str, int] = {}
-    for curve in result.curves:
-        shape = classify_shape(curve)
-        shapes[shape] = shapes.get(shape, 0) + 1
+    vocab = ctx.dataset.vocabulary()
+    result = score_endemicity(lists, eligible_rank=1_000, mad_threshold=3.5, vocab=vocab)
+    fraction, population = exclusivity_fraction(lists, head_rank=1_000, vocab=vocab)
     return {
         "platform": ctx.primary_platform.value,
         "metric": ctx.primary_metric.value,
-        "n_sites": len(result.curves),
+        "n_sites": len(result.sites),
         "n_global": len(result.global_sites),
         "n_national": len(result.national_sites),
         "global_fraction": _f(result.global_fraction),
         "exclusive_fraction": _f(fraction),
         "exclusive_population": population,
-        "shapes": shapes,
+        "shapes": dict(Counter(curve_shapes(result.ranks).tolist())),
         "global_sites": sorted(result.global_sites),
         "national_sites": sorted(result.national_sites),
     }
-
-
-def _category_shares(sites: list[str], labels: dict[str, str]) -> dict[str, float]:
-    counts: dict[str, int] = {}
-    for site in sites:
-        category = labels.get(site, "Unknown")
-        counts[category] = counts.get(category, 0) + 1
-    total = len(sites)
-    return {c: n / total for c, n in counts.items()} if total else {}
 
 
 def _render_endemic_categories(result) -> str:
@@ -474,11 +461,13 @@ def _render_endemic_categories(result) -> str:
     render=_render_endemic_categories,
 )
 def _endemic_categories(ctx: TaskContext, inputs: dict[str, object]) -> object:
+    from ..analysis import category_shares
+
     labels = inputs["labels"]
     endemicity = inputs["endemicity"]
     return {
-        "global": _category_shares(endemicity["global_sites"], labels),
-        "national": _category_shares(endemicity["national_sites"], labels),
+        "global": category_shares(endemicity["global_sites"], labels),
+        "national": category_shares(endemicity["national_sites"], labels),
     }
 
 

@@ -71,24 +71,21 @@ def quartiles(values: Iterable[float]) -> Quartiles:
 def rankdata(values: Sequence[float]) -> np.ndarray:
     """Average ranks (1-indexed) with ties sharing their mean rank.
 
-    The standard "fractional" ranking used by Spearman's rho.
+    The standard "fractional" ranking used by Spearman's rho.  Ties are
+    runs of equal neighbours in the stable sort (NaN equals nothing, so
+    each NaN keeps its own rank); the run from sorted position ``i`` to
+    ``j`` shares ``(i + j + 2) / 2``, which is exact in float64.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError("rankdata expects a 1-D sequence")
     order = np.argsort(arr, kind="mergesort")
-    ranks = np.empty(len(arr), dtype=float)
-    ranks[order] = np.arange(1, len(arr) + 1, dtype=float)
-    # Average the ranks of tied groups.
     sorted_vals = arr[order]
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    run_starts = np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
+    starts = np.flatnonzero(run_starts)
+    ends = np.append(starts[1:], len(arr)) - 1
+    ranks = np.empty(len(arr), dtype=float)
+    ranks[order] = np.repeat((starts + ends + 2) / 2.0, ends - starts + 1)
     return ranks
 
 

@@ -31,17 +31,20 @@ the manifest's digest — only when the ground truth is first asked for.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from ..core.dataset import BrowsingDataset
 from ..core.errors import DatasetError
+from ..core.rankedlist import RankedList
 from ..core.truth import check_entries
 from ..core.types import Breakdown
 from ..core.vocab import SiteVocabulary
 from ..export.io import (
     DatasetCodec,
     _jsonable_metadata,
+    breakdown_entry,
     breakdown_slug,
     dataset_fingerprint,
     dataset_version,
@@ -72,30 +75,29 @@ LISTS_NAME = "lists.bin"
 TRUTH_NAME = "truth.bin"
 
 
+def intern_windows(
+    vocab: SiteVocabulary,
+    lists: Iterable[tuple[Breakdown, RankedList]],
+    offset: int = 0,
+) -> tuple[np.ndarray, list[dict]]:
+    """``lists`` interned back to back from id ``offset`` of ``lists.bin``:
+    the ids, and each breakdown's manifest entry with its window."""
+    chunks: list[np.ndarray] = []
+    entries: list[dict] = []
+    for breakdown, ranked in lists:
+        ids = vocab.intern_many(ranked.sites)
+        chunks.append(ids)
+        entries.append(breakdown_entry(breakdown, offset=offset, length=int(ids.size)))
+        offset += int(ids.size)
+    return (np.concatenate(chunks) if chunks else np.empty(0, np.int32)), entries
+
+
 def write_columnar(dataset: BrowsingDataset, root: str | Path) -> Path:
     """Write ``dataset`` to ``root`` in the columnar layout."""
     root = Path(root)
     vocab = SiteVocabulary()
-    chunks: list[np.ndarray] = []
-    entries: list[dict] = []
-    offset = 0
-    for breakdown in sorted_breakdowns(dataset):
-        ids = vocab.intern_many(dataset[breakdown].sites)
-        chunks.append(ids)
-        entries.append(
-            {
-                "country": breakdown.country,
-                "platform": breakdown.platform.value,
-                "metric": breakdown.metric.value,
-                "month": [breakdown.month.year, breakdown.month.month],
-                "offset": offset,
-                "length": int(ids.size),
-            }
-        )
-        offset += int(ids.size)
-
-    all_ids = (
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int32)
+    all_ids, entries = intern_windows(
+        vocab, ((b, dataset[b]) for b in sorted_breakdowns(dataset))
     )
     vocab_bytes = pack_string_table(vocab.names())
     lists_bytes = pack_id_array(all_ids)

@@ -36,7 +36,6 @@ appends after the manifest's counts, overwriting them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -57,7 +56,9 @@ from ..export.io import (
     VERSIONS_DIR,
     _atomic_write_text,
     _resolve_codec,
+    breakdown_entry,
     breakdown_slug,
+    content_hash,
     sorted_breakdowns,
     truth_record,
 )
@@ -67,6 +68,7 @@ from .columnar import (
     TRUTH_NAME,
     VOCAB_NAME,
     file_entry,
+    intern_windows,
 )
 from .format import (
     HEADER_SIZE,
@@ -270,15 +272,7 @@ def _append_text(
         _atomic_write_text(
             root / "lists" / f"{slug}.txt", "\n".join(ranked.sites) + "\n"
         )
-        new_entries.append(
-            {
-                "country": breakdown.country,
-                "platform": breakdown.platform.value,
-                "metric": breakdown.metric.value,
-                "month": [breakdown.month.year, breakdown.month.month],
-                "file": f"lists/{slug}.txt",
-            }
-        )
+        new_entries.append(breakdown_entry(breakdown, file=f"lists/{slug}.txt"))
 
     manifest = {
         "format_version": old.get("format_version", TEXT_FORMAT_VERSION),
@@ -306,20 +300,6 @@ def _append_text(
 # -- columnar append ----------------------------------------------------------------
 
 
-def _content_hash(
-    entries: Iterable[tuple[str, Iterable[str]]]
-) -> str:
-    """The ``dataset_fingerprint`` fallback hash over (slug, sites) rows."""
-    digest = hashlib.sha256()
-    for slug, sites in entries:
-        digest.update(slug.encode("utf-8"))
-        digest.update(b"\x00")
-        for site in sites:
-            digest.update(site.encode("utf-8"))
-            digest.update(b"\n")
-    return digest.hexdigest()[:16]
-
-
 def _append_columnar(
     root: Path,
     dataset: BrowsingDataset,
@@ -335,34 +315,15 @@ def _append_columnar(
     # Rebuild the stored id space, then intern the new lists after it.
     # Appending preserves every existing id, so old manifest windows
     # remain valid prefix views of the grown files.
-    old_names = dataset._table.decode_all()
-    vocab = SiteVocabulary(old_names)
+    vocab = SiteVocabulary(dataset._table.decode_all())
     lists_bytes = (root / LISTS_NAME).read_bytes()
     old_total = old.get("files", {}).get(LISTS_NAME, {}).get(
         "entries", (len(lists_bytes) - HEADER_SIZE) // 4
     )
     old_body = lists_bytes[HEADER_SIZE:HEADER_SIZE + 4 * old_total]
 
-    chunks: list[np.ndarray] = []
-    new_entries: list[dict] = []
-    offset = old_total
-    for breakdown, ranked in _canonical_produced(produced):
-        ids = vocab.intern_many(ranked.sites)
-        chunks.append(ids)
-        new_entries.append(
-            {
-                "country": breakdown.country,
-                "platform": breakdown.platform.value,
-                "metric": breakdown.metric.value,
-                "month": [breakdown.month.year, breakdown.month.month],
-                "offset": offset,
-                "length": int(ids.size),
-            }
-        )
-        offset += int(ids.size)
-
-    new_ids = (
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int32)
+    new_ids, new_entries = intern_windows(
+        vocab, _canonical_produced(produced), old_total
     )
     new_ids = np.ascontiguousarray(new_ids, dtype=np.int32)
     grown_lists = (
@@ -389,7 +350,7 @@ def _append_columnar(
             (breakdown_slug(b), tuple(ranked.sites))
             for b, ranked in produced.items()
         )
-        fingerprint = _content_hash(sorted(merged, key=lambda kv: kv[0]))
+        fingerprint = content_hash(sorted(merged, key=lambda kv: kv[0]))
 
     manifest = {
         "format_version": old["format_version"],

@@ -17,9 +17,8 @@ all maps are opened read-only (``mode="r"``).
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -33,11 +32,12 @@ from .format import HEADER_SIZE, MAGIC_VOCAB, decode_names, read_header
 
 
 class MappedStringTable:
-    """The packed vocabulary of ``vocab.bin``, decoded name-by-name.
+    """The packed vocabulary of ``vocab.bin``.
 
-    Index == site id.  Names decode lazily into a per-table cache, so a
-    query touching one 10K-site list decodes 10K names, not the whole
-    vocabulary.
+    Index == site id.  The names decode in one blob pass on first use
+    and are checked then: non-empty, and unique — a repeated name would
+    alias two ids, so every id check downstream (list uniqueness, the
+    vocabulary) would silently disagree with the names.
 
     ``count`` is the number of names the manifest records.  Ingest grows
     ``vocab.bin`` under archived manifests (and a crashed ingest can
@@ -87,42 +87,51 @@ class MappedStringTable:
                 f"{self.path}: short vocabulary blob "
                 f"({blob_len} bytes, offsets promise {int(self._offsets[-1])})"
             )
-        self._names: list[str | None] = [None] * count
+        self._names: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._offsets) - 1
 
-    def name(self, sid: int) -> str:
-        """The site name behind ``sid`` (decoded once, then cached)."""
-        cached = self._names[sid]
-        if cached is None:
-            offsets = self._offsets
-            cached = (
-                self._blob[int(offsets[sid]):int(offsets[sid + 1])]
-                .tobytes().decode("utf-8")
-            )
-            self._names[sid] = cached
-        return cached
+    def names(self) -> np.ndarray:
+        """Every name in id order as an object array (decoded once)."""
+        if self._names is None:
+            offsets = memoryview(self._offsets)
+            names = decode_names(self._blob[:offsets[-1]].tobytes(), offsets)
+            # Sorted str hashes expose repeats without a set (MBs of RSS).
+            hashes = np.sort(np.fromiter(map(hash, names), np.int64, len(names)))
+            if (hashes[1:] == hashes[:-1]).any() or "" in names:
+                self._reject(names)
+            self._names = np.array(names, dtype=object)
+        return self._names
+
+    def _reject(self, names: tuple[str, ...]) -> None:
+        """Raise for the first empty or repeated name (equal hashes of
+        distinct names pass)."""
+        first: dict[str, int] = {}
+        for sid, name in enumerate(names):
+            if not name:
+                raise DatasetError(f"{self.path}: the site name of id {sid} is empty")
+            if name in first:
+                raise DatasetError(
+                    f"{self.path}: site name {name!r} is stored twice "
+                    f"(ids {first[name]} and {sid})"
+                )
+            first[name] = sid
 
     def decode_all(self) -> tuple[str, ...]:
-        """Every name in id order, bulk-decoded in one blob pass."""
-        if None in self._names:
-            offsets = self._offsets.tolist()
-            self._names = list(decode_names(
-                self._blob[:offsets[-1]].tobytes(), offsets
-            ))
-        return tuple(self._names)
+        """Every name in id order."""
+        return tuple(self.names().tolist())
 
 
 class MappedBrowsingDataset(DeferredBrowsingDataset):
     """A :class:`BrowsingDataset` over memory-mapped columnar files.
 
-    Lists materialise lazily: reading a breakdown decodes that list's
-    id window through the shared string table and wraps it in a
-    :class:`RankedList`.  When the dataset-wide vocabulary has been
-    built (:meth:`vocabulary`), materialised lists are pre-seeded with
-    their mapped id window, so kernels consume ``lists.bin`` pages
-    directly — zero copies, zero re-interning.
+    Lists materialise lazily: reading a breakdown gathers that list's
+    names from the decoded string table by its id window.  When the
+    dataset-wide vocabulary has been built (:meth:`vocabulary`),
+    materialised lists are pre-seeded with their mapped id window, so
+    kernels consume ``lists.bin`` pages directly — zero copies, zero
+    re-interning.
     """
 
     storage = "columnar-mmap"
@@ -154,19 +163,31 @@ class MappedBrowsingDataset(DeferredBrowsingDataset):
     def _produce(
         self, breakdowns: set[Breakdown]
     ) -> Mapping[Breakdown, RankedList]:
+        """Each list's names, gathered by its id window.
+
+        The window is checked on the ints — ids inside the vocabulary
+        and distinct — which is the string check: the table's names are
+        unique and non-empty (:meth:`MappedStringTable.names`).
+        """
         out: dict[Breakdown, RankedList] = {}
+        names = self._table.names()
         vocab = self._vocab  # pre-seed only if already built
         for breakdown in breakdowns:
             offset, length = self._windows[breakdown]
             window = self._ids[offset:offset + length]
-            if length and (int(window.min()) < 0
-                           or int(window.max()) >= len(self._table)):
+            ordered = np.sort(window)
+            if length and not 0 <= ordered[0] <= ordered[-1] < len(names):
                 raise DatasetError(
                     f"{self.root}: list for {breakdown} references site ids "
-                    f"outside the {len(self._table)}-entry vocabulary"
+                    f"outside the {len(names)}-entry vocabulary"
                 )
-            name = self._table.name
-            ranked = RankedList(name(sid) for sid in window.tolist())
+            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+            if len(repeated):
+                raise DatasetError(
+                    f"{self.root}: list for {breakdown} repeats site "
+                    f"{names[repeated[0]]!r}"
+                )
+            ranked = RankedList._trusted(tuple(names[window].tolist()))
             if vocab is not None:
                 ranked._ids_cache = (vocab, window)
             out[breakdown] = ranked
@@ -180,7 +201,9 @@ class MappedBrowsingDataset(DeferredBrowsingDataset):
         Interning the table in id order reproduces the stored id space
         exactly, so every list's mapped id window is already expressed
         in this vocabulary — :meth:`RankedList.ids` on a materialised
-        list returns the ``lists.bin`` view without copying.
+        list returns the ``lists.bin`` view without copying.  A name
+        stored twice would shift every later id, so it raises
+        :class:`DatasetError` naming the file and both ids.
         """
         vocab = self._vocab
         if vocab is None:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.endemicity import (
     ALL_SHAPES,
@@ -11,11 +13,19 @@ from repro.analysis.endemicity import (
     PopularityCurve,
     category_split,
     classify_shape,
+    curve_shapes,
     exclusivity_fraction,
     popularity_curves,
+    relative_distances,
     score_endemicity,
 )
-from repro.core import Metric, Platform, REFERENCE_MONTH
+from repro.core import Metric, Platform, RankedList, REFERENCE_MONTH
+from tests.oracles.endemicity import (
+    curve_relative_distance,
+    curve_score,
+    curve_shape,
+    score_endemicity_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +208,67 @@ class TestPopularityCurvesBuilder:
     def test_curves_have_45_entries(self, lists):
         curves = popularity_curves(lists, eligible_rank=50)
         assert all(c.n_countries == 45 for c in curves)
+
+
+def assert_matches_reference(result, reference):
+    """Site order, scores, distances, mask and shapes, bit for bit."""
+    assert result.sites.tolist() == reference.sites
+    assert result.scores.tobytes() == reference.scores.tobytes()
+    assert result.outliers.mask.tobytes() == reference.global_mask.tobytes()
+    assert result.global_mask.tobytes() == reference.global_mask.tobytes()
+    distances = relative_distances(result.ranks, result.scores)
+    assert distances.tobytes() == reference.distances.tobytes()
+    assert curve_shapes(result.ranks).tolist() == reference.shapes
+
+
+#: 1–6 countries, each ranking a random subset of a 40-site pool.
+country_lists = st.dictionaries(
+    st.sampled_from(["AA", "BB", "CC", "DD", "EE", "FF"]),
+    st.lists(st.integers(0, 39), min_size=1, max_size=40, unique=True),
+    min_size=1,
+)
+
+
+class TestReferenceParity:
+    """The rank-matrix scorer against the per-curve oracle."""
+
+    @pytest.mark.parametrize("eligible_rank", [50, 200, 1_000])
+    def test_reference_dataset(self, lists, eligible_rank):
+        assert_matches_reference(
+            score_endemicity(lists, eligible_rank=eligible_rank),
+            score_endemicity_reference(lists, eligible_rank=eligible_rank),
+        )
+
+    @given(country_lists, st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_random_lists(self, raw, eligible_rank):
+        lists = {
+            country: RankedList(f"site{i:02d}.example" for i in order)
+            for country, order in raw.items()
+        }
+        assert_matches_reference(
+            score_endemicity(lists, eligible_rank=eligible_rank),
+            score_endemicity_reference(lists, eligible_rank=eligible_rank),
+        )
+
+    @pytest.mark.parametrize("ranks", [
+        (1,), (3, 3), (1, 10, 100, MISSING_RANK), (4, 900, 2_000, 5_000),
+        (2, 12_000, 20_000), tuple([7] * 44 + [15_000]),
+        tuple([MISSING_RANK] * 3),
+    ])
+    def test_single_curve_methods(self, ranks):
+        curve = PopularityCurve("x", ranks)
+        assert curve.endemicity_score() == curve_score(ranks)
+        assert curve.relative_distance() == curve_relative_distance(ranks)
+        assert classify_shape(curve) == curve_shape(ranks)
+
+    def test_curves_are_built_on_demand(self, endemicity):
+        curves = endemicity.curves
+        assert curves is endemicity.curves
+        assert [c.site for c in curves] == endemicity.sites.tolist()
+        assert all(c.ranks == tuple(row)
+                   for c, row in zip(curves, endemicity.ranks.tolist()))
+
+    def test_rejects_non_positive_ranks(self):
+        with pytest.raises(ValueError, match="positive"):
+            PopularityCurve("x", (0, 5))

@@ -11,6 +11,8 @@ from repro.core import Metric, Platform
 from repro.engine import GenerationEngine, ParallelExecutor, SliceCache
 from repro.obs import NULL_TRACER, Tracer, set_tracer
 from repro.pipeline import PipelineRunner, TaskContext, TaskRegistry
+from repro.store import write_columnar
+from tests.store.conftest import KR_TIME, US_PAGE_LOADS, make_tiny_dataset
 
 
 @pytest.fixture()
@@ -147,3 +149,20 @@ class TestPipelineTracing:
         tasks = _by_name(tracer)["pipeline.task"]
         assert [t["attrs"].get("store") for t in tasks] == ["miss", "hit"]
         assert tasks[1]["attrs"]["status"] == "cached"
+
+
+class TestStoreTracing:
+    def test_each_materialisation_is_one_span(self, tmp_path, tracer):
+        from repro.export.io import load_dataset
+
+        dataset = load_dataset(write_columnar(make_tiny_dataset(), tmp_path / "ds"))
+        dataset[US_PAGE_LOADS]
+        dataset[US_PAGE_LOADS]  # already materialised: no second span
+        dataset.materialize()   # the one still-pending slice
+        dataset.materialize()   # nothing pending: no span
+
+        spans = _by_name(tracer)["store.materialize"]
+        assert [s["attrs"] for s in spans] == [
+            {"slices": 1, "sites": 3}, {"slices": 1, "sites": 3},
+        ]
+        assert dataset.pending == 0 and len(dataset[KR_TIME]) == 3

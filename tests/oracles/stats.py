@@ -7,6 +7,9 @@
   :func:`repro.stats.silhouette_samples` is bit-identical to it.
 * :func:`dbscan_reference` — the per-point queue BFS;
   :func:`repro.stats.dbscan` is label-identical to it.
+* :func:`rankdata_reference` — the tie-averaging walk over the sorted
+  values; :func:`repro.stats.rankdata` (run-length tie groups) is
+  bit-identical to it.
 
 Each validates its inputs exactly as the kernel does, so error cases
 agree too.
@@ -23,6 +26,26 @@ import numpy as np
 from repro.stats import NOISE, DBSCANResult, SilhouetteReport
 from repro.stats.dbscan import _validated as _dbscan_validated
 from repro.stats.silhouette import _validated as _silhouette_validated
+
+
+def rankdata_reference(values: Sequence[float]) -> np.ndarray:
+    """Average ranks (1-indexed), ties averaged by walking the sort."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("rankdata expects a 1-D sequence")
+    order = np.argsort(arr, kind="mergesort")
+    ranks = np.empty(len(arr), dtype=float)
+    ranks[order] = np.arange(1, len(arr) + 1, dtype=float)
+    sorted_vals = arr[order]
+    i = 0
+    while i < len(arr):
+        j = i
+        while j + 1 < len(arr) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        if j > i:
+            ranks[order[i : j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
 
 
 def kendall_tau_reference(x: Sequence[float], y: Sequence[float]) -> float:

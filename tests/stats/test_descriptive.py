@@ -6,10 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats.descriptive import Quartiles, mean, median, quantile, quartiles, rankdata
+from tests.oracles.stats import rankdata_reference
 
 floats = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     min_size=1, max_size=60,
+)
+
+#: Few distinct values force long tie runs; NaN, infinities and both
+#: zeros exercise the comparisons the tie groups are built from.
+tie_heavy = st.lists(
+    st.one_of(
+        st.integers(-3, 3).map(float),
+        st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    min_size=0, max_size=80,
 )
 
 
@@ -81,6 +93,20 @@ class TestRankdata:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             rankdata(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("data", [
+        [], [7.0], [float("nan")], [0.0, -0.0, 0.0],
+        [float("nan"), 1.0, float("nan"), 1.0], [2.0, 2.0, 1.0, 1.0, 1.0],
+    ])
+    def test_edge_cases_match_the_oracle_bitwise(self, data):
+        got, want = rankdata(data), rankdata_reference(data)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @given(tie_heavy)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_oracle_bitwise(self, data):
+        got, want = rankdata(data), rankdata_reference(data)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestMean:

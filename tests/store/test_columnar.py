@@ -21,6 +21,7 @@ from repro.store.format import (
     MAGIC_VOCAB,
     pack_header,
     pack_manifest,
+    pack_string_table,
     unpack_manifest,
 )
 
@@ -245,6 +246,47 @@ class TestErrors:
         path.write_bytes(bytes(data))
         mapped = open_columnar(columnar_root)
         with pytest.raises(DatasetError, match="outside the 5-entry"):
+            mapped[KR_TIME]
+
+    def _rename_site(self, root, sid, name):
+        path = root / VOCAB_NAME
+        names = list(open_columnar(root)._table.decode_all())
+        names[sid] = name
+        path.write_bytes(pack_string_table(names))
+
+    def test_duplicate_vocabulary_name_names_the_file_and_both_ids(
+        self, columnar_root
+    ):
+        # Id 2 (daum.net) renamed to id 0's name: interning would give
+        # the table one id fewer and shift every later one.
+        self._rename_site(columnar_root, 2, "naver.com")
+        mapped = open_columnar(columnar_root)
+        with pytest.raises(DatasetError, match=(
+            r"vocab\.bin: site name 'naver\.com' is stored twice "
+            r"\(ids 0 and 2\)"
+        )):
+            mapped.vocabulary()
+        with pytest.raises(DatasetError, match="stored twice"):
+            mapped[US_PAGE_LOADS]
+
+    def test_empty_vocabulary_name_names_the_file_and_id(self, columnar_root):
+        self._rename_site(columnar_root, 3, "")
+        mapped = open_columnar(columnar_root)
+        with pytest.raises(DatasetError, match=(
+            r"vocab\.bin: the site name of id 3 is empty"
+        )):
+            mapped[KR_TIME]
+
+    def test_repeated_id_detected_on_materialise(self, columnar_root):
+        # KR's window is ids [0, 1, 2]; make its third entry repeat the first.
+        path = columnar_root / LISTS_NAME
+        data = bytearray(path.read_bytes())
+        data[HEADER_SIZE + 8:HEADER_SIZE + 12] = np.int32(0).tobytes()
+        path.write_bytes(bytes(data))
+        mapped = open_columnar(columnar_root)
+        with pytest.raises(DatasetError, match=(
+            r"repeats site 'naver\.com'"
+        )):
             mapped[KR_TIME]
 
     def test_unsupported_manifest_version(self, columnar_root):
