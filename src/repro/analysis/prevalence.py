@@ -13,7 +13,6 @@ from typing import Mapping
 from ..core.dataset import BrowsingDataset
 from ..core.types import Metric, Month, Platform
 from ..stats.descriptive import Quartiles, quartiles
-from .weighting import count_by_category
 
 #: The default rank-threshold sweep (log-spaced, like the paper's x-axis).
 DEFAULT_THRESHOLDS: tuple[int, ...] = (
@@ -91,13 +90,14 @@ def prevalence_by_rank(
                 next_threshold = next(sweep_iter, None)
             if next_threshold is None:
                 break
-        # Thresholds beyond the list length use the full-list share.
+        # Thresholds beyond the list length use the full-list share: the
+        # walk reached none of them, so it ran to the end and ``running``
+        # holds the whole list's counts.
         length = len(ranked)
-        counts = count_by_category(ranked, labels)
         for t in swept:
             if t > length:
                 for c in categories:
-                    samples[c][t].append(counts.get(c, 0) / max(length, 1))
+                    samples[c][t].append(running.get(c, 0) / max(length, 1))
 
     curves = []
     for category in categories:

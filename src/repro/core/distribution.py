@@ -13,6 +13,11 @@ cumulative-share function of rank, constructed from anchor points
 ``(rank, cumulative share)`` and interpolated monotonically in
 log10(rank) space.  The anchors we ship (:mod:`repro.world.profiles`)
 are the concentration numbers the paper reports.
+
+The interpolant is PCHIP (Fritsch–Carlson monotone cubic Hermite), ported
+from ``scipy.interpolate.PchipInterpolator`` in scipy's floating-point
+operation order so that every value is bit-identical to it; the tests
+keep scipy as the oracle.  Numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -20,9 +25,72 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DistributionError
+
+
+def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, kept shape-preserving (scipy's
+    ``PchipInterpolator._edge_case``)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """PCHIP derivatives at the knots (scipy's ``_find_derivatives``).
+
+    An interior slope is the weighted harmonic mean of the neighbouring
+    secants, or zero where they change sign or one is flat; two knots
+    interpolate linearly.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    if len(y) == 2:
+        return np.array([m[0], m[0]])
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _edge_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def hermite_coefficients(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per-interval cubic coefficients, highest power first, shape
+    ``(4, len(x) - 1)`` (scipy's ``CubicHermiteSpline``)."""
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    t = (d[:-1] + d[1:] - 2 * slope) / h
+    return np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def piecewise_cubic(x: np.ndarray, coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Evaluate the piecewise cubic at points inside ``[x[0], x[-1]]``.
+
+    Intervals are closed on the left (the last also on the right), and
+    each value is the sum scipy's ``PPoly`` computes,
+    ``c0 + c1*s + c2*s**2 + c3*s**3`` added in that order with the powers
+    built by repeated multiplication.
+    """
+    i = np.searchsorted(x, at, side="right") - 1
+    s = at - x[:-1].take(i, mode="clip")
+    c3, c2, c1, c0 = (row.take(i, mode="clip") for row in coeffs)
+    res = 0.0 + c0
+    res += c1 * s
+    z = s * s
+    res += c2 * z
+    z *= s
+    res += c3 * z
+    return res
 
 
 class TrafficDistribution:
@@ -40,7 +108,7 @@ class TrafficDistribution:
         unmodelled long tail.
     """
 
-    __slots__ = ("_anchors", "_total_sites", "_interp", "_log_last", "_last_share")
+    __slots__ = ("_anchors", "_total_sites", "_knots", "_coeffs", "_log_last", "_last_share")
 
     def __init__(self, anchors: Iterable[tuple[float, float]], total_sites: int = 1_000_000) -> None:
         pts = sorted((float(r), float(s)) for r, s in anchors)
@@ -61,7 +129,9 @@ class TrafficDistribution:
         self._anchors = tuple(pts)
         self._total_sites = int(total_sites)
         log_ranks = np.log10(np.asarray(ranks))
-        self._interp = PchipInterpolator(log_ranks, np.asarray(shares), extrapolate=False)
+        y = np.asarray(shares)
+        self._knots = log_ranks
+        self._coeffs = hermite_coefficients(log_ranks, y, pchip_slopes(log_ranks, y))
         self._log_last = float(log_ranks[-1])
         self._last_share = shares[-1]
 
@@ -89,7 +159,7 @@ class TrafficDistribution:
         log_r = np.log10(np.minimum(r, float(self._total_sites)))
         out = np.empty_like(log_r)
         inside = log_r <= self._log_last
-        out[inside] = self._interp(log_r[inside])
+        out[inside] = piecewise_cubic(self._knots, self._coeffs, log_r[inside])
         if np.any(~inside):
             # Beyond the last anchor the remaining share approaches the
             # anchor asymptotically: spread it log-linearly up to the

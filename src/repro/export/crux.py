@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from ..core.dataset import BrowsingDataset
 from ..core.distribution import TrafficDistribution
 from ..core.rankedlist import RankedList
@@ -77,17 +79,27 @@ def global_ranking(
 
     Each site scores the sum over countries of
     ``install-base weight × traffic share of its rank`` — the natural
-    model given that only rank lists and the traffic curve exist.
+    model given that only rank lists and the traffic curve exist.  Ties
+    rank lexicographically by site.
+
+    The sums run through one ``np.bincount`` over the lists concatenated
+    in country order, which adds each site's terms in that order, as a
+    per-site running sum would; sites are numbered in name order, so a
+    stable sort on the negated score leaves ties by name.
     """
     if not lists_by_country:
         raise ValueError("no country lists to aggregate")
-    scores: dict[str, float] = {}
+    sites: list[str] = []
+    terms = []
     for country, ranked in lists_by_country.items():
-        weight = get_country(country).web_scale
-        shares = distribution.weights(len(ranked))
-        for position, site in enumerate(ranked.sites):
-            scores[site] = scores.get(site, 0.0) + weight * float(shares[position])
-    return RankedList.from_scores(scores)
+        sites.extend(ranked.sites)
+        terms.append(get_country(country).web_scale * distribution.weights(len(ranked)))
+    names = sorted(set(sites))
+    index = dict(zip(names, range(len(names))))
+    ids = np.fromiter(map(index.__getitem__, sites), dtype=np.intp, count=len(sites))
+    scores = np.bincount(ids, weights=np.concatenate(terms))
+    order = np.argsort(-scores, kind="stable")
+    return RankedList(map(names.__getitem__, order.tolist()))
 
 
 def export_crux(

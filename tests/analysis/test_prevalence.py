@@ -6,9 +6,34 @@ from repro.analysis.prevalence import (
     head_tail_ratio,
     prevalence_by_rank,
 )
-from repro.core import Metric, Platform, REFERENCE_MONTH
+from repro.core import (
+    Breakdown,
+    BrowsingDataset,
+    Metric,
+    Platform,
+    REFERENCE_MONTH,
+    RankedList,
+    TrafficDistribution,
+)
 
 THRESHOLDS = (10, 30, 50, 100, 300, 1_000, 1_500)
+
+
+def _one_list_dataset(sites: list[str]) -> BrowsingDataset:
+    breakdown = Breakdown("US", Platform.WINDOWS, Metric.PAGE_LOADS,
+                          REFERENCE_MONTH)
+    dist = TrafficDistribution(((1, 0.3), (10, 0.8)), total_sites=10)
+    return BrowsingDataset({breakdown: RankedList(sites)},
+                           {(Platform.WINDOWS, Metric.PAGE_LOADS): dist})
+
+
+def _medians(dataset: BrowsingDataset, labels, categories, thresholds):
+    curves = prevalence_by_rank(
+        dataset, labels, Platform.WINDOWS, Metric.PAGE_LOADS, REFERENCE_MONTH,
+        categories=categories, thresholds=thresholds,
+    )
+    return {c.category: [(p.threshold, p.stats.median) for p in c.points]
+            for c in curves}
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +66,27 @@ class TestStructure:
     def test_missing_threshold_raises(self, curves):
         with pytest.raises(KeyError):
             curves["Business"].median_at(123)
+
+
+class TestShortLists:
+    def test_thresholds_past_the_end_use_the_whole_list(self):
+        labels = {"a.example": "News & Media", "b.example": "Business",
+                  "c.example": "News & Media"}
+        dataset = _one_list_dataset(["a.example", "b.example", "c.example",
+                                     "d.example"])
+        medians = _medians(dataset, labels,
+                           ("News & Media", "Business", "Unknown"), (2, 5, 10))
+        assert medians == {
+            "News & Media": [(2, 0.5), (5, 0.5), (10, 0.5)],
+            "Business": [(2, 0.5), (5, 0.25), (10, 0.25)],
+            "Unknown": [(2, 0.0), (5, 0.25), (10, 0.25)],
+        }
+
+    def test_an_empty_list_has_zero_share_everywhere(self):
+        medians = _medians(_one_list_dataset([]), {}, ("Business", "Unknown"),
+                           (1, 10))
+        assert medians == {"Business": [(1, 0.0), (10, 0.0)],
+                           "Unknown": [(1, 0.0), (10, 0.0)]}
 
 
 class TestPaperShape:

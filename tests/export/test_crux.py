@@ -1,14 +1,36 @@
 """Tests for the CrUX-style public export."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import Metric, Platform, REFERENCE_MONTH, RankedList
+from repro.core import (
+    Metric,
+    Platform,
+    REFERENCE_MONTH,
+    RankedList,
+    TrafficDistribution,
+)
 from repro.export.crux import (
     CRUX_BUCKETS,
     bucket_of,
     coarsen_list,
     export_crux,
     global_ranking,
+)
+from tests.oracles.crux import global_ranking_reference
+
+#: TN, DO, NZ and BO share one install-base weight, as do KR and IT, so
+#: sites at equal positions in those countries tie exactly.
+TIE_COUNTRIES = ("TN", "DO", "NZ", "BO", "KR", "IT", "US")
+SITES = tuple(f"s{i}.example" for i in range(10))
+SMALL_DIST = TrafficDistribution(((1, 0.3), (5, 0.6), (20, 0.8)), total_sites=50)
+
+country_lists = st.dictionaries(
+    st.sampled_from(TIE_COUNTRIES),
+    st.lists(st.sampled_from(SITES), min_size=1, max_size=len(SITES),
+             unique=True),
+    min_size=1,
 )
 
 
@@ -63,6 +85,29 @@ class TestGlobalRanking:
         nz_second = lists["NZ"][2]
         if us_second != nz_second:
             assert ranking.rank_of(us_second) < ranking.rank_of(nz_second)
+
+    @settings(max_examples=200, deadline=None)
+    @given(country_lists)
+    def test_matches_the_per_site_reference(self, lists):
+        lists = {country: RankedList(sites) for country, sites in lists.items()}
+        assert global_ranking(lists, SMALL_DIST) == \
+            global_ranking_reference(lists, SMALL_DIST)
+
+    def test_ties_rank_by_name(self):
+        # Equal weights, mirrored positions: every pair of scores ties.
+        lists = {"TN": RankedList(["b.example", "zz.example"]),
+                 "DO": RankedList(["a.example", "b.example"]),
+                 "NZ": RankedList(["zz.example", "a.example"])}
+        ranking = global_ranking(lists, SMALL_DIST)
+        assert ranking.sites == ("a.example", "b.example", "zz.example")
+        assert ranking == global_ranking_reference(lists, SMALL_DIST)
+
+    def test_reference_dataset_matches_the_reference(self, reference_dataset):
+        lists = reference_dataset.select(
+            Platform.WINDOWS, Metric.PAGE_LOADS, REFERENCE_MONTH
+        )
+        dist = reference_dataset.distribution(Platform.WINDOWS, Metric.PAGE_LOADS)
+        assert global_ranking(lists, dist) == global_ranking_reference(lists, dist)
 
     def test_empty_input(self):
         from repro.core import TrafficDistribution
