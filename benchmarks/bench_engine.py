@@ -1,11 +1,11 @@
-"""Generation-engine benchmark: per-slice vs batched, cold vs warm cache.
+"""Generation-engine benchmark: per-slice vs batched vs parallel.
 
 Times the full study grid — 45 countries × 2 platforms × 3 metrics × 6
 months (1620 slices, December included) — through the plan/execute
 engine on the *small* universe, so the bench runs anywhere; the
 mechanics being measured — one matrix pass per country grid, keyed
 component reuse, memoised privacy cutoffs, per-country work-unit
-sharding, the content-addressed slice cache — are scale-independent.
+sharding — are scale-independent.
 
 Three scoring paths are timed from equally cold generator state (the
 process-level generator memo is dropped before each run; the universe
@@ -31,7 +31,6 @@ from repro.engine import (
     GenerationEngine,
     ParallelExecutor,
     SerialExecutor,
-    SliceCache,
     SlicePlan,
 )
 from repro.engine.executor import _GENERATORS
@@ -51,7 +50,7 @@ def _timed(fn):
     return time.perf_counter() - start, result
 
 
-def test_engine_full_grid(benchmark, tmp_path):
+def test_engine_full_grid(benchmark):
     config = GeneratorConfig.small()
     plan = SlicePlan.from_grid(
         platforms=Platform.studied(),
@@ -95,29 +94,10 @@ def test_engine_full_grid(benchmark, tmp_path):
         assert ranked.sites == batched_lists[breakdown].sites, breakdown
         assert ranked.sites == parallel_lists[breakdown].sites, breakdown
 
-    # Cache: cold writes every slice, warm serves all of them back.  Both
-    # runs reuse the warmed batched generator state, so the delta isolates
-    # "read cached text" vs "re-score + write".
-    cache = SliceCache(tmp_path / "slices")
-    cold_t, cold_lists = _timed(
-        lambda: GenerationEngine(
-            config, cache=cache, generator=batched_engine.generator
-        ).run(plan)
-    )
-    assert cache.stats.writes == len(plan)
-
-    warm_engine = GenerationEngine(config, cache=cache)
-    warm_t, warm_lists = _timed(lambda: warm_engine.run(plan))
-    assert cache.stats.hits == len(plan)
-    for breakdown, ranked in perslice_lists.items():
-        assert ranked.sites == cold_lists[breakdown].sites
-        assert ranked.sites == warm_lists[breakdown].sites
-
     batch_speedup = perslice_t / batched_t if batched_t > 0 else float("inf")
     parallel_speedup = (
         perslice_t / parallel_t if parallel_t > 0 else float("inf")
     )
-    cache_speedup = cold_t / warm_t if warm_t > 0 else float("inf")
     cpus = os.cpu_count() or 1
     parallel_note = (
         "ok" if parallel_speedup >= 2.0
@@ -135,10 +115,6 @@ def test_engine_full_grid(benchmark, tmp_path):
              f"{WORKERS} workers, {cpus} CPU(s)"),
             ("parallel speedup", ">= 2.0", f"{parallel_speedup:.2f}x",
              parallel_note),
-            ("cold cache (s)", "-", f"{cold_t:.2f}", "score + write-back"),
-            ("warm cache (s)", "-", f"{warm_t:.2f}",
-             "reads only; no universe build"),
-            ("cold -> warm speedup", "> 1.0", f"{cache_speedup:.2f}x", ""),
         ],
         "Generation engine — full grid: per-slice vs batched vs parallel",
     )
@@ -153,15 +129,11 @@ def test_engine_full_grid(benchmark, tmp_path):
         "batched_parallel_s": round(parallel_t, 4),
         "batched_speedup": round(batch_speedup, 2),
         "parallel_speedup": round(parallel_speedup, 2),
-        "cold_cache_s": round(cold_t, 4),
-        "warm_cache_s": round(warm_t, 4),
-        "cache_speedup": round(cache_speedup, 2),
         "min_batched_speedup": MIN_BATCH_SPEEDUP,
         "workers": WORKERS,
         "cpus": cpus,
     })
 
-    assert warm_t < cold_t, "warm cache should beat regeneration"
     assert batch_speedup >= MIN_BATCH_SPEEDUP, (
         f"expected >= {MIN_BATCH_SPEEDUP}x batched speedup on the full "
         f"grid, got {batch_speedup:.2f}x"

@@ -1,9 +1,9 @@
 """Reproduction-pipeline benchmark: serial vs threaded DAG, cold vs warm
 artifact cache.
 
-Runs the full task registry over the February full-grid dataset (served
-by the session engine's persistent slice cache, so dataset generation is
-amortized across benchmark sessions).  Three runs are timed:
+Runs the full task registry over the February full-grid dataset (the
+saved fixture dataset, so generation is amortized across benchmark
+sessions).  Three runs are timed:
 
 * **serial, cold store** — the reference: every task body executes.
 * **threaded, cold store** — same DAG on 4 worker threads; must emit
@@ -50,10 +50,11 @@ def _artifact_bytes_by_name(store: ArtifactStore) -> dict[str, bytes]:
 
 def test_pipeline_dag(benchmark, engine, feb_dataset, tmp_path):
     registry = default_registry()
-    # Pay the ground-truth table (and the universe build behind it)
-    # outside every timing: the dataset keeps it, so serial, threaded
-    # and warm runs all measure analysis, not construction.
+    # Pay the ground-truth table and every list decode outside every
+    # timing: the dataset keeps both, so serial, threaded and warm runs
+    # all measure analysis, not loading.
     feb_dataset.ground_truth()
+    feb_dataset.materialize()
 
     ctx = TaskContext(feb_dataset, config=engine.config)
     serial_store = ArtifactStore(tmp_path / "serial")

@@ -3,8 +3,8 @@
 Seven verbs cover the library's lifecycle, re-exported from
 ``repro/__init__.py`` so no consumer needs a deep import:
 
-* :func:`generate` — build a dataset (optionally parallel, cached,
-  lazy, and/or saved to disk in either storage format);
+* :func:`generate` — build a dataset (optionally parallel and/or saved
+  to disk in either storage format);
 * :func:`load` — read a saved dataset back (codec auto-detected; a
   columnar directory opens memory-mapped in O(open)); ``as_of=``
   opens an earlier dataset version through its archived manifest;
@@ -44,7 +44,6 @@ from .core.types import Metric, Month, Platform
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core.dataset import BrowsingDataset
-    from .engine.cache import SliceCache
     from .pipeline.artifacts import ArtifactStore
     from .pipeline.runner import RunReport
     from .service.http import ReproHTTPServer
@@ -117,7 +116,6 @@ def ingest(
     small: bool = False,
     seed: int | None = None,
     jobs: int | None = None,
-    cache: "SliceCache | str | Path | None" = None,
 ):
     """Append ``months`` to the saved dataset at ``data``, in place.
 
@@ -140,7 +138,6 @@ def ingest(
         small=small,
         seed=seed,
         jobs=jobs,
-        cache=cache,
     )
 
 
@@ -151,8 +148,8 @@ def convert(
 
     Conversion is lossless and exact: text → columnar → text files are
     byte-identical, and :func:`repro.export.io.dataset_fingerprint` is
-    unchanged, so warm artifact stores and slice caches keyed by the
-    fingerprint remain valid for the converted copy.
+    unchanged, so warm artifact stores keyed by the fingerprint remain
+    valid for the converted copy.
     """
     from .export.io import convert_dataset
 
@@ -170,8 +167,6 @@ def generate(
     months: Iterable["Month | str"] | None = None,
     all_months: bool = False,
     jobs: int = 1,
-    cache: "SliceCache | str | Path | None" = None,
-    lazy: bool = False,
     out: str | Path | None = None,
     format: str = "text",
     trace: str | Path | None = None,
@@ -180,11 +175,8 @@ def generate(
 
     ``config`` overrides ``small``/``seed``; ``months`` beats
     ``all_months``; ``jobs > 1`` fans per-country work units out to a
-    process pool (byte-identical to serial); ``cache`` warms/reads the
-    content-addressed slice cache; ``lazy=True`` returns a
-    :class:`~repro.engine.LazyBrowsingDataset` whose slices materialise
-    on first access (incompatible with ``out``); ``out`` saves the
-    dataset before returning it, encoded by ``format`` (``"text"`` or
+    process pool (byte-identical to serial); ``out`` saves the dataset
+    before returning it, encoded by ``format`` (``"text"`` or
     ``"columnar"``); ``trace`` writes a JSONL span trace of the run
     (see :mod:`repro.obs`).
     """
@@ -205,15 +197,7 @@ def generate(
         "metrics": _metrics(metrics) or Metric.studied(),
         "months": resolved_months,
     }
-    engine = GenerationEngine(config, jobs=jobs, cache=cache)
-    if lazy:
-        if out is not None:
-            raise ValueError("lazy=True cannot be combined with out= "
-                             "(saving would materialise every slice)")
-        if trace is not None:
-            raise ValueError("trace= cannot be combined with lazy=True "
-                             "(there is no bounded run to trace)")
-        return engine.generate_lazy(**grid)
+    engine = GenerationEngine(config, jobs=jobs)
     with tracing(trace):
         dataset = engine.generate(**grid)
         if out is not None:
@@ -298,7 +282,7 @@ def report(
     pass ``no_store=True`` to recompute everything.  ``as_of=<version>``
     reports over that archived dataset version instead of the latest.
     ``trace`` writes a JSONL span trace covering dataset load (incl.
-    any engine work a lazy dataset triggers) and every pipeline task.
+    every slice decode of a columnar dataset) and every pipeline task.
     """
     from .obs import tracing
     from .pipeline import default_registry, run_pipeline, write_run_dir

@@ -89,17 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--jobs", type=int, default=1,
                      help="parallel worker processes (default: 1 = serial; "
                           "output is byte-identical either way)")
-    gen.add_argument("--cache-dir", default=None,
-                     help="content-addressed slice cache directory; warm "
-                          "slices skip scoring (saving still builds the "
-                          "universe, for the stored ground truth)")
     gen.add_argument("--format", default="text",
                      choices=("text", "columnar"),
                      help="storage codec for --out (default: text; "
                           "columnar loads memory-mapped in O(open))")
     gen.add_argument("--trace", default=None, metavar="PATH",
                      help="write a JSONL span trace of the run "
-                          "(engine slices incl. cache hit/miss)")
+                          "(one span per engine slice)")
 
     conv = sub.add_parser(
         "convert",
@@ -138,8 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--jobs", type=int, default=1,
                      help="parallel worker processes for the new slices "
                           "(default: 1 = serial; byte-identical either way)")
-    ing.add_argument("--cache-dir", default=None,
-                     help="content-addressed slice cache directory")
     ing.add_argument("--small", action="store_true",
                      help="dataset was generated with --small")
     ing.add_argument("--seed", type=int, default=None,
@@ -309,9 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     from . import api
-    from .engine import SliceCache
 
-    cache = SliceCache(args.cache_dir) if args.cache_dir else None
     dataset = api.generate(
         small=args.small,
         seed=args.seed,
@@ -321,15 +313,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         months=tuple(args.months) if args.months else None,
         all_months=args.all_months,
         jobs=args.jobs,
-        cache=cache,
         out=args.out,
         format=args.format,
         trace=args.trace,
     )
     print(f"wrote {len(dataset)} rank lists to {args.out} "
           f"({args.format})")
-    if cache is not None:
-        print(f"slice cache {cache.root}: {cache.stats}")
     if args.trace:
         print(f"wrote trace {args.trace}")
     return 0
@@ -364,9 +353,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from . import api
     from .core.errors import DatasetError
-    from .engine import SliceCache
 
-    cache = SliceCache(args.cache_dir) if args.cache_dir else None
     try:
         result = api.ingest(
             args.data,
@@ -375,7 +362,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             small=args.small,
             seed=args.seed,
             jobs=args.jobs,
-            cache=cache,
         )
     except DatasetError as exc:
         print(exc, file=sys.stderr)
@@ -390,8 +376,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
           f"{result.slices_added} new slices in {result.seconds:.2f}s")
     print(f"dataset version {result.version_before} -> {result.version} "
           f"({len(result.months_present)} months)")
-    if cache is not None:
-        print(f"slice cache {cache.root}: {cache.stats}")
     return 0
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import threading
 from typing import Callable, Iterable, Iterator, Mapping
 
-from ..obs import span as obs_span
 from .distribution import TrafficDistribution
 from .errors import DatasetError, MissingBreakdownError
 from .rankedlist import RankedList
@@ -37,9 +36,9 @@ TruthSource = "GroundTruth | Callable[[BrowsingDataset], GroundTruth] | None"
 class BrowsingDataset:
     """An immutable collection of ranked lists plus distribution curves."""
 
-    #: How this dataset's lists are held; deferred subclasses override
-    #: (``"engine"`` for lazily-generated grids, ``"columnar-mmap"`` for
-    #: memory-mapped stores).  Surfaced by ``/v1/healthz``.
+    #: How this dataset's lists are held; the memory-mapped columnar
+    #: store overrides it (``"columnar-mmap"``).  Surfaced by
+    #: ``/v1/healthz``.
     storage = "memory"
 
     #: The monotonically increasing dataset version.  A freshly
@@ -257,120 +256,4 @@ class BrowsingDataset:
             f"platforms={[p.value for p in self._platforms]}, "
             f"metrics={[m.value for m in self._metrics]}, "
             f"months={[str(m) for m in self._months]}, lists={len(self._lists)})"
-        )
-
-
-class DeferredBrowsingDataset(BrowsingDataset):
-    """A dataset whose lists materialise on first access.
-
-    The full key set is fixed up front — indices, membership and
-    iteration behave exactly like the eager container — but list
-    *values* are produced only when a value-reading path touches them.
-    Two producers exist today: the generation engine
-    (:class:`repro.engine.lazy.LazyBrowsingDataset` runs cache-aware
-    slice generation) and the columnar store
-    (:class:`repro.store.MappedBrowsingDataset` decodes memory-mapped
-    id arrays).  Subclasses implement :meth:`_produce`.
-    """
-
-    def __init__(
-        self,
-        breakdowns: Iterable[Breakdown],
-        distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
-        metadata: Mapping[str, object] | None = None,
-        ground_truth: TruthSource = None,
-    ) -> None:
-        # Serving reads a deferred dataset from many threads;
-        # materialize mutates _pending/_lists, so it runs under a lock.
-        self._materialize_lock = threading.Lock()
-        keys = tuple(breakdowns)
-        self._pending: set[Breakdown] = set(keys)
-        # Placeholder values: the base initialiser only reads keys, and
-        # every value-reading path below materialises first.
-        super().__init__(
-            dict.fromkeys(keys), distributions, metadata, ground_truth
-        )
-
-    # -- production ----------------------------------------------------------------
-
-    def _produce(
-        self, breakdowns: set[Breakdown]
-    ) -> Mapping[Breakdown, RankedList]:
-        """Produce the requested still-pending slices (subclass hook)."""
-        raise NotImplementedError
-
-    @property
-    def pending(self) -> int:
-        """How many slices have not been materialised yet."""
-        return len(self._pending)
-
-    def materialize(self, breakdowns: Iterable[Breakdown] | None = None) -> None:
-        """Materialise the requested (default: all) still-pending slices.
-
-        Thread-safe: concurrent readers (e.g. server threads) serialize
-        here, and a slice is produced at most once.  Each production is
-        one ``store.materialize`` span (attributes ``slices``, ``sites``).
-        """
-        wanted_input = None if breakdowns is None else set(breakdowns)
-        with self._materialize_lock:
-            wanted = self._pending if wanted_input is None else (
-                wanted_input & self._pending
-            )
-            if not wanted:
-                return
-            with obs_span("store.materialize") as span:
-                produced = self._produce(set(wanted))
-                span.set("slices", len(produced))
-                span.set("sites", sum(map(len, produced.values())))
-            self._lists.update(produced)
-            self._pending -= set(produced)
-
-    # -- value-reading paths ------------------------------------------------------
-
-    def __getitem__(self, breakdown: Breakdown) -> RankedList:
-        if breakdown in self._pending:
-            self.materialize((breakdown,))
-        return super().__getitem__(breakdown)
-
-    def all_sites(self) -> frozenset[str]:
-        self.materialize()  # one batched production, not one per slice
-        return super().all_sites()
-
-    def get_or_none(
-        self, country: str, platform: Platform, metric: Metric, month: Month
-    ) -> RankedList | None:
-        breakdown = Breakdown(country, platform, metric, month)
-        if breakdown not in self._lists:
-            return None
-        return self[breakdown]
-
-    def select(
-        self,
-        platform: Platform,
-        metric: Metric,
-        month: Month,
-        countries: Iterable[str] | None = None,
-    ) -> dict[str, RankedList]:
-        wanted = tuple(countries) if countries is not None else self.countries
-        self.materialize(
-            Breakdown(country, platform, metric, month) for country in wanted
-        )
-        return super().select(platform, metric, month, countries)
-
-    def filter(
-        self, predicate: Callable[[Breakdown], bool]
-    ) -> BrowsingDataset:
-        self.materialize(b for b in self._lists if predicate(b))
-        return super().filter(predicate)
-
-    def map_lists(
-        self, transform: Callable[[Breakdown, RankedList], RankedList]
-    ) -> BrowsingDataset:
-        self.materialize()
-        return super().map_lists(transform)
-
-    def __repr__(self) -> str:
-        return super().__repr__().replace(
-            "BrowsingDataset(",
-            f"{type(self).__name__}(pending={self.pending}, ", 1,
         )

@@ -1,20 +1,14 @@
-"""The generation engine: plan → (cache | executor) → dataset.
+"""The generation engine: plan → executor → dataset.
 
 :class:`GenerationEngine` is the single entry point the generator, the
-CLI and the benchmark fixtures all route through.  For each requested
-plan it serves what it can from the content-addressed slice cache and
-hands only the misses to its executor; everything a run produces is
-written back to the cache.  The engine is *lazy about the expensive
-parts*: no generator (and hence no universe) is constructed until a
-cache miss actually requires scoring — or the dataset's ground truth is
-first read — so a warm cache answers a full grid without paying the
-full-scale universe build.
+CLI and the benchmark fixtures all route through.  Each requested plan
+goes to its executor (serial or a process pool, byte-identical either
+way).  No generator (and hence no universe) is constructed until a run
+or the dataset's ground truth first needs one.
 """
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
 from typing import Iterable
 
 from ..core.dataset import BrowsingDataset
@@ -25,13 +19,12 @@ from ..core.types import Breakdown, Metric, Month, Platform, REFERENCE_MONTH
 from ..obs import get_tracer
 from ..synth.generator import GeneratorConfig, TelemetryGenerator
 from ..synth.traffic import global_distributions
-from .cache import SliceCache
 from .executor import ParallelExecutor, SerialExecutor, generator_for
 from .plan import SlicePlan
 
 
 class GenerationEngine:
-    """Cache-aware, executor-pluggable slice generation."""
+    """Executor-pluggable slice generation."""
 
     def __init__(
         self,
@@ -39,7 +32,6 @@ class GenerationEngine:
         *,
         executor: SerialExecutor | ParallelExecutor | None = None,
         jobs: int | None = None,
-        cache: SliceCache | str | Path | None = None,
         generator: TelemetryGenerator | None = None,
     ) -> None:
         if generator is not None:
@@ -52,9 +44,6 @@ class GenerationEngine:
                 )
             executor = ParallelExecutor(jobs=jobs) if jobs > 1 else None
         self.executor = executor or SerialExecutor()
-        if isinstance(cache, (str, Path)):
-            cache = SliceCache(cache)
-        self.cache = cache
         self._generator = generator
         self._fingerprint: str | None = None
 
@@ -85,64 +74,21 @@ class GenerationEngine:
     def run(self, plan: SlicePlan) -> dict[Breakdown, RankedList]:
         """Produce every slice of ``plan``, in plan order.
 
-        Cache hits are served as-is; only the remaining breakdowns reach
-        the executor, and everything generated is written back.  Under
-        an active tracer every slice gets an ``engine.generate_slice``
-        span carrying its breakdown and a ``cache: hit|miss`` attribute
-        (miss spans come from the executor, wherever it runs).
+        Under an active tracer the run is one ``engine.run`` span and
+        every slice an ``engine.generate_slice`` span (emitted by the
+        executor, wherever it runs).
         """
         tracer = get_tracer()
         with tracer.span(
             "engine.run", fingerprint=self.fingerprint, slices=len(plan)
-        ) as root:
-            results: dict[Breakdown, RankedList] = {}
-            if self.cache is not None:
-                for breakdown in plan.breakdowns():
-                    start = time.perf_counter()
-                    cached = self.cache.get(self.fingerprint, breakdown)
-                    if cached is not None:
-                        results[breakdown] = cached
-                        root.add("cache_hits")
-                        tracer.record(
-                            "engine.generate_slice",
-                            time.perf_counter() - start,
-                            country=breakdown.country,
-                            platform=breakdown.platform.value,
-                            metric=breakdown.metric.value,
-                            month=str(breakdown.month),
-                            cache="hit",
-                        )
-                misses = plan.without(results)
-            else:
-                misses = plan
-            if len(misses):
-                root.add("cache_misses", len(misses))
-                # Build the generator here, before a process pool
-                # forks: workers inherit it (and its universe) through
-                # ``_GENERATORS`` instead of each building their own.
-                produced = self.executor.execute(
-                    self.config, misses,
-                    generator=self.generator, tracer=tracer,
-                )
-                if self.cache is not None:
-                    with tracer.span(
-                        "engine.cache_write", slices=len(produced)
-                    ):
-                        for breakdown, ranked in produced.items():
-                            self.cache.put(self.fingerprint, breakdown, ranked)
-                results.update(produced)
-            return {b: results[b] for b in plan.breakdowns()}
-
-    def rank_list(
-        self,
-        country: str,
-        platform: Platform,
-        metric: Metric,
-        month: Month = REFERENCE_MONTH,
-    ) -> RankedList:
-        """One slice, cache-aware."""
-        breakdown = Breakdown(country, platform, metric, month)
-        return self.run(SlicePlan.from_breakdowns((breakdown,)))[breakdown]
+        ):
+            # Build the generator here, before a process pool forks:
+            # workers inherit it (and its universe) through
+            # ``_GENERATORS`` instead of each building their own.
+            produced = self.executor.execute(
+                self.config, plan, generator=self.generator, tracer=tracer,
+            )
+            return {b: produced[b] for b in plan.breakdowns()}
 
     # -- datasets -----------------------------------------------------------------
 
@@ -173,29 +119,14 @@ class GenerationEngine:
     def ground_truth(self, dataset: BrowsingDataset) -> GroundTruth:
         """The ground-truth table for ``dataset``'s sites.
 
-        The source engine datasets defer to: it needs the universe, so a
-        warm-cache run builds it only when the table is first read
-        (e.g. by ``save_dataset``).
+        The source engine datasets defer to: it needs the universe, so
+        the generator is built (if no run has built it) only when the
+        table is first read (e.g. by ``save_dataset``).
         """
         return self.generator.ground_truth(sorted(dataset.all_sites()))
 
-    def generate_lazy(
-        self,
-        *,
-        countries: Iterable[str] | None = None,
-        platforms: Iterable[Platform] = Platform.studied(),
-        metrics: Iterable[Metric] = Metric.studied(),
-        months: Iterable[Month] = (REFERENCE_MONTH,),
-    ) -> "LazyBrowsingDataset":
-        """A dataset whose slices materialise on first access."""
-        from .lazy import LazyBrowsingDataset
-
-        plan = SlicePlan.from_grid(countries, platforms, metrics, months)
-        return LazyBrowsingDataset(self, plan)
-
     def __repr__(self) -> str:
-        cache = str(self.cache.root) if self.cache is not None else None
         return (
             f"GenerationEngine(fingerprint={self.fingerprint}, "
-            f"executor={self.executor.name}, cache={cache!r})"
+            f"executor={self.executor.name})"
         )

@@ -123,10 +123,6 @@ class SlicePlan:
             for month in months
         )
 
-    @classmethod
-    def from_breakdowns(cls, breakdowns: Iterable[Breakdown]) -> "SlicePlan":
-        return cls(breakdowns)
-
     # -- views --------------------------------------------------------------------
 
     @property
@@ -161,11 +157,6 @@ class SlicePlan:
         )
 
     # -- derivation ---------------------------------------------------------------
-
-    def without(self, done: Iterable[Breakdown]) -> "SlicePlan":
-        """The remaining plan after removing already-available breakdowns."""
-        drop = set(done)
-        return SlicePlan(r for r in self._requests if r.breakdown not in drop)
 
     def partition(self) -> tuple[CountryWorkUnit, ...]:
         """Per-country work units, in country order."""

@@ -99,7 +99,8 @@ def global_ranking(
     ids = np.fromiter(map(index.__getitem__, sites), dtype=np.intp, count=len(sites))
     scores = np.bincount(ids, weights=np.concatenate(terms))
     order = np.argsort(-scores, kind="stable")
-    return RankedList(map(names.__getitem__, order.tolist()))
+    # The names are distinct (a set) and non-empty (taken from lists).
+    return RankedList._trusted(tuple(map(names.__getitem__, order.tolist())))
 
 
 def export_crux(

@@ -21,7 +21,7 @@ auto-detects from the files present (a ``manifest.bin`` wins over a
 ``manifest.json`` when both exist).  The two codecs round-trip exactly:
 text → columnar → text is byte-identical, and
 :func:`dataset_fingerprint` agrees across codecs, so artifact stores
-and slice caches keyed by the fingerprint stay valid across a convert.
+keyed by the fingerprint stay valid across a convert.
 
 Saves are crash-safe under both codecs: every file is written to a
 temp sibling and ``os.replace``\\ d into place, with the manifest
@@ -32,7 +32,7 @@ The manifest's ``metadata`` object carries the generator provenance;
 datasets produced by the generation engine include a ``fingerprint``
 key there — the :meth:`GeneratorConfig.fingerprint` content address of
 every generation knob — so an export can be matched to the exact
-configuration (and slice-cache directory) that produced it.
+configuration that produced it.
 
 Both codecs store the dataset's :class:`~repro.core.truth.GroundTruth`
 (category, tags and Android-app flag per site) with its row count and
@@ -394,7 +394,7 @@ def convert_dataset(
 
     Round-trips are exact: converting text → columnar → text yields
     byte-identical files, and the dataset fingerprint (hence every
-    artifact-store and slice-cache address) is unchanged.
+    artifact-store address) is unchanged.
     """
     src, dst = Path(src), Path(dst)
     if dst.resolve() == src.resolve():

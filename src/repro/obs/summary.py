@@ -24,7 +24,7 @@ __all__ = ["aggregate_spans", "format_summary", "slowest_spans"]
 #: display order; everything else is elided to keep rows terminal-width.
 _DETAIL_ATTRS = (
     "country", "platform", "metric", "month", "task", "endpoint",
-    "method", "path", "status_code", "cache", "store", "slices",
+    "method", "path", "status_code", "store", "slices",
 )
 
 

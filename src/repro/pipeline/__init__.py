@@ -6,10 +6,9 @@ every :mod:`repro.analysis` entry point is registered as a named
 the dependency DAG in deterministic topological waves (serially or on
 a thread pool), and every result lands in a content-addressed
 :class:`ArtifactStore` keyed by (dataset fingerprint, task name,
-parameter hash) — mirroring how :class:`repro.engine.SliceCache`
-addresses generated slices.  A warm cache replays the full report with
-zero task executions; a cold parallel run produces byte-identical
-artifacts to a serial one.
+parameter hash).  A warm store replays the full report with zero task
+executions; a cold parallel run produces byte-identical artifacts to a
+serial one.
 
 Quick start::
 

@@ -4,10 +4,9 @@ Layout::
 
     <root>/<dataset-fingerprint>/<task>__<key>.json
 
-The address mirrors :class:`repro.engine.SliceCache`: the directory is
-the dataset fingerprint (the generator fingerprint recorded in the
-manifest, or a content hash for unprovenanced datasets) and the file
-name combines the task name with :meth:`Task.key` — a digest of the
+The directory is the dataset fingerprint (the generator fingerprint
+recorded in the manifest, or a content hash for unprovenanced datasets)
+and the file name combines the task name with :meth:`Task.key` — a digest of the
 task's parameters, the reference month and, for ground-truth tasks,
 the generator-config fingerprint.  A hit is therefore guaranteed to be
 the value the task body would recompute, and changing any knob starts
@@ -16,8 +15,8 @@ a new cache line instead of serving stale results.
 Artifacts are canonical JSON (sorted keys, fixed separators), so a
 file is a pure function of its address — parallel and serial runs
 write byte-identical artifacts — and stays greppable/diffable with
-standard tools.  Writes are atomic (tmp file + rename), matching the
-slice cache's crash behaviour.
+standard tools.  Writes are atomic (tmp file + rename), so a crash
+never leaves a torn artifact under its final name.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..engine.cache import CacheStats
 from .task import canonical_json
 
 #: Bump when the envelope layout changes; old artifacts become misses.
@@ -43,6 +42,18 @@ def artifact_bytes(name: str, key: str, result: object) -> bytes:
         "result": result,
     }
     return (canonical_json(envelope) + "\n").encode("utf-8")
+
+
+@dataclass
+class CacheStats:
+    """Counters for one store instance's lifetime."""
+
+    hits: int = 0
+    misses: int = 0
+    writes: int = 0
+
+    def __str__(self) -> str:
+        return f"{self.hits} hits, {self.misses} misses, {self.writes} writes"
 
 
 class ArtifactStore:

@@ -1,12 +1,11 @@
 """The query service: every read path of the serving layer.
 
 :class:`QueryService` wraps a loaded :class:`BrowsingDataset` (eager,
-:class:`~repro.engine.lazy.LazyBrowsingDataset`, or a memory-mapped
-:class:`~repro.store.MappedBrowsingDataset` — ``repro serve`` over a
-columnar directory opens the dataset read-only via mmap, so N worker
-processes share one physical copy of the pages and cold start never
-parses a list) plus the reproduction pipeline, and answers four
-families of queries:
+or a memory-mapped :class:`~repro.store.MappedBrowsingDataset` —
+``repro serve`` over a columnar directory opens the dataset read-only
+via mmap, so N worker processes share one physical copy of the pages
+and cold start never parses a list) plus the reproduction pipeline,
+and answers four families of queries:
 
 * **rankings** — the top of one (country, platform, metric, month) list;
 * **site** — one site's rank across every country of a slice;
@@ -30,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable
 
 from ..core.dataset import BrowsingDataset
 from ..core.types import Metric, Month, Platform
@@ -48,9 +47,6 @@ from ..pipeline import (
 from .cache import PayloadCache, PayloadKey
 from .errors import BadRequest, NotFound, ServiceError, Unavailable, not_found
 from .metrics import ServiceMetrics, mark_observed
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.engine import GenerationEngine
 
 #: Default number of ranks returned by a rankings query.
 DEFAULT_TOP = 50
@@ -214,28 +210,6 @@ class QueryService:
             )
             self._contexts[wanted] = ctx
             return wanted, ctx
-
-    @classmethod
-    def from_engine(
-        cls,
-        engine: "GenerationEngine",
-        *,
-        countries: Iterable[str] | None = None,
-        platforms: Iterable[Platform] | None = None,
-        metrics: Iterable[Metric] | None = None,
-        months: Iterable[Month] | None = None,
-        **kwargs,
-    ) -> "QueryService":
-        """A service over a lazily-generated grid: slices appear on query."""
-        grid: dict[str, object] = {"countries": countries}
-        if platforms is not None:
-            grid["platforms"] = tuple(platforms)
-        if metrics is not None:
-            grid["metrics"] = tuple(metrics)
-        if months is not None:
-            grid["months"] = tuple(months)
-        dataset = engine.generate_lazy(**grid)
-        return cls(dataset, config=engine.config, **kwargs)
 
     # -- parameter coercion -------------------------------------------------------
 

@@ -28,9 +28,6 @@ All integers are little-endian.  The four file kinds:
                 carrying the breakdown index, dataset metadata,
                 distribution vectors and per-file content fingerprints.
 
-The same string-table packing, under its own magic, backs the slice
-cache's per-slice binary files (:class:`repro.engine.SliceCache`).
-
 Writes are crash-safe: :func:`atomic_write_bytes` writes a temp sibling
 and ``os.replace``\\ s it into place, so an interrupted save never
 leaves a torn file under the final name.
@@ -57,7 +54,6 @@ COLUMNAR_VERSION = 1
 MAGIC_VOCAB = b"RPROVOC1"
 MAGIC_LISTS = b"RPROIDS1"
 MAGIC_MANIFEST = b"RPROMAN1"
-MAGIC_SLICE = b"RPROSLC1"
 MAGIC_TRUTH = b"RPROTRU1"
 
 _HEADER = struct.Struct("<8sIIQ")
@@ -89,28 +85,26 @@ def read_header(data: bytes, magic: bytes, path: Path) -> int:
 # -- string tables ------------------------------------------------------------------
 
 
-def pack_string_table(names: Sequence[str], magic: bytes = MAGIC_VOCAB) -> bytes:
+def pack_string_table(names: Sequence[str]) -> bytes:
     """Serialise names as header + int64 offsets + UTF-8 blob."""
     encoded = [name.encode("utf-8") for name in names]
     offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
     np.cumsum([len(e) for e in encoded], out=offsets[1:])
     return b"".join(
-        (pack_header(magic, len(encoded)), offsets.tobytes(), *encoded)
+        (pack_header(MAGIC_VOCAB, len(encoded)), offsets.tobytes(), *encoded)
     )
 
 
-def unpack_string_table(
-    data: bytes, path: Path, magic: bytes = MAGIC_VOCAB
-) -> tuple[str, ...]:
+def unpack_string_table(data: bytes, path: Path) -> tuple[str, ...]:
     """Decode every name of a packed string table eagerly."""
-    return _string_table_at(data, 0, path, magic)[0]
+    return _string_table_at(data, 0, path)[0]
 
 
 def _string_table_at(
-    data: bytes, start: int, path: Path, magic: bytes
+    data: bytes, start: int, path: Path
 ) -> tuple[tuple[str, ...], int]:
     """The names of the string table at byte ``start``, and where it ends."""
-    count = read_header(data[start:start + HEADER_SIZE], magic, path)
+    count = read_header(data[start:start + HEADER_SIZE], MAGIC_VOCAB, path)
     offsets_end = start + HEADER_SIZE + 8 * (count + 1)
     if len(data) < offsets_end:
         raise DatasetError(f"{path}: truncated string-table offsets")
@@ -211,8 +205,8 @@ def unpack_ground_truth(
     category = np.frombuffer(data, np.int16, count, HEADER_SIZE)
     tags = np.frombuffer(data, np.int32, count, HEADER_SIZE + 2 * stored)
     has_app = np.frombuffer(data, np.uint8, count, HEADER_SIZE + 6 * stored)
-    names, end = _string_table_at(data, columns_end, path, MAGIC_VOCAB)
-    tag_sets, _ = _string_table_at(data, end, path, MAGIC_VOCAB)
+    names, end = _string_table_at(data, columns_end, path)
+    tag_sets, _ = _string_table_at(data, end, path)
     if count and not (-1 <= category.min() and category.max() < len(names)
                       and -1 <= tags.min() and tags.max() < len(tag_sets)):
         raise DatasetError(f"{path}: ground-truth index out of range")

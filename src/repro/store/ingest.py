@@ -154,7 +154,6 @@ def ingest_months(
     small: bool = False,
     seed: int | None = None,
     jobs: int | None = None,
-    cache=None,
 ) -> IngestReport:
     """Append the requested months to the dataset at ``root``.
 
@@ -209,7 +208,7 @@ def ingest_months(
     plan = SlicePlan.from_grid(
         dataset.countries, dataset.platforms, dataset.metrics, wanted
     )
-    engine = GenerationEngine(config, jobs=jobs, cache=cache)
+    engine = GenerationEngine(config, jobs=jobs)
     produced = engine.run(plan)
 
     new_version = version_before + 1

@@ -17,17 +17,19 @@ all maps are opened read-only (``mode="r"``).
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from ..core.dataset import DeferredBrowsingDataset
+from ..core.dataset import BrowsingDataset
 from ..core.distribution import TrafficDistribution
 from ..core.errors import DatasetError
 from ..core.rankedlist import RankedList
-from ..core.types import Breakdown, Metric, Platform
+from ..core.types import Breakdown, Metric, Month, Platform
 from ..core.vocab import SiteVocabulary
+from ..obs import span as obs_span
 from .format import HEADER_SIZE, MAGIC_VOCAB, decode_names, read_header
 
 
@@ -123,12 +125,14 @@ class MappedStringTable:
         return tuple(self.names().tolist())
 
 
-class MappedBrowsingDataset(DeferredBrowsingDataset):
+class MappedBrowsingDataset(BrowsingDataset):
     """A :class:`BrowsingDataset` over memory-mapped columnar files.
 
-    Lists materialise lazily: reading a breakdown gathers that list's
-    names from the decoded string table by its id window.  When the
-    dataset-wide vocabulary has been built (:meth:`vocabulary`),
+    The full key set is fixed at open — indices, membership and
+    iteration behave exactly like the eager container — but a list
+    materialises only when a value-reading path touches it: its names
+    are gathered from the decoded string table by its id window.  When
+    the dataset-wide vocabulary has been built (:meth:`vocabulary`),
     materialised lists are pre-seeded with their mapped id window, so
     kernels consume ``lists.bin`` pages directly — zero copies, zero
     re-interning.
@@ -156,13 +160,48 @@ class MappedBrowsingDataset(DeferredBrowsingDataset):
         #: :func:`repro.export.io.dataset_fingerprint` so addressing an
         #: artifact store never has to hash the mapped lists.
         self.content_fingerprint = content_fingerprint
-        super().__init__(self._windows, distributions, metadata, ground_truth)
+        # Serving reads one dataset from many threads; materialize
+        # mutates _pending/_lists, so it runs under a lock.
+        self._materialize_lock = threading.Lock()
+        self._pending: set[Breakdown] = set(self._windows)
+        # Placeholder values: the base initialiser only reads keys, and
+        # every value-reading path below materialises first.
+        super().__init__(
+            dict.fromkeys(self._windows), distributions, metadata,
+            ground_truth,
+        )
 
     # -- production ----------------------------------------------------------------
 
-    def _produce(
+    @property
+    def pending(self) -> int:
+        """How many lists have not been materialised yet."""
+        return len(self._pending)
+
+    def materialize(self, breakdowns: Iterable[Breakdown] | None = None) -> None:
+        """Materialise the requested (default: all) still-pending lists.
+
+        Thread-safe: concurrent readers (e.g. server threads) serialize
+        here, and a list is decoded at most once.  Each decode is one
+        ``store.materialize`` span (attributes ``slices``, ``sites``).
+        """
+        wanted_input = None if breakdowns is None else set(breakdowns)
+        with self._materialize_lock:
+            wanted = self._pending if wanted_input is None else (
+                wanted_input & self._pending
+            )
+            if not wanted:
+                return
+            with obs_span("store.materialize") as span:
+                produced = self._decode(set(wanted))
+                span.set("slices", len(produced))
+                span.set("sites", sum(map(len, produced.values())))
+            self._lists.update(produced)
+            self._pending -= set(produced)
+
+    def _decode(
         self, breakdowns: set[Breakdown]
-    ) -> Mapping[Breakdown, RankedList]:
+    ) -> dict[Breakdown, RankedList]:
         """Each list's names, gathered by its id window.
 
         The window is checked on the ints — ids inside the vocabulary
@@ -193,6 +232,46 @@ class MappedBrowsingDataset(DeferredBrowsingDataset):
             out[breakdown] = ranked
         return out
 
+    # -- value-reading paths ------------------------------------------------------
+
+    def __getitem__(self, breakdown: Breakdown) -> RankedList:
+        if breakdown in self._pending:
+            self.materialize((breakdown,))
+        return super().__getitem__(breakdown)
+
+    def get_or_none(
+        self, country: str, platform: Platform, metric: Metric, month: Month
+    ) -> RankedList | None:
+        breakdown = Breakdown(country, platform, metric, month)
+        if breakdown not in self._lists:
+            return None
+        return self[breakdown]
+
+    def select(
+        self,
+        platform: Platform,
+        metric: Metric,
+        month: Month,
+        countries: Iterable[str] | None = None,
+    ) -> dict[str, RankedList]:
+        wanted = tuple(countries) if countries is not None else self.countries
+        self.materialize(
+            Breakdown(country, platform, metric, month) for country in wanted
+        )
+        return super().select(platform, metric, month, countries)
+
+    def filter(
+        self, predicate: Callable[[Breakdown], bool]
+    ) -> BrowsingDataset:
+        self.materialize(b for b in self._lists if predicate(b))
+        return super().filter(predicate)
+
+    def map_lists(
+        self, transform: Callable[[Breakdown, RankedList], RankedList]
+    ) -> BrowsingDataset:
+        self.materialize()
+        return super().map_lists(transform)
+
     # -- vocabulary ----------------------------------------------------------------
 
     def vocabulary(self) -> SiteVocabulary:
@@ -221,3 +300,9 @@ class MappedBrowsingDataset(DeferredBrowsingDataset):
         which is exactly that union for every dataset version.
         """
         return frozenset(self._table.decode_all())
+
+    def __repr__(self) -> str:
+        return super().__repr__().replace(
+            "BrowsingDataset(",
+            f"{type(self).__name__}(pending={self.pending}, ", 1,
+        )

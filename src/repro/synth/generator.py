@@ -161,10 +161,8 @@ class GeneratorConfig:
 
         Hashes every generation knob — including the resolved universe
         and privacy configs — so two configs share a fingerprint exactly
-        when they produce byte-identical slices.  Used to key the
-        on-disk slice cache (:class:`repro.engine.SliceCache`) and
-        recorded in dataset metadata / the ``save_dataset`` manifest
-        for provenance.
+        when they produce byte-identical slices.  Recorded in dataset
+        metadata / the ``save_dataset`` manifest for provenance.
         """
         payload: dict[str, object] = {
             "format": 1,
@@ -539,7 +537,6 @@ class TelemetryGenerator:
                 platform=platform.value,
                 metric=metric.value,
                 month=str(month),
-                cache="miss",
             ):
                 month_key = (platform, month.index())
                 pm = prefix_month.get(month_key)
@@ -646,8 +643,8 @@ class TelemetryGenerator:
 
         Delegates to :class:`repro.engine.GenerationEngine` with the
         serial executor, which scores with this generator; pass an
-        engine explicitly (with a :class:`~repro.engine.ParallelExecutor`
-        or a :class:`~repro.engine.SliceCache`) for the fast paths.
+        engine explicitly (with a :class:`~repro.engine.ParallelExecutor`)
+        for the parallel path.
         """
         from ..engine import GenerationEngine  # local: engine builds on synth
 

@@ -5,7 +5,7 @@ every component of the score sum across the slices of a country's grid;
 its contract is that sharing is *invisible* — each emitted list matches
 the per-slice scorer in :mod:`tests.oracles.scorer` byte for byte,
 through every route a slice can take: direct calls, :meth:`rank_list`,
-both executors, the on-disk slice cache, and an incremental ingest
+both executors, a columnar save and load, and an incremental ingest
 append.
 """
 
@@ -19,7 +19,6 @@ from repro.engine import (
     GenerationEngine,
     ParallelExecutor,
     SerialExecutor,
-    SliceCache,
     SlicePlan,
 )
 from repro.export.io import load_dataset, save_dataset
@@ -152,8 +151,8 @@ class TestExecutorParity:
             assert _blob(ranked) == _blob(parallel[breakdown]), breakdown
 
 
-class TestCacheParity:
-    def test_cache_round_trip_preserves_batched_bytes(
+class TestStoreParity:
+    def test_columnar_round_trip_preserves_batched_bytes(
         self, generator, tmp_path
     ):
         plan = SlicePlan.from_grid(
@@ -162,17 +161,14 @@ class TestCacheParity:
             metrics=Metric.studied(),
             months=(Month(2021, 12),),
         )
-        cache = SliceCache(tmp_path / "slices")
-        engine = GenerationEngine(generator.config, cache=cache,
-                                  generator=generator)
-        produced = engine.run(plan)
-        assert cache.stats.writes == len(plan)
-        warm = GenerationEngine(generator.config, cache=cache,
-                                generator=generator).run(plan)
+        engine = GenerationEngine(generator.config, generator=generator)
+        produced = engine.generate_plan(plan)
+        save_dataset(produced, tmp_path / "data", format="columnar")
+        loaded = load_dataset(tmp_path / "data")
         reference = execute_reference(generator, plan)
         for breakdown in plan.breakdowns():
             assert _blob(produced[breakdown]) == _blob(reference[breakdown])
-            assert _blob(warm[breakdown]) == _blob(reference[breakdown])
+            assert _blob(loaded[breakdown]) == _blob(reference[breakdown])
 
 
 class TestIngestParity:

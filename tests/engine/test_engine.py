@@ -1,4 +1,5 @@
-"""Tests for the generation engine: executors, cache wiring, lazy datasets."""
+"""Tests for the generation engine: executors, and the lazily
+materialising columnar dataset its output is saved and read back as."""
 
 import filecmp
 import os
@@ -6,35 +7,21 @@ import os
 import pytest
 
 import repro
-import repro.synth.generator as generator_module
 import repro.synth.universe as universe_module
 from repro.engine import executor as executor_module
 from repro.obs import read_trace
 from repro.core import Breakdown, Metric, Platform, REFERENCE_MONTH
 from repro.core.errors import GenerationError
-from repro.engine import (
-    GenerationEngine,
-    LazyBrowsingDataset,
-    ParallelExecutor,
-    SliceCache,
-    SlicePlan,
-)
+from repro.engine import GenerationEngine, ParallelExecutor, SlicePlan
+from repro.export.io import load_dataset, save_dataset
+from repro.store import MappedBrowsingDataset
 
 COUNTRIES = ("US", "KR", "BR")
 
 
 def _blob(ranked):
-    """The exact byte serialisation used by cache and export files."""
+    """The exact byte serialisation used by the text export files."""
     return ("\n".join(ranked.sites) + "\n").encode("utf-8")
-
-
-class _ExplodingExecutor:
-    """An executor that must never run — cache-only paths use it."""
-
-    name = "exploding"
-
-    def execute(self, config, plan, generator=None):
-        raise AssertionError("executor invoked although the cache was warm")
 
 
 class TestSerialEngine:
@@ -54,7 +41,10 @@ class TestSerialEngine:
 
     def test_rank_list_matches_generator(self, generator):
         engine = GenerationEngine(generator.config, generator=generator)
-        ours = engine.rank_list("KR", Platform.ANDROID, Metric.TIME_ON_PAGE)
+        breakdown = Breakdown(
+            "KR", Platform.ANDROID, Metric.TIME_ON_PAGE, REFERENCE_MONTH
+        )
+        ours = engine.run(SlicePlan((breakdown,)))[breakdown]
         theirs = generator.rank_list("KR", Platform.ANDROID, Metric.TIME_ON_PAGE)
         assert _blob(ours) == _blob(theirs)
 
@@ -138,70 +128,19 @@ class TestParallelExecutor:
         assert (mismatch, errors) == ([], [])
 
 
-class TestSliceCacheWiring:
-    def test_cold_then_warm_round_trip(self, generator, tmp_path):
-        cache = SliceCache(tmp_path / "slices")
-        cold_engine = GenerationEngine(
-            generator.config, cache=cache, generator=generator
-        )
-        cold = cold_engine.generate(countries=("US", "KR"))
-        assert cache.stats.writes == len(cold)
-
-        warm_engine = GenerationEngine(generator.config, cache=cache)
-        warm = warm_engine.generate(countries=("US", "KR"))
-        assert cache.stats.hits == len(cold)
-        for breakdown in cold.breakdowns():
-            assert _blob(cold[breakdown]) == _blob(warm[breakdown])
-
-    def test_warm_cache_skips_universe_build_and_scoring(
-        self, generator, tmp_path, monkeypatch
-    ):
-        cache = SliceCache(tmp_path / "slices")
-        GenerationEngine(
-            generator.config, cache=cache, generator=generator
-        ).generate(countries=("US",))
-
-        build_calls = []
-        real_build = generator_module.build_universe
-
-        def counting_build(*args, **kwargs):
-            build_calls.append(args)
-            return real_build(*args, **kwargs)
-
-        monkeypatch.setattr(generator_module, "build_universe", counting_build)
-        warm_engine = GenerationEngine(
-            generator.config, cache=cache, executor=_ExplodingExecutor()
-        )
-        warm = warm_engine.generate(countries=("US",))
-        assert build_calls == [], "warm cache must not construct a universe"
-        assert len(warm) == 4
-
-    def test_partial_hits_only_generate_misses(self, generator, tmp_path):
-        cache = SliceCache(tmp_path / "slices")
-        engine = GenerationEngine(generator.config, cache=cache, generator=generator)
-        engine.generate(countries=("US",))
-        before = cache.stats.writes
-        engine.generate(countries=("US", "KR"))
-        # Only KR's four slices were generated and written.
-        assert cache.stats.writes == before + 4
-
-    def test_engine_accepts_cache_path(self, generator, tmp_path):
-        engine = GenerationEngine(
-            generator.config, cache=tmp_path / "slices", generator=generator
-        )
-        assert isinstance(engine.cache, SliceCache)
-
-
 class TestLazyDataset:
+    """A saved columnar dataset reads back lazily: a list is decoded
+    only when a value-reading path touches it."""
+
     @pytest.fixture()
     def lazy(self, generator, tmp_path):
-        engine = GenerationEngine(
-            generator.config, cache=tmp_path / "slices", generator=generator
-        )
-        return engine.generate_lazy(countries=COUNTRIES)
+        engine = GenerationEngine(generator.config, generator=generator)
+        save_dataset(engine.generate(countries=COUNTRIES), tmp_path / "ds",
+                     format="columnar")
+        return load_dataset(tmp_path / "ds")
 
     def test_starts_fully_pending(self, lazy):
-        assert isinstance(lazy, LazyBrowsingDataset)
+        assert isinstance(lazy, MappedBrowsingDataset)
         assert lazy.pending == len(lazy) == len(COUNTRIES) * 4
         assert len(lazy.countries) == len(COUNTRIES)
 

@@ -43,12 +43,6 @@ class TestSlicePlan:
         assert len(regrouped) == len(plan)
         assert set(regrouped) == set(plan.breakdowns())
 
-    def test_without_removes_done_breakdowns(self):
-        plan = SlicePlan([_b("US"), _b("KR"), _b("BR")])
-        remaining = plan.without([_b("KR")])
-        assert remaining.breakdowns() == (_b("BR"), _b("US"))
-        assert plan.without([]) == plan
-
     def test_request_properties(self):
         request = SliceRequest(_b("JP", Platform.ANDROID, Metric.TIME_ON_PAGE))
         assert request.country == "JP"

@@ -47,19 +47,17 @@ class TestGenerateEngineFlags:
             "generate", "--out", "somewhere",
             "--platforms", "windows",
             "--metrics", "time_on_page", "page_loads",
-            "--jobs", "4", "--cache-dir", "slices",
+            "--jobs", "4",
         ])
         assert args.platforms == [Platform.WINDOWS]
         assert args.metrics == [Metric.TIME_ON_PAGE, Metric.PAGE_LOADS]
         assert args.jobs == 4
-        assert args.cache_dir == "slices"
 
     def test_engine_flags_default_to_studied_grid_and_serial(self):
         args = _build_parser().parse_args(["generate", "--out", "somewhere"])
         assert args.platforms is None
         assert args.metrics is None
         assert args.jobs == 1
-        assert args.cache_dir is None
 
     def test_bad_platform_rejected(self):
         with pytest.raises(SystemExit):
@@ -79,25 +77,20 @@ class TestGenerateEngineFlags:
             "generate", "--small", "--out", str(out),
             "--countries", "US",
             "--platforms", "windows", "--metrics", "page_loads",
-            "--cache-dir", str(tmp_path / "slices"),
         ])
         assert code == 0
         lists = list((out / "lists").glob("*.txt"))
         assert [p.name for p in lists] == ["US_windows_page_loads_2022-02.txt"]
 
-    def test_cached_regeneration_is_identical(self, tmp_path):
-        cache = tmp_path / "slices"
-        first, second = tmp_path / "a", tmp_path / "b"
-        for out in (first, second):
-            code = main([
-                "generate", "--small", "--out", str(out),
-                "--countries", "US", "--platforms", "android",
-                "--metrics", "time_on_page", "--cache-dir", str(cache),
-            ])
-            assert code == 0
-        name = "US_android_time_on_page_2022-02.txt"
-        assert (first / "lists" / name).read_bytes() == \
-            (second / "lists" / name).read_bytes()
+    @pytest.mark.parametrize("command", ["generate", "ingest"])
+    def test_cache_dir_flag_is_rejected(self, command, tmp_path):
+        # Generated lists persist only in the saved dataset.
+        argv = [command, "--small", "--data", str(tmp_path / "x"),
+                "--months", "2022-02"]
+        assert _build_parser().parse_args(argv).command == command
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cache-dir", str(tmp_path / "slices")])
+        assert exc.value.code == 2
 
 
 class TestConvert:
@@ -402,7 +395,11 @@ class TestTraceFlag:
         names = {s["name"] for s in spans}
         assert "engine.run" in names
         slices = [s for s in spans if s["name"] == "engine.generate_slice"]
-        assert [s["attrs"]["cache"] for s in slices] == ["miss"]
+        assert [s["attrs"] for s in slices] == [{
+            "country": "US", "platform": "windows",
+            "metric": "page_loads", "month": "2022-02",
+        }]
+        assert "engine.cache_write" not in names
 
     def test_report_trace_covers_every_pipeline_task(
         self, dataset_dir, tmp_path, capsys

@@ -8,7 +8,7 @@ in ``/v1/metrics``) is covered next to the other HTTP tests in
 import pytest
 
 from repro.core import Metric, Platform
-from repro.engine import GenerationEngine, ParallelExecutor, SliceCache
+from repro.engine import GenerationEngine, ParallelExecutor
 from repro.obs import NULL_TRACER, Tracer, set_tracer
 from repro.pipeline import PipelineRunner, TaskContext, TaskRegistry
 from repro.store import write_columnar
@@ -36,33 +36,23 @@ GRID = {"platforms": (Platform.WINDOWS,), "metrics": (Metric.PAGE_LOADS,)}
 
 
 class TestEngineTracing:
-    def test_miss_then_hit_slice_spans(self, generator, tmp_path, tracer):
-        cache = SliceCache(tmp_path / "slices")
-        engine = GenerationEngine(
-            generator.config, cache=cache, generator=generator
-        )
-        engine.generate(countries=("US",), **GRID)
-        engine.generate(countries=("US",), **GRID)
-
-        spans = _by_name(tracer)
-        assert len(spans["engine.run"]) == 2
-        cold, warm = spans["engine.run"]
-        assert cold["counters"] == {"cache_misses": 1}
-        assert warm["counters"] == {"cache_hits": 1}
-        outcomes = [s["attrs"]["cache"] for s in spans["engine.generate_slice"]]
-        assert outcomes == ["miss", "hit"]
-        assert len(spans["engine.cache_write"]) == 1  # only the cold run
-
     def test_slice_spans_nest_under_engine_run(self, generator, tracer):
         engine = GenerationEngine(generator.config, generator=generator)
         engine.generate(countries=("US", "KR"), **GRID)
 
         spans = _by_name(tracer)
         (run,) = spans["engine.run"]
+        assert run["attrs"] == {
+            "fingerprint": generator.config.fingerprint(), "slices": 2,
+        }
+        assert not run.get("counters")
         slices = spans["engine.generate_slice"]
         assert {s["attrs"]["country"] for s in slices} == {"US", "KR"}
         assert all(s["parent"] == run["span"] for s in slices)
-        assert all(s["attrs"]["cache"] == "miss" for s in slices)
+        assert all(
+            set(s["attrs"]) == {"country", "platform", "metric", "month"}
+            for s in slices
+        )
 
     def test_uninstrumented_run_collects_nothing(self, generator):
         assert not NULL_TRACER.enabled

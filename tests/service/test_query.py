@@ -264,16 +264,18 @@ class TestSingleFlightLifecycle:
         assert service._flights == {}
 
 
-class TestFromEngine:
-    def test_lazy_grid_materialises_on_query(self, generator):
-        from repro.engine import GenerationEngine
+class TestStorageBackends:
+    def test_mapped_grid_materialises_on_query(self, generator, tmp_path):
+        from repro.export.io import load_dataset, save_dataset
 
-        engine = GenerationEngine(generator.config)
-        service = QueryService.from_engine(
-            engine,
+        grid = generator.generate(
             countries=("US", "FR"),
             platforms=(Platform.WINDOWS,),
             metrics=(Metric.PAGE_LOADS,),
+        )
+        save_dataset(grid, tmp_path / "col", format="columnar")
+        service = QueryService(
+            load_dataset(tmp_path / "col"), config=generator.config
         )
         assert service.dataset.pending == 2
         payload = body(service.rankings("FR", top=3))
@@ -282,8 +284,6 @@ class TestFromEngine:
         health = body(service.healthz())
         assert health["pending_slices"] == 1
 
-
-class TestStorageBackends:
     def test_healthz_reports_storage(self, service):
         assert body(service.healthz())["storage"] == "memory"
 

@@ -31,7 +31,14 @@ from repro.export.io import (
     save_dataset,
     sorted_breakdowns,
 )
-from repro.store.format import pack_string_table, unpack_string_table
+import pytest
+
+from repro.core.errors import DatasetError
+from repro.store.format import (
+    HEADER_SIZE,
+    pack_string_table,
+    unpack_string_table,
+)
 
 from .conftest import make_tiny_dataset
 
@@ -140,6 +147,29 @@ class TestStringTable:
     def test_pack_unpack_identity(self, names):
         packed = pack_string_table(names)
         assert unpack_string_table(packed, Path("x")) == tuple(names)
+
+    def test_non_ascii_names_round_trip(self):
+        # A non-ASCII blob decodes name by name (byte offsets are not
+        # character offsets there).
+        names = ["google.com", "네이버.com", "yandex.ru", "café.example"]
+        packed = pack_string_table(names)
+        assert unpack_string_table(packed, Path("x")) == tuple(names)
+
+    def test_header_only_table_is_empty(self):
+        # Count 0 and the single zero offset: a valid empty table, not
+        # a truncated one.
+        packed = pack_string_table([])
+        assert len(packed) == HEADER_SIZE + 8
+        assert unpack_string_table(packed, Path("x")) == ()
+
+    @pytest.mark.parametrize("keep", [70, 65, 53, 10])
+    def test_truncated_table_raises(self, keep):
+        # 71 bytes: 24 header + 4 offsets x 8 + a 15-byte blob.  Cut in
+        # the blob, in the offsets and in the header.
+        packed = pack_string_table(["a.com", "b.org", "c.net"])
+        assert len(packed) == 71
+        with pytest.raises(DatasetError, match="truncated|shorter"):
+            unpack_string_table(packed[:keep], Path("x"))
 
 
 class TestFingerprintPin:

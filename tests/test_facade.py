@@ -64,21 +64,6 @@ class TestGenerate:
 
         assert dataset_fingerprint(via_strings) == dataset_fingerprint(via_enums)
 
-    def test_lazy_generation_defers_slices(self, generator):
-        dataset = repro.generate(
-            config=generator.config,
-            countries=("US", "FR"),
-            platforms=("windows",),
-            metrics=("page_loads",),
-            lazy=True,
-        )
-        assert dataset.pending == 2
-
-    def test_lazy_plus_out_is_rejected(self, generator, tmp_path):
-        with pytest.raises(ValueError, match="lazy"):
-            repro.generate(config=generator.config, lazy=True,
-                           out=tmp_path / "data")
-
     def test_roundtrip_through_out_and_load(self, generator, tmp_path):
         out = tmp_path / "data"
         dataset = repro.generate(
