@@ -15,11 +15,11 @@ import numpy as np
 
 from repro.core import Metric, Platform, REFERENCE_MONTH
 from repro.stats.correction import bonferroni, holm
-from repro.stats.fisher import proportion_test
 from repro.stats.kendall import kendall_from_lists
 from repro.stats.spearman import spearman_from_lists
 from repro.synth.zipf import ZipfMandelbrot
 from repro.analysis.weighting import weighted_volume_by_category
+from tests.oracles.stats import proportion_test
 
 from _bench_utils import print_comparison
 

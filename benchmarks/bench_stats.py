@@ -3,9 +3,9 @@
 The headline measurement: the full Figure 4 Fisher grid — every
 category×country cell over all 45 shared countries at the paper's
 ``effective_n`` = 100,000 — through :func:`proportion_test_batch`
-(one log-factorial table, full pmf support as a numpy vector, repeated
-count pairs memoized) against the per-cell :func:`proportion_test`
-loop the analysis used before.  Two batch timings are reported:
+(one log-factorial table, repeated tables memoized, one windowed pmf
+per distinct margin) against the per-cell scalar ``proportion_test``
+oracle (``tests/oracles/stats.py``).  Two batch timings are reported:
 
 * **cold** — the shared log-factorial table is rebuilt from scratch, a
   cost paid once per process.
@@ -29,9 +29,13 @@ from repro.analysis.weighting import weighted_volume_by_category
 from repro.core import Metric, Platform, REFERENCE_MONTH
 from repro.stats.correction import bonferroni
 from repro.stats.dbscan import dbscan
-from repro.stats.fisher import proportion_test, proportion_test_batch
+from repro.stats.fisher import proportion_test_batch
 from repro.stats.silhouette import silhouette_samples
-from tests.oracles.stats import dbscan_reference, silhouette_samples_reference
+from tests.oracles.stats import (
+    dbscan_reference,
+    proportion_test,
+    silhouette_samples_reference,
+)
 
 from _bench_utils import print_comparison, write_bench_json
 

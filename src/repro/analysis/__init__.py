@@ -96,6 +96,7 @@ from .top10 import (
     windows_only_top_sites,
 )
 from .weighting import (
+    CategoryCodes,
     average_over_countries,
     category_shares,
     count_by_category,
@@ -106,6 +107,7 @@ from .weighting import (
 
 __all__ = [
     "ALL_SHAPES",
+    "CategoryCodes",
     "CategoryPresence",
     "ClusterReport",
     "CompositionPanel",

@@ -11,11 +11,12 @@ Two perspectives, both averaged over the study countries:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..core.dataset import BrowsingDataset
 from ..core.types import Metric, Month, Platform
 from .weighting import (
+    CategoryCodes,
+    Labels,
     average_over_countries,
     share_by_category,
     weighted_volume_by_category,
@@ -39,7 +40,7 @@ class CompositionPanel:
 
 def composition_panel(
     dataset: BrowsingDataset,
-    labels: Mapping[str, str],
+    labels: Labels,
     platform: Platform,
     metric: Metric,
     month: Month,
@@ -50,6 +51,7 @@ def composition_panel(
     """Compute one Figure 2 panel from a dataset slice."""
     if perspective not in ("domains", "traffic"):
         raise ValueError(f"unknown perspective {perspective!r}")
+    labels = CategoryCodes.of(labels, dataset.vocabulary())
     lists = dataset.select(platform, metric, month, countries)
     per_country: dict[str, dict[str, float]] = {}
     distribution = dataset.distribution(platform, metric)
@@ -72,12 +74,13 @@ def composition_panel(
 
 def figure2_panels(
     dataset: BrowsingDataset,
-    labels: Mapping[str, str],
+    labels: Labels,
     month: Month,
     top_ns: tuple[int, ...] = (100, 10_000),
     countries: tuple[str, ...] | None = None,
 ) -> list[CompositionPanel]:
     """All Figure 2 panels: platform × metric × top-N × perspective."""
+    labels = CategoryCodes.of(labels, dataset.vocabulary())
     panels = []
     for platform in Platform.studied():
         for metric in Metric.studied():

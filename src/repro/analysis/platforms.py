@@ -10,14 +10,13 @@ significant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..core.dataset import BrowsingDataset
 from ..core.types import Metric, Month, Platform
 from ..stats.correction import bonferroni
 from ..stats.descriptive import median
 from ..stats.fisher import normalized_difference, proportion_test_batch
-from .weighting import weighted_volume_by_category
+from .weighting import CategoryCodes, Labels, weighted_volume_by_category
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class PlatformDifference:
 
 def platform_differences(
     dataset: BrowsingDataset,
-    labels: Mapping[str, str],
+    labels: Labels,
     metric: Metric,
     month: Month,
     top_n: int = 10_000,
@@ -64,6 +63,7 @@ def platform_differences(
 
     dist_w = dataset.distribution(Platform.WINDOWS, metric)
     dist_a = dataset.distribution(Platform.ANDROID, metric)
+    labels = CategoryCodes.of(labels, dataset.vocabulary())
 
     scores: dict[str, list[float]] = {}
     significant: dict[str, int] = {}

@@ -8,11 +8,13 @@ quartiles among 45 countries at each rank threshold."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+
+import numpy as np
 
 from ..core.dataset import BrowsingDataset
 from ..core.types import Metric, Month, Platform
 from ..stats.descriptive import Quartiles, quartiles
+from .weighting import CategoryCodes, Labels
 
 #: The default rank-threshold sweep (log-spaced, like the paper's x-axis).
 DEFAULT_THRESHOLDS: tuple[int, ...] = (
@@ -56,7 +58,7 @@ class PrevalenceCurve:
 
 def prevalence_by_rank(
     dataset: BrowsingDataset,
-    labels: Mapping[str, str],
+    labels: Labels,
     platform: Platform,
     metric: Metric,
     month: Month,
@@ -66,48 +68,32 @@ def prevalence_by_rank(
 ) -> list[PrevalenceCurve]:
     """Compute prevalence curves for the given categories.
 
-    One pass per country computes cumulative category counts along the
-    list, so the whole threshold sweep costs O(list length).
+    Per country, one cumulative count along the list of the sites in
+    each category is read at every threshold; a threshold beyond the
+    list's length uses the whole list's share.
     """
-    lists = dataset.select(platform, metric, month, countries)
-    swept = tuple(sorted(set(thresholds)))
-    # per category -> per threshold -> list of per-country shares
-    samples: dict[str, dict[int, list[float]]] = {
-        c: {t: [] for t in swept} for c in categories
-    }
-    for ranked in lists.values():
-        running: dict[str, int] = {}
-        sweep_iter = iter(swept)
-        next_threshold = next(sweep_iter, None)
-        for position, site in enumerate(ranked.sites, start=1):
-            category = labels.get(site, "Unknown")
-            running[category] = running.get(category, 0) + 1
-            while next_threshold is not None and position == next_threshold:
-                for c in categories:
-                    samples[c][next_threshold].append(
-                        running.get(c, 0) / next_threshold
-                    )
-                next_threshold = next(sweep_iter, None)
-            if next_threshold is None:
-                break
-        # Thresholds beyond the list length use the full-list share: the
-        # walk reached none of them, so it ran to the end and ``running``
-        # holds the whole list's counts.
-        length = len(ranked)
-        for t in swept:
-            if t > length:
-                for c in categories:
-                    samples[c][t].append(running.get(c, 0) / max(length, 1))
+    table = CategoryCodes.of(labels, dataset.vocabulary())
+    swept = np.array(sorted(set(thresholds)), dtype=np.int64)
+    if len(swept) and swept[0] < 1:
+        raise ValueError("rank thresholds must be positive")
+    wanted = np.array([table.code(c) for c in categories], dtype=np.intp)
+    per_country = []      # one (threshold, category) share array each
+    for ranked in dataset.select(platform, metric, month, countries).values():
+        codes = table.codes(ranked)
+        length = len(codes)
+        running = np.cumsum(codes[:, None] == wanted, axis=0)
+        counts = (running[np.minimum(swept, length) - 1] if length
+                  else np.zeros((len(swept), len(wanted)), dtype=np.int64))
+        per_country.append(counts / np.where(swept > length, max(length, 1), swept)[:, None])
 
-    curves = []
-    for category in categories:
-        points = tuple(
-            PrevalencePoint(t, quartiles(samples[category][t]))
-            for t in swept
-            if samples[category][t]
-        )
-        curves.append(PrevalenceCurve(category, platform, metric, points))
-    return curves
+    shares = np.stack(per_country, axis=2) if per_country else None
+    return [
+        PrevalenceCurve(category, platform, metric, () if shares is None else tuple(
+            PrevalencePoint(t, quartiles(shares[i, c].tolist()))
+            for i, t in enumerate(swept.tolist())
+        ))
+        for c, category in enumerate(categories)
+    ]
 
 
 def head_tail_ratio(curve: PrevalenceCurve, head: int = 30, tail: int = 10_000) -> float:

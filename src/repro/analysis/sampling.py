@@ -15,8 +15,15 @@ from typing import Mapping
 
 from ..core.distribution import TrafficDistribution
 from ..core.rankedlist import RankedList
+from ..core.vocab import SiteVocabulary
 from ..export.crux import global_ranking
 from ..stats.descriptive import Quartiles, quartiles
+
+
+def _top(ranking: RankedList, n: int) -> set[str]:
+    if n < 1:
+        raise ValueError("n must be positive")
+    return set(ranking.top(n).sites)
 
 
 def global_study_set(
@@ -25,10 +32,7 @@ def global_study_set(
     n: int,
 ) -> set[str]:
     """The global top-N (the conventional "top million list" design)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    ranking = global_ranking(lists_by_country, distribution)
-    return set(ranking.top(n).sites)
+    return _top(global_ranking(lists_by_country, distribution), n)
 
 
 def hybrid_study_set(
@@ -112,12 +116,19 @@ def compare_strategies(
     global_n: int = 10_000,
     hybrid_global_n: int = 1_000,
     hybrid_per_country_n: int = 1_000,
+    vocab: SiteVocabulary | None = None,
 ) -> tuple[CoverageReport, CoverageReport]:
-    """(global-only report, hybrid report) for the paper's §6 hypothesis."""
-    global_set = global_study_set(lists_by_country, distribution, global_n)
-    hybrid_set = hybrid_study_set(
-        lists_by_country, distribution, hybrid_global_n, hybrid_per_country_n
-    )
+    """(global-only report, hybrid report) for the paper's §6 hypothesis.
+
+    Both study sets come from one global ranking; pass the dataset's
+    shared ``vocab`` to reuse its cached id arrays.
+    """
+    ranking = global_ranking(lists_by_country, distribution, vocab)
+    global_set = _top(ranking, global_n)
+    hybrid_set = _top(ranking, hybrid_global_n).union(*(
+        ranked.top(hybrid_per_country_n).sites
+        for ranked in lists_by_country.values()
+    ))
     return (
         coverage_report(f"global top-{global_n}", global_set,
                         lists_by_country, distribution),

@@ -13,14 +13,13 @@ Three measurements:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..core.dataset import BrowsingDataset
 from ..core.types import Metric, Month, Platform
 from ..stats.descriptive import Quartiles, quartiles
 from ..stats.kernels import rank_pairs_ids
 from ..stats.spearman import spearman_rho
-from .weighting import share_by_category
+from .weighting import CategoryCodes, Labels, share_by_category
 
 #: Rank buckets used throughout Section 4.5.
 DEFAULT_BUCKETS: tuple[int, ...] = (20, 100, 10_000)
@@ -158,7 +157,7 @@ def december_anomaly(
 
 def category_share_over_months(
     dataset: BrowsingDataset,
-    labels: Mapping[str, str],
+    labels: Labels,
     platform: Platform,
     metric: Metric,
     category: str,
@@ -171,6 +170,7 @@ def category_share_over_months(
     Ecommerce rises from 5.0 % to 6.1 % for desktop top 10K time on
     page" in December.
     """
+    labels = CategoryCodes.of(labels, dataset.vocabulary())
     out: dict[Month, float] = {}
     for month in dataset.months:
         lists = dataset.select(platform, metric, month, countries)

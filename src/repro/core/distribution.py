@@ -108,7 +108,8 @@ class TrafficDistribution:
         unmodelled long tail.
     """
 
-    __slots__ = ("_anchors", "_total_sites", "_knots", "_coeffs", "_log_last", "_last_share")
+    __slots__ = ("_anchors", "_total_sites", "_knots", "_coeffs", "_log_last",
+                 "_last_share", "_weights")
 
     def __init__(self, anchors: Iterable[tuple[float, float]], total_sites: int = 1_000_000) -> None:
         pts = sorted((float(r), float(s)) for r, s in anchors)
@@ -134,6 +135,7 @@ class TrafficDistribution:
         self._coeffs = hermite_coefficients(log_ranks, y, pchip_slopes(log_ranks, y))
         self._log_last = float(log_ranks[-1])
         self._last_share = shares[-1]
+        self._weights = np.zeros(0)
 
     # -- properties ------------------------------------------------------------------
 
@@ -185,16 +187,23 @@ class TrafficDistribution:
 
         These are the weights used for weighted category counts and for
         the traffic-weighted RBO.  The array is non-negative and its sum
-        equals ``cumulative_share(n)``.
+        equals ``cumulative_share(n)``.  It is elementwise, so it is
+        evaluated once for the largest ``n`` and returned as read-only
+        prefixes.
         """
         if n < 1:
             raise DistributionError("n must be >= 1")
         n = min(n, self._total_sites)
-        cum = self.cumulative_shares(np.arange(1, n + 1, dtype=float))
-        w = np.diff(np.concatenate(([0.0], cum)))
-        # Monotone interpolation keeps cumulative shares non-decreasing,
-        # but guard against tiny negative diffs from floating error.
-        return np.maximum(w, 0.0)
+        w = self._weights
+        if len(w) < n:
+            cum = self.cumulative_shares(np.arange(1, n + 1, dtype=float))
+            # Guard against tiny negative diffs from floating error.
+            w = np.maximum(np.diff(np.concatenate(([0.0], cum))), 0.0)
+            w.setflags(write=False)
+            # Unlocked: a racing thread at worst recomputes the same values.
+            if len(w) > len(self._weights):
+                self._weights = w
+        return w[:n]
 
     def normalized_weights(self, n: int) -> np.ndarray:
         """:meth:`weights` rescaled to sum to exactly 1 over the top n."""

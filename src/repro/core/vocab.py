@@ -116,15 +116,16 @@ class SiteVocabulary:
         """The site name behind an id."""
         return self._sites[sid]
 
-    def names(self) -> tuple[str, ...]:
-        """Every interned site name, in id order (index == id).
+    def names(self, start: int = 0) -> tuple[str, ...]:
+        """Every interned site name from id ``start`` on, in id order
+        (index + ``start`` == id).
 
         This is the packed string table the columnar store serialises:
         writing ``names()[i]`` at offset *i* round-trips the id space
         exactly, so id arrays written next to it stay valid.
         """
         with self._lock:
-            return tuple(self._sites)
+            return tuple(self._sites[start:])
 
     def __len__(self) -> int:
         return len(self._sites)

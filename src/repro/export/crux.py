@@ -23,6 +23,7 @@ from ..core.dataset import BrowsingDataset
 from ..core.distribution import TrafficDistribution
 from ..core.rankedlist import RankedList
 from ..core.types import Metric, Month, Platform
+from ..core.vocab import SiteVocabulary
 from ..world.countries import get_country
 
 #: CrUX's published rank magnitudes.
@@ -74,6 +75,7 @@ def coarsen_list(
 def global_ranking(
     lists_by_country: Mapping[str, RankedList],
     distribution: TrafficDistribution,
+    vocab: SiteVocabulary | None = None,
 ) -> RankedList:
     """Aggregate per-country lists into one global ranking.
 
@@ -82,25 +84,35 @@ def global_ranking(
     model given that only rank lists and the traffic curve exist.  Ties
     rank lexicographically by site.
 
-    The sums run through one ``np.bincount`` over the lists concatenated
-    in country order, which adds each site's terms in that order, as a
-    per-site running sum would; sites are numbered in name order, so a
-    stable sort on the negated score leaves ties by name.
+    The sums run through one ``np.bincount`` over the lists' ids
+    concatenated in country order, which adds each site's terms in that
+    order, as a per-site running sum would.  A stable sort on the
+    negated score leaves ties in id order, so only the runs of equal
+    scores are then ordered by name.  Pass the dataset's shared
+    ``vocab`` to reuse its cached id arrays.
     """
     if not lists_by_country:
         raise ValueError("no country lists to aggregate")
-    sites: list[str] = []
-    terms = []
-    for country, ranked in lists_by_country.items():
-        sites.extend(ranked.sites)
-        terms.append(get_country(country).web_scale * distribution.weights(len(ranked)))
-    names = sorted(set(sites))
-    index = dict(zip(names, range(len(names))))
-    ids = np.fromiter(map(index.__getitem__, sites), dtype=np.intp, count=len(sites))
-    scores = np.bincount(ids, weights=np.concatenate(terms))
+    if vocab is None:
+        vocab = SiteVocabulary()
+    ids = np.concatenate([ranked.ids(vocab) for ranked in lists_by_country.values()])
+    terms = np.concatenate([
+        get_country(country).web_scale * distribution.weights(len(ranked))
+        for country, ranked in lists_by_country.items()
+    ])
+    present, inverse = np.unique(ids, return_inverse=True)
+    scores = np.bincount(inverse.ravel(), weights=terms)
     order = np.argsort(-scores, kind="stable")
-    # The names are distinct (a set) and non-empty (taken from lists).
-    return RankedList._trusted(tuple(map(names.__getitem__, order.tolist())))
+    names = vocab.names()
+    ranked_names = [names[i] for i in present[order].tolist()]
+    ordered = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], len(ordered))
+    tied = ends - starts > 1
+    for start, end in zip(starts[tied].tolist(), ends[tied].tolist()):
+        ranked_names[start:end] = sorted(ranked_names[start:end])
+    # The names are distinct (one per id) and non-empty (taken from lists).
+    return RankedList._trusted(tuple(ranked_names))
 
 
 def export_crux(
@@ -124,7 +136,9 @@ def export_crux(
         country: coarsen_list(ranked, buckets)
         for country, ranked in lists.items()
     }
-    ranking = global_ranking(lists, dataset.distribution(platform, metric))
+    ranking = global_ranking(
+        lists, dataset.distribution(platform, metric), dataset.vocabulary()
+    )
     return CruxExport(
         platform=platform,
         metric=metric,

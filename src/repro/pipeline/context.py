@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from ..core.dataset import BrowsingDataset
 from ..core.errors import TaskUnavailable
 from ..core.types import Metric, Month, Platform
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.weighting import CategoryCodes
     from ..synth.generator import GeneratorConfig
 
 
@@ -36,6 +37,7 @@ class TaskContext:
         self.month = month or dataset.months[-1]
         self._fingerprint: str | None = None
         self._sites: frozenset[str] | None = None
+        self._codes: "CategoryCodes | None" = None
         self._lock = threading.Lock()
 
     # -- identity -----------------------------------------------------------------
@@ -91,6 +93,19 @@ class TaskContext:
             if self._sites is None:
                 self._sites = self.dataset.all_sites()
             return self._sites
+
+    def category_codes(self, labels: Mapping[str, str]) -> "CategoryCodes":
+        """The ``labels`` artifact coded over the dataset's vocabulary.
+
+        Built on first use and shared by every task of the run that
+        receives the same artifact (composition, prevalence, platforms).
+        """
+        from ..analysis.weighting import CategoryCodes
+
+        with self._lock:
+            if self._codes is None or self._codes.labels is not labels:
+                self._codes = CategoryCodes(labels, self.dataset.vocabulary())
+            return self._codes
 
     @property
     def primary_platform(self) -> Platform:

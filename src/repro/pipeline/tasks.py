@@ -166,7 +166,7 @@ def _render_composition(result) -> str:
 def _composition(ctx: TaskContext, inputs: dict[str, object]) -> object:
     from ..analysis import composition_panel, dominant_category
 
-    labels = inputs["labels"]
+    labels = ctx.category_codes(inputs["labels"])
     panels = []
     for platform in ctx.dataset.platforms:
         for metric in ctx.dataset.metrics:
@@ -209,7 +209,7 @@ def _render_prevalence(result) -> str:
 def _prevalence(ctx: TaskContext, inputs: dict[str, object]) -> object:
     from ..analysis import head_tail_ratio, prevalence_by_rank
 
-    labels = inputs["labels"]
+    labels = ctx.category_codes(inputs["labels"])
     breakdowns = []
     for platform in ctx.dataset.platforms:
         for metric in ctx.dataset.metrics:
@@ -261,7 +261,7 @@ def _platforms(ctx: TaskContext, inputs: dict[str, object]) -> object:
         raise TaskUnavailable(
             "platform comparison needs both windows and android slices"
         )
-    labels = inputs["labels"]
+    labels = ctx.category_codes(inputs["labels"])
     metrics = []
     for metric in ctx.dataset.metrics:
         differences = platform_differences(
@@ -811,7 +811,9 @@ def _sampling(ctx: TaskContext, inputs: dict[str, object]) -> object:
     distribution = ctx.dataset.distribution(
         ctx.primary_platform, ctx.primary_metric
     )
-    global_report, hybrid_report = compare_strategies(lists, distribution)
+    global_report, hybrid_report = compare_strategies(
+        lists, distribution, vocab=ctx.dataset.vocabulary()
+    )
 
     def serialize(report) -> dict[str, object]:
         return {

@@ -6,11 +6,8 @@ from .correction import bonferroni, bonferroni_adjusted, holm
 from .descriptive import Quartiles, mean, median, quantile, quartiles, rankdata
 from .fisher import (
     ProportionTestResult,
-    fisher_exact,
     fisher_exact_batch,
-    hypergeom_logpmf,
     normalized_difference,
-    proportion_test,
     proportion_test_batch,
 )
 from .kendall import kendall_from_lists, kendall_tau
@@ -51,10 +48,8 @@ __all__ = [
     "weighted_rbo_ids",
     "bonferroni",
     "bonferroni_adjusted",
-    "fisher_exact",
     "fisher_exact_batch",
     "holm",
-    "hypergeom_logpmf",
     "dbscan",
     "eps_sweep",
     "iqr_outliers",
@@ -64,7 +59,6 @@ __all__ = [
     "mean",
     "median",
     "normalized_difference",
-    "proportion_test",
     "proportion_test_batch",
     "quantile",
     "quartiles",

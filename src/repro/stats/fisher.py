@@ -7,30 +7,19 @@ desktop and mobile by computing Fisher's binomial proportion test
 The traffic volumes being compared are *weighted shares* (fractions of
 modelled traffic), so to apply a count-based exact test we convert each
 share into an effective success count out of an effective sample size
-(:func:`proportion_test`), mirroring how one tests two proportions with
-Fisher's method.
+(:func:`proportion_test_batch`), mirroring how one tests two
+proportions with Fisher's method.
 
-Two execution paths live here, following the kernel-layer discipline
-(DESIGN.md, "Stats kernels"):
-
-* the **scalar reference** (:func:`fisher_exact`,
-  :func:`proportion_test`) evaluates the hypergeometric pmf one ``k``
-  at a time via :func:`math.lgamma` — the executable definition;
-* the **batched kernel** (:func:`fisher_exact_batch`,
-  :func:`proportion_test_batch`) evaluates the full pmf support as one
-  numpy vector against a cached cumulative log-factorial table
-  (``table[i] == lgamma(i + 1)``, grown on demand and shared across
-  calls), deduplicating repeated tables so every category×country cell
-  of the Figure 4 grid costs one vector pass at most.
-
-Parity: the batched log-pmf values are **bit-identical** to the scalar
-path (same ``lgamma`` table entries combined in the same association
-order).  The final p-value applies ``np.exp`` to the masked support,
-which may differ from ``math.exp`` in the last ulp on SIMD numpy
-builds, so batched p-values match the scalar reference to ~3 ulp
-relative — far below any significance threshold, leaving Bonferroni
-decisions (and therefore pipeline artifact bytes) identical.  Asserted
-by ``tests/stats/test_fisher.py`` and the pipeline byte-parity suite.
+:func:`fisher_exact_batch` prices the whole Figure 4 grid at once
+(DESIGN.md, "Stats kernels").  Repeated tables are evaluated once;
+tables sharing a margin ``(total, row1, col1)`` share one log-pmf and
+one ``np.exp`` of it; and that pmf is evaluated only on the window
+where ``np.exp`` of it is not 0.0, found by binary search out from the
+mode (the pmf is log-concave).  Terms left out are exact zeros, which
+the sequential ``cumsum`` of a p-value passes through unchanged, so the
+p-values are bitwise those of evaluating each table's full support on
+its own.  That one-table kernel and the scalar ``math.lgamma``
+definition are test oracles (``tests/oracles/stats.py``).
 """
 
 from __future__ import annotations
@@ -43,68 +32,23 @@ import numpy as np
 
 from ..obs import span as obs_span
 
-
-def _log_binom(n: int, k: int) -> float:
-    """log(n choose k) via lgamma, stable for large n."""
-    if k < 0 or k > n:
-        return float("-inf")
-    return (
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
-
-
-def hypergeom_logpmf(k: int, total: int, successes: int, draws: int) -> float:
-    """log P[X = k] for X ~ Hypergeometric(total, successes, draws)."""
-    return (
-        _log_binom(successes, k)
-        + _log_binom(total - successes, draws - k)
-        - _log_binom(total, draws)
-    )
-
-
 #: Tolerance for "at most as likely as observed", matching scipy.
 _PMF_EPS = 1e-7
 
+#: ``np.exp(x)`` is exactly 0.0 for every ``x`` below about -745.13
+#: (half the smallest subnormal rounds to zero); pmf terms whose log
+#: lies below this cutoff are left out of a margin's window.
+_EXP_UNDERFLOW = -746.0
 
-def fisher_exact(table: tuple[tuple[int, int], tuple[int, int]]) -> float:
-    """Two-sided Fisher exact test p-value for a 2×2 contingency table.
-
-    Uses the standard point-probability method: sum the probabilities of
-    all tables (with the same margins) at most as likely as the observed
-    one.  Matches ``scipy.stats.fisher_exact(..., 'two-sided')``.
-
-    This is the scalar reference for :func:`fisher_exact_batch`.
-    """
-    (a, b), (c, d) = table
-    for v in (a, b, c, d):
-        if v < 0:
-            raise ValueError("table entries must be non-negative")
-    total = a + b + c + d
-    if total == 0:
-        return 1.0
-    row1 = a + b
-    col1 = a + c
-    lo = max(0, row1 + col1 - total)
-    hi = min(row1, col1)
-    observed = hypergeom_logpmf(a, total, col1, row1)
-    # Sum pmf over all k whose probability <= observed (with tolerance
-    # for floating error, as scipy does).
-    threshold = observed + math.log1p(_PMF_EPS)
-    p = 0.0
-    for k in range(lo, hi + 1):
-        logp = hypergeom_logpmf(k, total, col1, row1)
-        if logp <= threshold:
-            p += math.exp(logp)
-    return min(p, 1.0)
-
-
-# -- batched kernel -------------------------------------------------------------------
+#: Largest (tables × window) block summed in one pass (bounds the
+#: transient arrays when many tables share one margin).
+_CHUNK_TERMS = 1 << 18
 
 #: Cumulative log-factorial table: ``_LOG_FACTORIALS[i] == lgamma(i + 1)``.
 #: Grown on demand (one table serves every ``effective_n``) and built
-#: with :func:`math.lgamma` so entries are bit-identical to the values
-#: the scalar path computes.  Growth replaces the array atomically, so
-#: concurrent readers at worst duplicate work.
+#: with :func:`math.lgamma`, as the scalar oracle computes it.  Growth
+#: replaces the array atomically, so concurrent readers at worst
+#: duplicate work.
 _LOG_FACTORIALS = np.zeros(1)
 
 
@@ -113,49 +57,82 @@ def _log_factorials(n: int) -> np.ndarray:
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS
     if len(table) <= n:
-        grown = np.empty(n + 1)
-        grown[: len(table)] = table
-        lgamma = math.lgamma
-        grown[len(table):] = [lgamma(i + 1) for i in range(len(table), n + 1)]
+        grown = np.concatenate((table, np.fromiter(
+            map(math.lgamma, range(len(table) + 1, n + 2)), float,
+        )))
         _LOG_FACTORIALS = table = grown
     return table
 
 
-def _fisher_exact_one(a: int, b: int, c: int, d: int) -> float:
-    """Vectorized two-sided p for one table: the whole pmf support in
-    one numpy pass over the shared log-factorial table."""
-    total = a + b + c + d
-    if total == 0:
-        return 1.0
-    row1 = a + b
-    col1 = a + c
-    lo = max(0, row1 + col1 - total)
-    hi = min(row1, col1)
-    lf = _log_factorials(total)
-    k = np.arange(lo, hi + 1)
-    # Same operands, same association order as the scalar _log_binom
-    # chain, so every log-pmf below is bit-identical to the reference.
+def _log_pmf(lf: np.ndarray, k, total, row1, col1):
+    """Hypergeometric log P[X = k] from the log-factorial table.
+
+    The association order is fixed — every caller, and the oracles,
+    combine the same entries the same way — so a term's value does not
+    depend on which vector it was computed in.
+    """
     log_binom_col = (lf[col1] - lf[k]) - lf[col1 - k]
     log_binom_rest = (lf[total - col1] - lf[row1 - k]) - lf[total - col1 - row1 + k]
     log_binom_total = (lf[total] - lf[row1]) - lf[total - row1]
-    logp = (log_binom_col + log_binom_rest) - log_binom_total
-    threshold = logp[a - lo] + math.log1p(_PMF_EPS)
-    masked = np.exp(logp[logp <= threshold])
-    # cumsum accumulates sequentially in k order like the scalar loop
-    # (np.sum's pairwise reduction would associate differently).
-    p = float(np.cumsum(masked)[-1]) if len(masked) else 0.0
-    return min(p, 1.0)
+    return (log_binom_col + log_binom_rest) - log_binom_total
+
+
+def _support_log_pmf(lf: np.ndarray, lo: int, hi: int, total: int, row1: int, col1: int):
+    """:func:`_log_pmf` at ``k = lo..hi`` of one margin, read from
+    contiguous (and reversed) slices of the table instead of gathers."""
+    rest = total - col1 - row1
+    log_binom_col = (lf[col1] - lf[lo:hi + 1]) - lf[col1 - hi:col1 - lo + 1][::-1]
+    log_binom_rest = (lf[total - col1] - lf[row1 - hi:row1 - lo + 1][::-1]) - lf[rest + lo:rest + hi + 1]
+    log_binom_total = (lf[total] - lf[row1]) - lf[total - row1]
+    return (log_binom_col + log_binom_rest) - log_binom_total
+
+
+def _windows(lf, total, row1, col1):
+    """Per margin, the ``[first, last]`` support range outside which
+    every log-pmf is below :data:`_EXP_UNDERFLOW`.
+
+    Two vectorised binary searches out from the mode, one per tail.  The
+    log-pmf is concave in ``k``, so each tail is monotone; near the
+    cutoff it moves by far more per step than the table's rounding
+    error, so the computed values are monotone there too.
+    """
+    lo = np.maximum(0, row1 + col1 - total)
+    hi = np.minimum(row1, col1)
+    mode = np.clip((row1 + 1) * (col1 + 1) // (total + 2), lo, hi)
+
+    def inside(k, a, b):
+        # Converged margins (a == b) keep their bound.
+        return (_log_pmf(lf, k, total, row1, col1) >= _EXP_UNDERFLOW) | (a >= b)
+
+    # Smallest k in [lo, mode] inside, and largest k in [mode, hi].
+    a, b = lo, mode
+    while np.any(a < b):
+        mid = (a + b) // 2
+        keep = inside(mid, a, b)
+        b = np.where(keep, mid, b)
+        a = np.where(keep, a, mid + 1)
+    first = a
+    a, b = mode, hi
+    while np.any(a < b):
+        mid = (a + b + 1) // 2
+        keep = inside(mid, a, b)
+        a = np.where(keep, mid, a)
+        b = np.where(keep, b, mid - 1)
+    return first, a
 
 
 def fisher_exact_batch(tables: Sequence[object] | np.ndarray) -> np.ndarray:
     """Two-sided Fisher exact p-values for many 2×2 tables at once.
 
     ``tables`` is anything ``np.asarray`` shapes to ``(m, 2, 2)`` or
-    ``(m, 4)`` (rows ``a, b, c, d``).  Duplicate tables — ubiquitous in
-    the Figure 4 grid, where absent categories yield ``(0, n, 0, n)``
-    cells — are evaluated once and scattered back (the memoization
-    :func:`proportion_test_batch` relies on).  Emits a
-    ``stats.fisher_batch`` span with cell/unique counts.
+    ``(m, 4)`` (rows ``a, b, c, d``).  A p-value sums the probabilities
+    of every table with the observed margins that is at most as likely
+    as the observed one (scipy's ``fisher_exact(..., 'two-sided')``).
+    Duplicate tables — ubiquitous in the Figure 4 grid, where absent
+    categories yield ``(0, n, 0, n)`` cells — are evaluated once, and
+    tables sharing a margin share its pmf.  Emits a
+    ``stats.fisher_batch`` span with cell, unique-table, margin and
+    evaluated-term counts.
     """
     arr = np.asarray(tables, dtype=np.int64)
     if arr.ndim == 3 and arr.shape[1:] == (2, 2):
@@ -166,14 +143,40 @@ def fisher_exact_batch(tables: Sequence[object] | np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=float)
     if np.any(arr < 0):
         raise ValueError("table entries must be non-negative")
-    unique, inverse = np.unique(arr, axis=0, return_inverse=True)
-    with obs_span(
-        "stats.fisher_batch", cells=len(arr), unique_tables=len(unique),
-    ):
-        p_unique = np.array(
-            [_fisher_exact_one(a, b, c, d) for a, b, c, d in unique.tolist()]
+    with obs_span("stats.fisher_batch", cells=len(arr)) as sp:
+        unique, inverse = np.unique(arr, axis=0, return_inverse=True)
+        a = unique[:, 0]
+        row1 = a + unique[:, 1]
+        col1 = a + unique[:, 2]
+        total = row1 + unique[:, 2] + unique[:, 3]
+        margins, margin_of = np.unique(
+            np.stack((total, row1, col1), axis=1), axis=0, return_inverse=True,
         )
-    return p_unique[inverse.ravel()]
+        margin_of = margin_of.ravel()
+        m_total, m_row1, m_col1 = margins.T
+        lf = _log_factorials(int(m_total.max()))
+        first, last = _windows(lf, m_total, m_row1, m_col1)
+        sp.set("unique_tables", len(unique)).set("margins", len(margins))
+        sp.set("evaluated", int((last - first + 1).sum()))
+        threshold = _log_pmf(lf, a, total, row1, col1) + math.log1p(_PMF_EPS)
+        by_margin = np.argsort(margin_of, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(
+            margin_of, minlength=len(margins)))))
+        p_unique = np.empty(len(unique))
+        for g, (t, r, c, lo, hi) in enumerate(zip(*(
+            x.tolist() for x in (m_total, m_row1, m_col1, first, last)
+        ))):
+            logp = _support_log_pmf(lf, lo, hi, t, r, c)
+            pmf = np.exp(logp)
+            tables_of = by_margin[bounds[g]:bounds[g + 1]]
+            step = max(1, _CHUNK_TERMS // (hi - lo + 1))
+            for i in range(0, len(tables_of), step):
+                members = tables_of[i:i + step]
+                # Terms above the threshold become exact zeros, which
+                # a sequential cumsum passes through unchanged.
+                kept = np.where(logp <= threshold[members, None], pmf, 0.0)
+                p_unique[members] = np.cumsum(kept, axis=1)[:, -1]
+    return np.minimum(p_unique, 1.0)[inverse.ravel()]
 
 
 @dataclass(frozen=True)
@@ -192,55 +195,22 @@ class ProportionTestResult:
         return self.p_value <= alpha
 
 
-def _effective_count(share: float, effective_n: int) -> int:
-    """Deterministic half-up rounding of ``share * effective_n``.
-
-    Python's ``round`` rounds half to even, so an exact-half share
-    would flip its count (and potentially significance) on the parity
-    of the neighbouring integer; ``floor(x + 0.5)`` always rounds the
-    half up.
-    """
-    return int(math.floor(share * effective_n + 0.5))
-
-
-def proportion_test(
-    share_a: float,
-    share_b: float,
-    effective_n: int = 100_000,
-) -> ProportionTestResult:
-    """Fisher-exact comparison of two traffic *shares*.
-
-    ``share_a`` and ``share_b`` are fractions in [0, 1] (e.g. the share
-    of Android vs Windows traffic that a category captures).  Each is
-    converted to a success count out of ``effective_n`` trials; the
-    effective sample size controls the test's power, standing in for the
-    (enormous, unpublished) underlying event counts in the telemetry.
-
-    This is the scalar reference for :func:`proportion_test_batch`.
-    """
-    for name, share in (("share_a", share_a), ("share_b", share_b)):
-        if not 0.0 <= share <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {share}")
-    if effective_n < 1:
-        raise ValueError("effective_n must be positive")
-    a = _effective_count(share_a, effective_n)
-    b = _effective_count(share_b, effective_n)
-    p = fisher_exact(((a, effective_n - a), (b, effective_n - b)))
-    return ProportionTestResult(p_value=p, proportion_a=share_a, proportion_b=share_b)
-
-
 def proportion_test_batch(
     shares_a: Sequence[float] | np.ndarray,
     shares_b: Sequence[float] | np.ndarray,
     effective_n: int = 100_000,
 ) -> list[ProportionTestResult]:
-    """All of :func:`proportion_test` over paired share vectors at once.
+    """Fisher-exact comparison of paired traffic *shares*.
 
-    The whole Figure 4 category×country grid is one call: shares
-    become counts with the same half-up rounding as the scalar path,
-    and :func:`fisher_exact_batch` memoizes on the resulting ``(a, b)``
-    count pairs, so repeated cells (zero shares above all) are priced
-    once.
+    ``shares_a`` and ``shares_b`` hold fractions in [0, 1] (e.g. the
+    share of Android vs Windows traffic that a category captures).
+    Each becomes a success count out of ``effective_n`` trials, rounded
+    half up (``floor(x + 0.5)``: ``round`` would round an exact half to
+    even and flip the count on the parity of its neighbour).  The
+    effective sample size sets the test's power, standing in for the
+    (enormous, unpublished) underlying event counts in the telemetry.
+    The whole Figure 4 category×country grid is one call, and repeated
+    cells (zero shares above all) are priced once.
     """
     a_shares = np.asarray(shares_a, dtype=float)
     b_shares = np.asarray(shares_b, dtype=float)
@@ -251,7 +221,6 @@ def proportion_test_batch(
             raise ValueError(f"every {name} entry must be in [0, 1]")
     if effective_n < 1:
         raise ValueError("effective_n must be positive")
-    # floor(x + 0.5) elementwise — bit-identical to _effective_count.
     a = np.floor(a_shares * effective_n + 0.5).astype(np.int64)
     b = np.floor(b_shares * effective_n + 0.5).astype(np.int64)
     tables = np.stack(

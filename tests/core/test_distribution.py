@@ -119,6 +119,31 @@ def anchor_sets(draw):
     return tuple([(1, shares[0])] + list(zip(ranks, shares[1:])))
 
 
+class TestMemoisedWeights:
+    @pytest.mark.parametrize("key", sorted(TRAFFIC_ANCHORS, key=str))
+    def test_prefix_of_the_largest_is_the_fresh_evaluation(self, key):
+        # Every step of weights(n) is elementwise, so the memoised prefix
+        # is bitwise what a fresh curve computes for m alone.
+        anchors = TRAFFIC_ANCHORS[key]
+        grown = TrafficDistribution(anchors)
+        full = grown.weights(10_000)
+        for m in (1, 2, 7, 100, 1_499, 1_500, 9_999, 10_000):
+            fresh = TrafficDistribution(anchors).weights(m)
+            assert grown.weights(m).tobytes() == fresh.tobytes() == full[:m].tobytes()
+
+    def test_grows_and_stays_read_only(self, dist):
+        small = dist.weights(10)
+        large = dist.weights(50)
+        assert large[:10].tobytes() == small.tobytes()
+        assert not small.flags.writeable and not large.flags.writeable
+        with pytest.raises(ValueError):
+            large[0] = 1.0
+
+    def test_capped_at_total_sites(self):
+        tiny = TrafficDistribution(((1, 0.3), (10, 0.8)), total_sites=10)
+        assert len(tiny.weights(25)) == 10
+
+
 class TestProperties:
     @given(anchor_sets())
     @settings(max_examples=40)

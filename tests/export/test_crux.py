@@ -11,6 +11,7 @@ from repro.core import (
     RankedList,
     TrafficDistribution,
 )
+from repro.core.vocab import SiteVocabulary
 from repro.export.crux import (
     CRUX_BUCKETS,
     bucket_of,
@@ -87,11 +88,15 @@ class TestGlobalRanking:
             assert ranking.rank_of(us_second) < ranking.rank_of(nz_second)
 
     @settings(max_examples=200, deadline=None)
-    @given(country_lists)
-    def test_matches_the_per_site_reference(self, lists):
+    @given(country_lists, st.permutations(SITES))
+    def test_matches_the_per_site_reference(self, lists, id_order):
         lists = {country: RankedList(sites) for country, sites in lists.items()}
-        assert global_ranking(lists, SMALL_DIST) == \
-            global_ranking_reference(lists, SMALL_DIST)
+        want = global_ranking_reference(lists, SMALL_DIST)
+        assert global_ranking(lists, SMALL_DIST) == want
+        # Over a shared vocabulary whose ids are not in name order, ties
+        # still rank by name.
+        vocab = SiteVocabulary(id_order)
+        assert global_ranking(lists, SMALL_DIST, vocab) == want
 
     def test_ties_rank_by_name(self):
         # Equal weights, mirrored positions: every pair of scores ties.

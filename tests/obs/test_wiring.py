@@ -156,3 +156,17 @@ class TestStoreTracing:
             {"slices": 1, "sites": 3}, {"slices": 1, "sites": 3},
         ]
         assert dataset.pending == 0 and len(dataset[KR_TIME]) == 3
+
+
+class TestStatsTracing:
+    def test_fisher_span_counts_margins_and_terms(self, tracer):
+        from repro.stats import fisher_exact_batch
+
+        # Two copies of one table, and two tables sharing its margin
+        # (total 20, row1 10, col1 10, support 0..10): three unique
+        # tables, one margin, every one of its 11 terms evaluated.
+        fisher_exact_batch([(3, 7, 7, 3), (3, 7, 7, 3), (5, 5, 5, 5), (0, 10, 10, 0)])
+        (span,) = _by_name(tracer)["stats.fisher_batch"]
+        assert span["attrs"] == {
+            "cells": 4, "unique_tables": 3, "margins": 1, "evaluated": 11,
+        }

@@ -12,16 +12,18 @@ comparisons and are never serialized — the artifact bytes cannot move.)
 import numpy as np
 
 from repro.analysis import SimilarityMatrix
-from repro.analysis.weighting import weighted_volume_by_category
 from repro.core import Platform
 from repro.pipeline import artifact_bytes, default_registry
 from repro.pipeline.tasks import _f
 from repro.stats.affinity import affinity_propagation
 from repro.stats.correction import bonferroni
 from repro.stats.descriptive import median
-from repro.stats.fisher import normalized_difference, proportion_test
+from repro.stats.fisher import normalized_difference
 from repro.stats.silhouette import SilhouetteReport, similarity_to_distance
-from tests.oracles.stats import silhouette_samples_reference
+from tests.oracles.stats import proportion_test, silhouette_samples_reference
+from tests.oracles.weighting import (
+    weighted_volume_by_category_reference as weighted_volume_by_category,
+)
 
 
 def run_task(name, ctx, inputs=None):
@@ -32,7 +34,8 @@ def scalar_platform_differences(
     dataset, labels, metric, month, top_n=10_000, alpha=0.05,
     effective_n=100_000,
 ):
-    """The pre-batch per-cell proportion_test loop, verbatim."""
+    """The pre-batch per-cell proportion_test loop over the per-site
+    volume walk, verbatim."""
     windows_lists = dataset.select(Platform.WINDOWS, metric, month)
     android_lists = dataset.select(Platform.ANDROID, metric, month)
     shared = sorted(set(windows_lists) & set(android_lists))

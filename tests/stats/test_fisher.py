@@ -1,5 +1,7 @@
-"""Tests for Fisher's exact test, cross-validated against scipy,
-plus batch-vs-scalar parity for the vectorized kernel."""
+"""Tests for Fisher's exact test: the scalar oracle cross-validated
+against scipy, and the margin-shared, windowed kernel against the
+oracles (a few ulp from the scalar one, bitwise equal to the
+one-table-at-a-time kernel)."""
 
 import math
 
@@ -10,20 +12,26 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from repro.stats.fisher import (
+    _EXP_UNDERFLOW,
     _log_factorials,
-    fisher_exact,
+    _log_pmf,
+    _windows,
     fisher_exact_batch,
-    hypergeom_logpmf,
     normalized_difference,
-    proportion_test,
     proportion_test_batch,
+)
+from tests.oracles.stats import (
+    fisher_exact,
+    fisher_exact_batch_reference,
+    hypergeom_logpmf,
+    proportion_test,
 )
 
 counts = st.integers(min_value=0, max_value=120)
 
-#: np.exp may differ from math.exp in the last ulp (see the module
-#: docstring of repro.stats.fisher); everything else is bit-identical,
-#: so batched p-values sit within a few ulp of the scalar reference.
+#: np.exp may differ from math.exp in the last ulp; everything else is
+#: bit-identical, so batched p-values sit within a few ulp of the
+#: scalar reference.
 BATCH_RTOL = 1e-12
 
 
@@ -71,6 +79,8 @@ class TestLogFactorialTable:
         table = _log_factorials(200)
         for i in (0, 1, 2, 50, 199, 200):
             assert table[i] == math.lgamma(i + 1)
+        grown = _log_factorials(len(table) + 1_000)
+        assert grown.tolist() == [math.lgamma(i + 1) for i in range(len(grown))]
 
     def test_grows_on_demand(self):
         small = _log_factorials(10)
@@ -126,6 +136,111 @@ class TestFisherBatch:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             fisher_exact_batch([(1, 2, 3)])
+
+
+def _table(total: int, row1: int, col1: int, a: int) -> tuple[int, int, int, int]:
+    return (a, row1 - a, col1 - a, total - row1 - col1 + a)
+
+
+@st.composite
+def margins_and_a(draw, max_total=400):
+    """A margin and an observed ``a`` anywhere on its support, drawn
+    with weight on the support's ends."""
+    total = draw(st.integers(min_value=0, max_value=max_total))
+    row1 = draw(st.integers(min_value=0, max_value=total))
+    col1 = draw(st.integers(min_value=0, max_value=total))
+    lo, hi = max(0, row1 + col1 - total), min(row1, col1)
+    a = draw(st.one_of(st.just(lo), st.just(hi), st.integers(lo, hi)))
+    return _table(total, row1, col1, a)
+
+
+class TestWindowedKernel:
+    """The margin-shared, windowed kernel against the one-table-at-a-time
+    oracle: bitwise, not within a tolerance."""
+
+    @given(st.lists(margins_and_a(), min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_one_table_kernel(self, tables):
+        got = fisher_exact_batch(tables)
+        want = fisher_exact_batch_reference(tables)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("effective_n,examples", [
+        (2, 40), (1_000, 40), (100_000, 25), (1_000_000, 6),
+    ])
+    def test_proportion_grid_bitwise(self, effective_n, examples):
+        # Shares like the Figure 4 grid's: most near zero, some exactly
+        # zero or one, and margins shared between tables.
+        shares = st.one_of(
+            st.sampled_from([0.0, 1.0, 0.5]),
+            st.floats(min_value=0.0, max_value=0.05),
+            st.floats(min_value=0.0, max_value=1.0),
+        )
+
+        @given(st.lists(shares, min_size=2, max_size=12), st.data())
+        @settings(max_examples=examples, deadline=None)
+        def check(column, data):
+            counts = [math.floor(x * effective_n + 0.5) for x in column]
+            pairs = data.draw(st.lists(
+                st.tuples(st.sampled_from(counts), st.sampled_from(counts)),
+                min_size=1, max_size=12,
+            ))
+            tables = [(a, effective_n - a, b, effective_n - b) for a, b in pairs]
+            got = fisher_exact_batch(tables)
+            assert got.tobytes() == fisher_exact_batch_reference(tables).tobytes()
+
+        check()
+
+    def test_degenerate_margins(self):
+        # total == 0, col1 == 0, row1 == 0 and a full column.
+        tables = [(0, 0, 0, 0), (0, 5, 0, 7), (0, 0, 3, 9), (4, 0, 6, 0)]
+        got = fisher_exact_batch(tables)
+        assert got.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert got.tobytes() == fisher_exact_batch_reference(tables).tobytes()
+
+    @pytest.mark.parametrize("total,row1,col1", [
+        (30, 10, 12), (200_000, 100_000, 100_000), (2_000_000, 1_000_000, 40_000),
+    ])
+    def test_a_at_both_ends_of_the_support(self, total, row1, col1):
+        lo, hi = max(0, row1 + col1 - total), min(row1, col1)
+        tables = [_table(total, row1, col1, a) for a in (lo, hi)]
+        got = fisher_exact_batch(tables)
+        assert got.tobytes() == fisher_exact_batch_reference(tables).tobytes()
+
+    def test_a_outside_the_window_gives_zero(self):
+        # a == 0 against 50% in the other column: the observed table's
+        # log-pmf is about -69,000, far left of the non-zero window.
+        n = 100_000
+        tables = [(0, n, n // 2, n - n // 2), (n, 0, n // 2, n - n // 2)]
+        got = fisher_exact_batch(tables)
+        assert got.tolist() == [0.0, 0.0]
+        assert got.tobytes() == fisher_exact_batch_reference(tables).tobytes()
+
+    def test_exp_is_zero_below_the_cutoff(self):
+        below = np.concatenate([
+            np.linspace(_EXP_UNDERFLOW - 60.0, _EXP_UNDERFLOW, 100_001),
+            [np.nextafter(_EXP_UNDERFLOW, -np.inf), -1e6, -np.inf],
+        ])
+        assert not np.any(np.exp(below))
+        for value in below[::997]:
+            assert np.exp(np.float64(value)) == 0.0
+
+    @given(st.lists(margins_and_a(max_total=5_000), min_size=1, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_window_holds_every_non_zero_term(self, tables):
+        arr = np.asarray(tables, dtype=np.int64)
+        a, b, c, d = arr.T
+        total, row1, col1 = a + b + c + d, a + b, a + c
+        lf = _log_factorials(int(total.max()))
+        first, last = _windows(lf, total, row1, col1)
+        for t, r, k1, f, l in zip(total, row1, col1, first, last):
+            lo, hi = max(0, r + k1 - t), min(r, k1)
+            k = np.arange(lo, hi + 1)
+            logp = _log_pmf(lf, k, t, r, k1)
+            outside = (k < f) | (k > l)
+            assert lo <= f <= l <= hi
+            assert not np.any(np.exp(logp[outside]))
+            assert logp[f - lo] >= _EXP_UNDERFLOW and logp[l - lo] >= _EXP_UNDERFLOW
 
 
 class TestProportionTest:
