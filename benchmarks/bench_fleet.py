@@ -3,7 +3,7 @@
 Saves a small columnar dataset, serves it twice — one process, then a
 ``--workers``-style fleet — and replays the same seeded Zipf query mix
 against both with :func:`repro.fleet.run_loadtest`.  Reports per-mode
-throughput and latency percentiles and writes ``BENCH_service.json``
+throughput and latency percentiles and writes ``BENCH_fleet.json``
 (the fleet run, with the single-process run attached as its baseline).
 
 Assertions are directional and environment-aware: byte-identical
@@ -108,7 +108,7 @@ def test_fleet_vs_single_process_throughput(columnar_data, benchmark):
     ]
     print_comparison(rows, "fleet serving: single process vs pre-forked")
 
-    write_bench_json("service", fleet.to_payload())
+    write_bench_json("fleet", fleet.to_payload())
 
     cores = _cores()
     if cores >= WORKERS + 1:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from ..core.distribution import TrafficDistribution
 from ..core.rankedlist import RankedList
 from ..core.vocab import SiteVocabulary
@@ -62,10 +64,11 @@ def country_coverage(
     if len(ranked) == 0:
         return 0.0
     weights = distribution.weights(len(ranked))
-    covered = sum(
-        float(weights[i]) for i, site in enumerate(ranked.sites)
-        if site in study_set
+    listed = np.fromiter(
+        map(study_set.__contains__, ranked.sites), bool, len(ranked)
     )
+    # The same left-to-right float sum as a per-site walk, bit for bit.
+    covered = sum(weights[listed].tolist())
     total = float(weights.sum())
     return covered / total if total > 0 else 0.0
 

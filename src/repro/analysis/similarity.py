@@ -10,8 +10,7 @@ the lists are interned to dense id arrays under one shared
 :class:`~repro.core.vocab.SiteVocabulary` and every pair is a few
 numpy passes instead of a Python rank loop.  Results are bit-identical
 to the scalar reference (:func:`repro.stats.rbo.weighted_rbo`,
-``RankedList.percent_intersection``); ``jobs > 1`` fans the pair loop
-out across threads.
+``RankedList.percent_intersection``).
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ def weighted_rbo_matrix(
     depth: int = 10_000,
     *,
     vocab: SiteVocabulary | None = None,
-    jobs: int = 1,
 ) -> SimilarityMatrix:
     """Pairwise traffic-weighted RBO over per-country lists.
 
@@ -91,9 +89,7 @@ def weighted_rbo_matrix(
     (Section 5.3.1's replacement for RBO's geometric weights).  All
     C(n, 2) pairs are batched through
     :func:`repro.stats.kernels.pairwise_wrbo`; pass the dataset's
-    shared ``vocab`` to reuse cached id arrays across analyses, and
-    ``jobs > 1`` to split the pair loop over threads (scores are
-    written to disjoint cells, so parallel runs are byte-identical).
+    shared ``vocab`` to reuse cached id arrays across analyses.
     """
     countries = tuple(sorted(lists_by_country))
     n = len(countries)
@@ -105,7 +101,7 @@ def weighted_rbo_matrix(
     if vocab is None:
         vocab = SiteVocabulary()
     ids = [lists_by_country[c].ids(vocab) for c in countries]
-    scores = pairwise_wrbo(ids, weights, depth=max_depth, jobs=jobs)
+    scores = pairwise_wrbo(ids, weights, depth=max_depth)
     for score, (i, j) in zip(scores, combinations(range(n), 2)):
         values[i, j] = values[j, i] = score
     return SimilarityMatrix(countries, values)
@@ -118,8 +114,6 @@ def rbo_matrix_for(
     month: Month,
     depth: int = 10_000,
     countries: tuple[str, ...] | None = None,
-    *,
-    jobs: int = 1,
 ) -> SimilarityMatrix:
     """Figure 10 (and 18–20): the wRBO matrix for one dataset slice."""
     lists = dataset.select(platform, metric, month, countries)
@@ -127,7 +121,7 @@ def rbo_matrix_for(
         raise ValueError("need at least two countries")
     return weighted_rbo_matrix(
         lists, dataset.distribution(platform, metric), depth,
-        vocab=dataset.vocabulary(), jobs=jobs,
+        vocab=dataset.vocabulary(),
     )
 
 
@@ -189,7 +183,6 @@ def intersection_curves_for_lists(
     buckets: tuple[int, ...],
     *,
     vocab: SiteVocabulary | None = None,
-    jobs: int = 1,
 ) -> list[IntersectionCurve]:
     """All pairs × all rank buckets from one kernel pass per pair."""
     countries = sorted(lists_by_country)
@@ -197,7 +190,7 @@ def intersection_curves_for_lists(
         vocab = SiteVocabulary()
     ids = [lists_by_country[c].ids(vocab) for c in countries]
     lengths = [len(lists_by_country[c]) for c in countries]
-    counts = bucket_intersections(ids, buckets, jobs=jobs)
+    counts = bucket_intersections(ids, buckets)
     return _curves_from_counts(counts, lengths, tuple(buckets))
 
 
@@ -208,13 +201,11 @@ def intersection_curves(
     month: Month,
     buckets: tuple[int, ...] = (10, 100, 1_000, 10_000),
     countries: tuple[str, ...] | None = None,
-    *,
-    jobs: int = 1,
 ) -> list[IntersectionCurve]:
     """Figure 12's family of curves across rank buckets."""
     lists = dataset.select(platform, metric, month, countries)
     if len(lists) < 2:
         raise ValueError("need at least two countries")
     return intersection_curves_for_lists(
-        lists, tuple(buckets), vocab=dataset.vocabulary(), jobs=jobs,
+        lists, tuple(buckets), vocab=dataset.vocabulary(),
     )

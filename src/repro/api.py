@@ -344,11 +344,10 @@ def serve(
 
     ``workers > 1`` switches to the pre-forked fleet (see
     :mod:`repro.fleet`): N processes share the listening socket and one
-    mmap'd dataset, cacheable payloads are consistent-hash-routed so
-    each renders once fleet-wide, and ``/v1/metrics`` reports the
-    merged view.  ``block=False`` then returns the started
-    :class:`~repro.fleet.FleetSupervisor` (``.url``, ``.wait()``,
-    ``.stop()``).  ``trace`` is single-process only — fleet workers
+    mmap'd dataset, each worker renders every request it accepts, and
+    ``/v1/metrics`` reports the merged view.  ``block=False`` then
+    returns the started :class:`~repro.fleet.FleetSupervisor`
+    (``.url``, ``.wait()``, ``.stop()``).  ``trace`` is single-process only — fleet workers
     would race on one trace file.
 
     Like :func:`report`, the artifact store defaults to

@@ -9,14 +9,15 @@ and drain across cores the way production front ends do:
   N workers that all ``accept()`` on it (kernel load-balancing), each
   worker opening the columnar dataset itself post-fork so the mmap'd
   pages are physically shared — N workers, one dataset of RAM;
-* a :class:`HashRing` gives every cacheable payload exactly one owner
-  worker; non-owners proxy to the owner's internal port, so each
-  payload is rendered and cached once fleet-wide;
+* every worker renders or LRU-serves each request it accepts, exactly
+  as a single process does — payloads are canonical bytes, so any
+  worker's answer is every worker's answer;
 * the supervisor health-checks workers through their process
   sentinels, restarting crashed ones onto the same sockets, and drains
   gracefully on SIGTERM;
 * a public ``/v1/metrics`` answers with the merged fleet-wide counters
-  (:func:`merge_snapshots`) plus a ``fleet`` block.
+  (:func:`merge_snapshots`, fanned in over each worker's internal
+  port) plus a ``fleet`` block.
 
 :mod:`repro.fleet.loadtest` is the measuring stick: it replays a
 Zipf-shaped query mix (fit from the server's own distribution curves)
@@ -32,20 +33,17 @@ from .loadtest import (
     run_loadtest,
 )
 from .metrics import merge_snapshots
-from .ring import HashRing
 from .supervisor import FleetSupervisor
-from .worker import payload_route_key, worker_main
+from .worker import worker_main
 
 __all__ = [
     "SLO",
     "FleetSupervisor",
-    "HashRing",
     "LoadTestError",
     "LoadTestReport",
     "QueryMix",
     "discover_mix",
     "merge_snapshots",
-    "payload_route_key",
     "run_loadtest",
     "worker_main",
 ]

@@ -10,10 +10,9 @@ in the parent is what makes the lifecycle clean:
   immediately, even for ``--port 0``;
 * a **crashed worker** is detected through its process sentinel and
   respawned *onto the same sockets* — clients queued in the listen
-  backlog never see the crash, and the consistent-hash ring (keyed by
-  worker index, not pid) is unchanged;
-* the **internal ports** outlive their workers, so peers keep a stable
-  ring map across restarts instead of re-discovering addresses.
+  backlog never see the crash;
+* the **internal ports** outlive their workers, so the ``/v1/metrics``
+  fan-in reaches a restarted peer at the port it already knows.
 
 Workers are forked (``multiprocessing`` fork context): the dataset is
 *not* loaded in the supervisor — each worker opens the dataset path

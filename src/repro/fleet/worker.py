@@ -1,20 +1,18 @@
-"""One fleet worker: two HTTP servers, one ring position.
+"""One fleet worker: two HTTP servers, one index.
 
 A worker process serves the public API by ``accept()``-ing on the
 supervisor's shared listening socket (classic pre-fork: the kernel
 load-balances connections across whichever workers are blocked in
-``accept``), and additionally listens on a private loopback port —
-the *internal* port — that peers use for two things:
+``accept``).  It renders or LRU-serves every request it accepts,
+exactly as a single process does: every payload is a deterministic
+function of the dataset, rendered to canonical bytes, so any worker
+answers any request byte-identically.
 
-* **ownership proxying** — a resolved cacheable payload whose
-  consistent-hash owner is another worker is forwarded to that
-  worker's internal port and the owner's bytes are relayed verbatim,
-  so every payload is *rendered* exactly once fleet-wide instead of
-  once per worker (non-owners keep an LRU copy of the relayed bytes,
-  so the Zipf head is served locally everywhere after one hop);
-* **metrics fan-in** — a public ``/v1/metrics`` request is answered
-  with the fleet-wide view: the local snapshot plus every peer's,
-  merged by :mod:`repro.fleet.metrics`.
+It additionally listens on a private loopback port — the *internal*
+port — for one thing: **metrics fan-in**.  A public ``/v1/metrics``
+request is answered with the fleet-wide view: the local snapshot plus
+every peer's, fetched from their internal ports and merged by
+:mod:`repro.fleet.metrics`.
 
 Both servers run the single-process server and handler
 (:mod:`repro.service.http`); the public one carries this worker's
@@ -34,76 +32,44 @@ worker is still starting.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import os
 import signal
-import threading
 import urllib.error
 import urllib.request
 from typing import Sequence
 
 from ..obs import get_tracer
-from ..service.http import STOP_SIGNALS, Lifecycle, ReproHTTPServer, resolve
+from ..service.http import STOP_SIGNALS, Lifecycle, ReproHTTPServer
 from ..service.query import QueryService, render_payload
 from ..service.spec import ServeSpec, build_service
 from .metrics import merge_snapshots
-from .ring import HashRing
 
 log = logging.getLogger("repro.fleet")
 
 
-def payload_route_key(
-    segments: tuple[str, ...],
-    params: dict[str, str],
-    version: int | str | None = None,
-) -> str | None:
-    """The ownership key for a request, or ``None`` to answer locally.
-
-    Only paths the route table marks as owned payloads have a key.  The
-    key is a pure function of the *canonicalised* query (sorted
-    params), so every worker — and a worker restarted mid-fleet —
-    hashes the same request to the same owner.  ``version`` is the
-    dataset version the request resolves to (an explicit ``as_of`` or
-    the worker's current latest): prefixing it keeps relayed bytes
-    cached under one version from ever answering another — after an
-    ingest, default-latest keys roll over instead of serving stale
-    relays, while ``as_of``-pinned keys stay warm forever.
-    """
-    route = resolve(segments)
-    if route is None or not route.owned:
-        return None
-    query = "&".join(f"{k}={v}" for k, v in sorted(params.items()))
-    key = "/".join(segments) + "?" + query
-    if version is not None:
-        key = f"v{params.get('as_of', version)}:{key}"
-    return key
-
-
-#: Keep-alive proxy connections, one per (handler thread, owner port).
-#: Handler threads live as long as their client connection, so a
-#: persistent client amortises the proxy TCP setup down to zero.
-_PROXY_CONNS = threading.local()
+#: How long a ``/v1/metrics`` fan-in waits for each peer's snapshot.
+FAN_IN_TIMEOUT = 5.0
 
 
 class FleetWorkerRuntime:
-    """This worker's position in the fleet: index, ring, peer ports."""
+    """This worker's position in the fleet: index and peer ports."""
 
     def __init__(
         self,
         *,
         index: int,
         internal_ports: Sequence[int],
-        replicas: int = 64,
-        proxy_timeout: float = 5.0,
         restarts=None,
     ) -> None:
         self.index = index
         self.internal_ports = tuple(internal_ports)
-        self.ring = HashRing(len(self.internal_ports), replicas=replicas)
-        self.proxy_timeout = proxy_timeout
         self.restarts = restarts  # multiprocessing.Value owned by the supervisor
+
+    @property
+    def size(self) -> int:
+        return len(self.internal_ports)
 
     def restarts_total(self) -> int:
         return int(self.restarts.value) if self.restarts is not None else 0
@@ -111,7 +77,7 @@ class FleetWorkerRuntime:
     def fleet_metrics(self, service: QueryService) -> bytes:
         """The merged ``/v1/metrics`` body: every worker's counters + fleet info."""
         with get_tracer().span(
-            "fleet.metrics_merge", worker=self.index, workers=self.ring.size
+            "fleet.metrics_merge", worker=self.index, workers=self.size
         ):
             per_worker = {str(self.index): service.metrics_snapshot()}
             unreachable: list[int] = []
@@ -121,90 +87,20 @@ class FleetWorkerRuntime:
                 try:
                     with urllib.request.urlopen(
                         f"http://127.0.0.1:{port}/v1/metrics",
-                        timeout=self.proxy_timeout,
+                        timeout=FAN_IN_TIMEOUT,
                     ) as resp:
                         per_worker[str(index)] = json.loads(resp.read())
                 except (OSError, urllib.error.URLError, ValueError):
                     unreachable.append(index)
             merged = merge_snapshots(per_worker.values())
             merged["fleet"] = {
-                "size": self.ring.size,
+                "size": self.size,
                 "worker": self.index,
                 "restarts_total": self.restarts_total(),
                 "unreachable": unreachable,
                 "workers": dict(sorted(per_worker.items())),
             }
             return render_payload(merged)
-
-    def relay(
-        self,
-        service: QueryService,
-        segments: tuple[str, ...],
-        params: dict[str, str],
-        path: str,
-    ) -> tuple[int, bytes] | None:
-        """An owned payload from its owner, or ``None`` to render here.
-
-        The owner renders (or LRU-serves) the payload, so its bytes are
-        canonical; 4xx/5xx bodies relay unchanged too.  A 200 body is
-        additionally stored in the local LRU under the route key, and
-        served from there next time: only the owner ever *renders*, but
-        the hot head of a Zipf workload should not pay a proxy hop per
-        request either.  If the owner is unreachable — crashed and not
-        yet restarted — this returns ``None`` and the payload renders
-        locally: it is deterministic, so correctness survives, only the
-        once-fleet-wide guarantee degrades until the supervisor brings
-        the owner back.
-        """
-        key = payload_route_key(
-            segments, params, version=service.current_version()
-        )
-        owner = self.ring.owner(key)
-        if owner == self.index:
-            return None
-        hit = service.cache.get(key)
-        if hit is not None:
-            return 200, hit
-        port = self.internal_ports[owner]
-        with get_tracer().span(
-            "fleet.proxy", owner=owner, worker=self.index, path=path
-        ) as span:
-            for _ in (1, 2):  # retry once on a stale kept-alive conn
-                conn = self._proxy_conn(port)
-                try:
-                    conn.request("GET", path)
-                    resp = conn.getresponse()
-                    body = resp.read()
-                    break
-                except (OSError, http.client.HTTPException):
-                    self._drop_proxy_conn(port)
-            else:
-                span.set("fallback", True)
-                service.metrics.add("fleet_proxy_fallback")
-                return None
-            span.set("status_code", resp.status)
-            service.metrics.add("fleet_proxied")
-            if resp.status == 200:
-                body = service.cache.put(key, body)
-            return resp.status, body
-
-    def _proxy_conn(self, port: int) -> http.client.HTTPConnection:
-        conns = getattr(_PROXY_CONNS, "by_port", None)
-        if conns is None:
-            conns = _PROXY_CONNS.by_port = {}
-        conn = conns.get(port)
-        if conn is None:
-            conn = http.client.HTTPConnection(
-                "127.0.0.1", port, timeout=self.proxy_timeout
-            )
-            conns[port] = conn
-        return conn
-
-    def _drop_proxy_conn(self, port: int) -> None:
-        conns = getattr(_PROXY_CONNS, "by_port", {})
-        conn = conns.pop(port, None)
-        if conn is not None:
-            conn.close()
 
 
 def worker_main(
@@ -230,16 +126,14 @@ def worker_main(
     runtime = FleetWorkerRuntime(
         index=index,
         internal_ports=internal_ports,
-        replicas=spec.replicas,
-        proxy_timeout=spec.proxy_timeout,
         restarts=restarts,
     )
     service = build_service(spec)
-    # Internal servers answer everything locally — a proxied request
-    # must render at its owner, never bounce onward.
+    # The internal server answers its own snapshot: a fan-in request
+    # must never fan out again.
     public = ReproHTTPServer(
         public_sock, service,
-        fleet=runtime if runtime.ring.size > 1 else None,
+        fleet=runtime if runtime.size > 1 else None,
     )
     internal = ReproHTTPServer(internal_sock, service)
     log.info(

@@ -16,14 +16,13 @@ table, :data:`ROUTES`:
 ``GET /v1/analyses/<task>``           one task's artifact (warm-served)
 ====================================  =========================================
 
-The table gives each path its metrics label and says whether it is a
-cacheable payload that one fleet worker *owns*.  A single process and
-every fleet worker run the same :class:`ReproRequestHandler`; a
-server fronting a fleet of more than one worker carries its
-:class:`~repro.fleet.worker.FleetWorkerRuntime` (``server.fleet``), and
-only then are resolved owned payloads relayed to their owner and
-``/v1/metrics`` merged fleet-wide.  Everything else — the index,
-healthz, every 404 — is answered locally, byte-identically.
+The table gives each path its metrics label and renderer.  A single
+process and every fleet worker run the same
+:class:`ReproRequestHandler` and render every request locally, so any
+worker count answers byte-identically.  A server fronting a fleet of
+more than one worker carries its
+:class:`~repro.fleet.worker.FleetWorkerRuntime` (``server.fleet``),
+and only its ``/v1/metrics`` differs: it is merged fleet-wide.
 
 All bodies — including every 4xx/5xx — are canonical JSON with a
 ``Content-Length``, so responses are byte-identical across threads,
@@ -34,9 +33,9 @@ a one-line 500.  Each request is logged through the ``repro.service``
 logger as ``method path status bytes ms``, traced as one
 ``http.request`` span when tracing is on, and observed in
 :class:`ServiceMetrics` exactly once — service-level responses by the
-service itself, everything else (index hits, relays, handler-level
-4xx, 405s, routing 500s) by the handler — so ``/v1/metrics`` request
-counters always equal the responses sent.
+service itself, everything else (index hits, fleet metrics,
+handler-level 4xx, 405s, routing 500s) by the handler — so
+``/v1/metrics`` request counters always equal the responses sent.
 
 Paths are percent-decoded *per segment, after splitting*: a site name
 containing an encoded slash (``/v1/sites/foo%2Fbar``) stays one
@@ -75,12 +74,10 @@ Params = dict[str, str]
 
 @dataclass(frozen=True)
 class Route:
-    """One endpoint: its metrics label, renderer and fleet ownership."""
+    """One endpoint: its metrics label and renderer."""
 
     label: str
     render: Callable[[QueryService, tuple[str, ...], Params], bytes]
-    #: A cacheable payload owned by exactly one fleet worker.
-    owned: bool = False
 
 
 def _rankings(service: QueryService, _, params: Params) -> bytes:
@@ -116,8 +113,8 @@ ROUTES: dict[str, Route] = {
     "/v1/healthz": Route(
         "healthz", lambda s, _, p: s.healthz(as_of=p.get("as_of"))),
     "/v1/metrics": Route("metrics", lambda s, _, p: s.metrics_payload()),
-    "/v1/rankings": Route("rankings", _rankings, owned=True),
-    "/v1/sites/<site>": Route("site", _site, owned=True),
+    "/v1/rankings": Route("rankings", _rankings),
+    "/v1/sites/<site>": Route("site", _site),
     "/v1/distributions": Route(
         "distribution",
         lambda s, _, p: s.distribution(
@@ -125,13 +122,11 @@ ROUTES: dict[str, Route] = {
             metric=p.get("metric"),
             as_of=p.get("as_of"),
         ),
-        owned=True,
     ),
-    "/v1/analyses": Route("analyses", lambda s, _, p: s.analyses(), owned=True),
+    "/v1/analyses": Route("analyses", lambda s, _, p: s.analyses()),
     "/v1/analyses/<task>": Route(
         "analysis",
         lambda s, seg, p: s.analysis(seg[2], as_of=p.get("as_of")),
-        owned=True,
     ),
 }
 
@@ -209,8 +204,8 @@ class ReproHTTPServer(ThreadingHTTPServer):
     already-listening socket (its own, or a fleet's shared one).
 
     ``fleet`` is the fleet runtime of a public server fronting more
-    than one worker; a single process and a worker's internal port
-    leave it ``None`` and answer everything locally.
+    than one worker, whose ``/v1/metrics`` it merges; a single process
+    and a worker's internal port leave it ``None``.
     """
 
     daemon_threads = True
@@ -295,9 +290,10 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
         Responses the service already counted (``observed`` true from
         the handler, or an exception tagged by ``_instrumented``) are
-        not observed again; everything else — index hits, relays,
-        handler-level 4xx, 405s, routing 500s — is observed here, so
-        the metrics request counters equal the total responses sent.
+        not observed again; everything else — index hits, fleet
+        metrics, handler-level 4xx, 405s, routing 500s — is observed
+        here, so the metrics request counters equal the total responses
+        sent.
         The in-flight count is what a stopping server drains.
         """
         started = time.perf_counter()
@@ -353,13 +349,8 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         self._endpoint = route.label
         params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
         fleet = self.server.fleet  # type: ignore[attr-defined]
-        if fleet is not None:
-            if route.owned:
-                relayed = fleet.relay(self.service, segments, params, self.path)
-                if relayed is not None:
-                    return (*relayed, False)
-            elif route.label == "metrics":
-                return 200, fleet.fleet_metrics(self.service), False
+        if fleet is not None and route.label == "metrics":
+            return 200, fleet.fleet_metrics(self.service), False
         body = route.render(self.service, segments, params)
         return 200, body, route is not _INDEX
 

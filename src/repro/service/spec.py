@@ -30,7 +30,6 @@ class ServeSpec:
     in-memory :class:`~repro.core.dataset.BrowsingDataset`).  The
     artifact store defaults to ``<data>/.artifacts`` for a path unless
     ``no_store``; ``as_of`` pins the service to one dataset version.
-    ``replicas`` and ``proxy_timeout`` shape a fleet's ring and relays;
     ``drain_timeout`` bounds how long a stopping server waits for its
     in-flight requests.
     """
@@ -46,8 +45,6 @@ class ServeSpec:
     small: bool = False
     seed: int | None = None
     as_of: int | None = None
-    replicas: int = 64
-    proxy_timeout: float = 5.0
     drain_timeout: float = 10.0
 
 

@@ -32,14 +32,11 @@ by the hypothesis parity suite in ``tests/stats/test_kernels.py`` and
 the pipeline byte-parity test.
 
 The batched kernels emit ``kernel.*`` obs spans (pair/depth attrs) so
-their cost shows up in ``repro trace summarize``, and accept ``jobs=N``
-to fan the pair loop out across threads (numpy releases the GIL for
-the array passes).
+their cost shows up in ``repro trace summarize``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -175,22 +172,10 @@ def _pair_offsets(n: int) -> np.ndarray:
     return i * (n - 1) - (i * (i - 1)) // 2
 
 
-def _run_rows(n_rows: int, run_row, jobs: int) -> None:
-    if jobs > 1 and n_rows > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, n_rows)) as pool:
-            # list() propagates the first worker exception, if any.
-            list(pool.map(run_row, range(n_rows)))
-    else:
-        for i in range(n_rows):
-            run_row(i)
-
-
 def pairwise_wrbo(
     id_lists: Sequence[np.ndarray],
     weights: np.ndarray,
     depth: int,
-    *,
-    jobs: int = 1,
 ) -> np.ndarray:
     """Weighted RBO for every pair of lists, batched.
 
@@ -198,9 +183,9 @@ def pairwise_wrbo(
     order, each computed over the first ``depth`` ids of both lists
     (every list must be at least that long) with the traffic-weight
     vector applied once.  Per row ``i`` a dense rank scatter table is
-    built a single time and reused against every ``j > i``; ``jobs``
-    threads split the rows.  Bit-identical to calling
-    :func:`repro.stats.rbo.weighted_rbo` per pair.
+    built a single time and reused against every ``j > i``.
+    Bit-identical to calling :func:`repro.stats.rbo.weighted_rbo` per
+    pair.
     """
     n = len(id_lists)
     if depth < 1:
@@ -230,30 +215,27 @@ def pairwise_wrbo(
     depths = np.arange(1, depth + 1, dtype=float)
     positions = np.arange(depth, dtype=np.int32)
 
-    def run_row(i: int) -> None:
-        # ``depth`` is the missing sentinel: a site of list j absent
-        # from list i maxes to exactly ``depth`` (its own 0-based rank
-        # is < depth), landing in the one bincount bin past the last
-        # depth — no boolean mask or compaction pass needed.
-        ranks_i = np.full(table_size, depth, dtype=np.int32)
-        ranks_i[prefixes[i]] = positions
-        base = offsets[i]
-        for j in range(i + 1, n):
-            max_ranks = np.maximum(ranks_i[prefixes[j]], positions)
-            overlap = np.cumsum(np.bincount(max_ranks, minlength=depth + 1)[:depth])
-            agreements = overlap / depths
-            scores[base + (j - i - 1)] = np.dot(w, agreements) / total
-
-    with obs_span("kernel.pairwise_wrbo", pairs=n_pairs, depth=depth, jobs=jobs):
-        _run_rows(n - 1, run_row, jobs)
+    with obs_span("kernel.pairwise_wrbo", pairs=n_pairs, depth=depth):
+        for i in range(n - 1):
+            # ``depth`` is the missing sentinel: a site of list j absent
+            # from list i maxes to exactly ``depth`` (its own 0-based
+            # rank is < depth), landing in the one bincount bin past the
+            # last depth — no boolean mask or compaction pass needed.
+            ranks_i = np.full(table_size, depth, dtype=np.int32)
+            ranks_i[prefixes[i]] = positions
+            base = offsets[i]
+            for j in range(i + 1, n):
+                max_ranks = np.maximum(ranks_i[prefixes[j]], positions)
+                overlap = np.cumsum(
+                    np.bincount(max_ranks, minlength=depth + 1)[:depth])
+                agreements = overlap / depths
+                scores[base + (j - i - 1)] = np.dot(w, agreements) / total
     return scores
 
 
 def bucket_intersections(
     id_lists: Sequence[np.ndarray],
     buckets: Sequence[int],
-    *,
-    jobs: int = 1,
 ) -> np.ndarray:
     """|top-b(i) ∩ top-b(j)| for every pair and every rank bucket.
 
@@ -276,26 +258,23 @@ def bucket_intersections(
     table_size = _n_ids(lists)
     offsets = _pair_offsets(n)
 
-    def run_row(i: int) -> None:
-        ranks_i = np.full(table_size, -1, dtype=np.int32)
-        ranks_i[lists[i]] = np.arange(len(lists[i]), dtype=np.int32)
-        base = offsets[i]
-        for j in range(i + 1, n):
-            in_i = ranks_i[lists[j]]
-            found = in_i >= 0
-            # 1-based max-ranks, sorted: count at bucket b = how many <= b.
-            max_ranks = np.maximum(in_i[found], np.flatnonzero(found)) + 1
-            max_ranks.sort()
-            counts[base + (j - i - 1)] = np.searchsorted(
-                max_ranks, bucket_arr, side="right"
-            )
-
     with obs_span(
         "kernel.bucket_intersections",
         pairs=n_pairs, buckets=len(bucket_arr), max_depth=int(bucket_arr.max()),
-        jobs=jobs,
     ):
-        _run_rows(n - 1, run_row, jobs)
+        for i in range(n - 1):
+            ranks_i = np.full(table_size, -1, dtype=np.int32)
+            ranks_i[lists[i]] = np.arange(len(lists[i]), dtype=np.int32)
+            base = offsets[i]
+            for j in range(i + 1, n):
+                in_i = ranks_i[lists[j]]
+                found = in_i >= 0
+                # 1-based max-ranks, sorted: count at bucket b = how many <= b.
+                max_ranks = np.maximum(in_i[found], np.flatnonzero(found)) + 1
+                max_ranks.sort()
+                counts[base + (j - i - 1)] = np.searchsorted(
+                    max_ranks, bucket_arr, side="right"
+                )
     return counts
 
 

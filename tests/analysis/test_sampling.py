@@ -1,5 +1,6 @@
 """Tests for study-set sampling strategies (Section 6)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.sampling import (
@@ -10,6 +11,8 @@ from repro.analysis.sampling import (
     hybrid_study_set,
 )
 from repro.core import Metric, Platform, REFERENCE_MONTH, RankedList
+
+from tests.oracles.sampling import country_coverage_reference
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +74,33 @@ class TestCoverage:
         assert len(report.per_country) == 45
         assert 0.0 <= report.minimum <= report.stats.median <= 1.0
         assert len(report.worst_countries) == 5
+
+
+class TestCoverageParity:
+    """The membership-mask sum equals the per-site walk, bit for bit."""
+
+    def _check(self, study, ranked, dist):
+        got = country_coverage(study, ranked, dist)
+        want = country_coverage_reference(study, ranked, dist)
+        assert got.hex() == want.hex()
+
+    def test_empty_list(self, dist):
+        self._check({"x"}, RankedList([]), dist)
+
+    def test_no_overlap(self, lists, dist):
+        self._check({"not-listed.example"}, lists["US"], dist)
+
+    def test_full_overlap(self, lists, dist):
+        ranked = lists["US"]
+        self._check(set(ranked.sites), ranked, dist)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_study_set(self, lists, dist, seed):
+        rng = np.random.default_rng(seed)
+        pool = sorted({s for c in ("US", "KR", "BR") for s in lists[c].sites})
+        study = set(rng.choice(pool, size=len(pool) // 3, replace=False).tolist())
+        for country in ("US", "KR", "NG"):
+            self._check(study, lists[country], dist)
 
 
 class TestStrategyComparison:

@@ -2,9 +2,9 @@
 
 These fork actual worker processes around a shared listening socket and
 drive them over HTTP, so they cover the properties that matter end to
-end: byte-identity with single-process serving, once-fleet-wide
-rendering, merged metrics, crash restart, graceful stop + rebind, and
-mmap page sharing.
+end: byte-identity with single-process serving, local rendering,
+merged metrics, crash restart, graceful stop + rebind, and mmap page
+sharing.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ import pytest
 import repro
 from repro.fleet import FleetSupervisor
 from repro.fleet import worker as worker_module
-from repro.fleet.worker import FleetWorkerRuntime, payload_route_key
 from repro.service import ServeSpec, build_service, create_server
-from repro.service.http import ReproHTTPServer, bind
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="fleet serving needs fork()"
@@ -94,7 +92,7 @@ class TestByteIdentity:
         bodies = {_get(path)[1] for _ in range(6)}
         assert len(bodies) == 1
 
-    def test_errors_relay_with_choices(self, fleet):
+    def test_errors_carry_choices(self, fleet):
         status, body = _get(fleet.url + "/v1/rankings?country=XX")
         assert status == 404
         payload = json.loads(body)
@@ -151,41 +149,6 @@ class TestMalformedRoutes:
             assert json.loads(seen.pop())["error"] == "not_found"
 
 
-class TestProxyFallback:
-    def test_unreachable_owner_renders_locally(
-        self, columnar_data, reference_service
-    ):
-        """A worker whose owner's internal port is closed renders the
-        owned payload itself: the same bytes, one fallback counted."""
-        closed = bind("127.0.0.1", 0)
-        dead_port = closed.getsockname()[1]
-        closed.close()
-        service = build_service(ServeSpec(columnar_data, small=True))
-        runtime = FleetWorkerRuntime(index=0, internal_ports=(0, dead_port))
-        top = next(
-            top for top in range(1, 100)
-            if runtime.ring.owner(payload_route_key(
-                ("v1", "rankings"), {"country": "US", "top": str(top)},
-                version=service.current_version(),
-            )) == 1
-        )
-        server = ReproHTTPServer(bind("127.0.0.1", 0), service, fleet=runtime)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            status, body = _get(
-                server.url + f"/v1/rankings?country=US&top={top}"
-            )
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-        assert status == 200
-        assert body == reference_service.rankings("US", top=top)
-        assert service.metrics.counter("fleet_proxy_fallback") == 1
-        assert service.metrics.counter("fleet_proxied") == 0
-
-
 class TestFleetMetrics:
     def _metrics(self, fleet) -> dict:
         return json.loads(_get(fleet.url + "/v1/metrics")[1])
@@ -209,7 +172,7 @@ class TestFleetMetrics:
 
     def test_unique_payload_renders_at_most_once_per_worker(self, fleet):
         """10 hits on one fresh key cost <= 2 fleet-wide cache misses
-        (owner render + at most one relayed copy), the rest are hits."""
+        (one render per worker that accepts it), the rest are hits."""
         before = self._metrics(fleet)["cache"]
         path = fleet.url + "/v1/rankings?country=KR&top=7"
         bodies = {_get(path)[1] for _ in range(10)}
@@ -220,13 +183,18 @@ class TestFleetMetrics:
         assert 1 <= misses <= 2, (before, after)
         assert hits >= 10 - misses
 
-    def test_distinct_keys_get_proxied_to_owners(self, fleet):
-        """With enough distinct keys, some must land on a non-owner and
-        cross the ring (P(all local) ~ 2^-16)."""
+    def test_every_request_renders_where_it_lands(self, fleet):
+        """16 fresh keys are 16 requests and 16 renders fleet-wide: no
+        worker forwards a request to another, so none is counted twice."""
+        before = self._metrics(fleet)
         for top in range(11, 27):
             _get(fleet.url + f"/v1/rankings?country=US&top={top}")
-        merged = self._metrics(fleet)
-        assert merged["counters"].get("fleet_proxied", 0) >= 1
+        after = self._metrics(fleet)
+        requests = (after["endpoints"]["rankings"]["requests"]
+                    - before["endpoints"]["rankings"]["requests"])
+        assert requests == 16
+        assert "fleet_proxied" not in after["counters"]
+        assert after["cache"]["misses"] - before["cache"]["misses"] == 16
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="/proc maps inspection")

@@ -1,39 +1,8 @@
-"""Version plumbing in the fleet: route keys and merged metrics."""
+"""Version plumbing in the fleet: merged metrics."""
 
 from __future__ import annotations
 
 from repro.fleet.metrics import merge_snapshots
-from repro.fleet.worker import payload_route_key
-
-RANKINGS = ("v1", "rankings")
-
-
-class TestVersionedRouteKeys:
-    def test_version_prefixes_the_key(self):
-        plain = payload_route_key(RANKINGS, {"country": "US"})
-        keyed = payload_route_key(RANKINGS, {"country": "US"}, version=2)
-        assert plain is not None and keyed is not None
-        assert keyed == f"v2:{plain}"
-
-    def test_keys_roll_over_across_versions(self):
-        v1 = payload_route_key(RANKINGS, {"country": "US"}, version=1)
-        v2 = payload_route_key(RANKINGS, {"country": "US"}, version=2)
-        assert v1 != v2
-
-    def test_as_of_param_pins_the_key_regardless_of_latest(self):
-        # The same as_of request hashes identically before and after an
-        # ingest bumps the worker's latest version: pinned relays stay
-        # warm forever.
-        before = payload_route_key(
-            RANKINGS, {"country": "US", "as_of": "1"}, version=1
-        )
-        after = payload_route_key(
-            RANKINGS, {"country": "US", "as_of": "1"}, version=2
-        )
-        assert before == after
-
-    def test_unrouted_paths_stay_unrouted(self):
-        assert payload_route_key(("v1", "healthz"), {}, version=2) is None
 
 
 class TestMergedDatasetBlock:

@@ -8,8 +8,9 @@ tie-walking rankdata and the scalar and one-table-at-a-time Fisher
 tests (:mod:`tests.oracles.stats`) for their vectorised kernels; the
 per-curve endemicity scorer (:mod:`tests.oracles.endemicity`) for the
 rank-matrix one; the per-site running-sum global ranking
-(:mod:`tests.oracles.crux`) for the bincount one; and the per-site
+(:mod:`tests.oracles.crux`) for the bincount one; the per-site
 category walks (:mod:`tests.oracles.weighting`) for the category-code
-bincounts.  Parity suites and the speedup benchmarks import them
+bincounts; and the per-site coverage walk
+(:mod:`tests.oracles.sampling`) for the membership-mask sum.  Parity suites and the speedup benchmarks import them
 from here; nothing under ``src/`` does.
 """

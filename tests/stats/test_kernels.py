@@ -98,7 +98,7 @@ class TestIntersectionParity:
         ids, _ = interned(*site_lists)
         ranked = [RankedList(s) for s in site_lists]
         buckets = (0, 1, 3, 10, 100)
-        counts = bucket_intersections(ids, buckets, jobs=2)
+        counts = bucket_intersections(ids, buckets)
         row = 0
         for i in range(len(ranked)):
             for j in range(i + 1, len(ranked)):
@@ -139,7 +139,7 @@ class TestPairwiseWRBOParity:
         ]
         weights = rng.random(depth) + 0.01
         ids, _ = interned(*site_lists)
-        scores = pairwise_wrbo(ids, weights, depth=depth, jobs=2)
+        scores = pairwise_wrbo(ids, weights, depth=depth)
         row = 0
         for i in range(n_lists):
             for j in range(i + 1, n_lists):
@@ -147,16 +147,6 @@ class TestPairwiseWRBOParity:
                 assert scores[row] == want  # bit-identical
                 row += 1
         assert row == len(scores)
-
-    def test_jobs_do_not_change_bytes(self):
-        rng = np.random.default_rng(42)
-        universe = [f"s{i}" for i in range(60)]
-        site_lists = [list(rng.permutation(universe)[:30]) for _ in range(6)]
-        weights = rng.random(30) + 0.01
-        ids, _ = interned(*site_lists)
-        serial = pairwise_wrbo(ids, weights, depth=20, jobs=1)
-        threaded = pairwise_wrbo(ids, weights, depth=20, jobs=4)
-        assert serial.tobytes() == threaded.tobytes()
 
     def test_short_list_rejected(self):
         ids, _ = interned(["a", "b"], ["a"])
