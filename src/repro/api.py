@@ -116,6 +116,7 @@ def ingest(
     small: bool = False,
     seed: int | None = None,
     jobs: int | None = None,
+    trace: str | Path | None = None,
 ):
     """Append ``months`` to the saved dataset at ``data``, in place.
 
@@ -126,19 +127,22 @@ def ingest(
     the dataset version.  Months already present are skipped; if nothing
     is missing the dataset is untouched — a byte-identical no-op.
     Returns an :class:`~repro.store.IngestReport` (``.version_before``,
-    ``.version``, ``.months_added``, ``.changed``).
+    ``.version``, ``.months_added``, ``.changed``).  ``trace`` writes a
+    JSONL span trace of the run (see :mod:`repro.obs`).
     """
+    from .obs import tracing
     from .store.ingest import ingest_months
 
-    return ingest_months(
-        data,
-        months,
-        format=format,
-        config=config,
-        small=small,
-        seed=seed,
-        jobs=jobs,
-    )
+    with tracing(trace):
+        return ingest_months(
+            data,
+            months,
+            format=format,
+            config=config,
+            small=small,
+            seed=seed,
+            jobs=jobs,
+        )
 
 
 def convert(

@@ -138,6 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="dataset was generated with --small")
     ing.add_argument("--seed", type=int, default=None,
                      help="generator seed (default: the dataset's own)")
+    ing.add_argument("--trace", default=None, metavar="PATH",
+                     help="write a JSONL span trace of the run "
+                          "(one span per engine slice)")
 
     ins = sub.add_parser("inspect", help="print rank-list heads")
     ins.add_argument("--data", required=True)
@@ -362,6 +365,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             small=args.small,
             seed=args.seed,
             jobs=args.jobs,
+            trace=args.trace,
         )
     except DatasetError as exc:
         print(exc, file=sys.stderr)
@@ -370,12 +374,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         print(f"{args.data} already has "
               f"{' '.join(str(m) for m in result.months_present)}; "
               f"nothing to ingest (still version {result.version})")
-        return 0
-    print(f"ingested {' '.join(str(m) for m in result.months_added)} "
-          f"into {args.data} ({result.format}): "
-          f"{result.slices_added} new slices in {result.seconds:.2f}s")
-    print(f"dataset version {result.version_before} -> {result.version} "
-          f"({len(result.months_present)} months)")
+    else:
+        print(f"ingested {' '.join(str(m) for m in result.months_added)} "
+              f"into {args.data} ({result.format}): "
+              f"{result.slices_added} new slices in {result.seconds:.2f}s")
+        print(f"dataset version {result.version_before} -> {result.version} "
+              f"({len(result.months_present)} months)")
+    if args.trace:
+        print(f"wrote trace {args.trace}")
     return 0
 
 

@@ -42,6 +42,13 @@ _CONSONANTS = "bcdfghjklmnprstvwz"
 _VOWELS = "aeiou"
 
 
+#: Syllable ``5 * consonant + vowel``: the label walk's per-pair lookup.
+_SYLLABLES = np.array([c + v for c in _CONSONANTS for v in _VOWELS], dtype=object)
+
+#: Words the bulk label walk reads ahead at a time (a label takes 5-9).
+_WINDOW = 8192
+
+
 class _Words32:
     """Scalar ``rng.integers(low, high)`` draws, replayed from bulk output.
 
@@ -52,6 +59,8 @@ class _Words32:
     Replaying that from ``random_raw`` chunks yields exactly the values
     per-call draws would, without their per-call overhead, and
     :meth:`settle` leaves the generator where those calls would have.
+    Bulk walks read words ahead (:meth:`ahead`) and move :attr:`pos`
+    past the ones they used, so scalar draws carry on where they stop.
     """
 
     def __init__(self, bitgen: np.random.PCG64) -> None:
@@ -61,7 +70,7 @@ class _Words32:
         if self._start["has_uint32"]:
             self._words.append(self._start["uinteger"])
         self._head = len(self._words)  # words not from this replay's raw
-        self._pos = 0
+        self.pos = 0  # index of the next word to draw
 
     def __call__(self, low: int, high: int) -> int:
         span = high - low - 1
@@ -75,25 +84,48 @@ class _Words32:
         return low + (m >> 32)
 
     def _word(self) -> int:
-        if self._pos == len(self._words):
-            for raw in self._bitgen.random_raw(256).tolist():
-                self._words += (raw & 0xFFFFFFFF, raw >> 32)
-        self._pos += 1
-        return self._words[self._pos - 1]
+        if self.pos == len(self._words):
+            self._fill(self.pos + 1)
+        self.pos += 1
+        return self._words[self.pos - 1]
+
+    def _fill(self, end: int) -> None:
+        """Buffer the words before index ``end`` (256 raw outputs at least)."""
+        missing = end - len(self._words)
+        if missing > 0:
+            raw = self._bitgen.random_raw(max(256, (missing + 1) // 2))
+            self._words += np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).ravel().tolist()
+
+    def ahead(self, count: int) -> np.ndarray:
+        """The next ``count`` words as a uint64 array, not yet drawn."""
+        self._fill(self.pos + count)
+        return np.array(self._words[self.pos:self.pos + count], dtype=np.uint64)
 
     def settle(self) -> None:
         """Rewind the over-read raw outputs; keep a pending half-word."""
-        used = self._pos - self._head  # words from this replay's raw output
+        used = self.pos - self._head  # words from this replay's raw output
         self._bitgen.state = self._start
-        if not self._pos:
+        if not self.pos:
             return
         if used > 0:
             self._bitgen.random_raw((used + 1) // 2)
         state = self._bitgen.state
         pending = used % 2 == 1
         state["has_uint32"] = int(pending)
-        state["uinteger"] = self._words[self._pos] if pending else 0
+        state["uinteger"] = self._words[self.pos] if pending else 0
         self._bitgen.state = state
+
+
+def _lemire(words: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's Lemire draw over ``[0, n)``: (value, accepted).
+
+    ``(w * n) >> 32`` is the value; the word is rejected (the scalar
+    draw takes another) when the low half falls below ``2**32 mod n``.
+    ``n`` is one bound or a bound per word.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    m = words * n
+    return m >> np.uint64(32), (m & np.uint64(0xFFFFFFFF)) >= np.uint64(1 << 32) % n
 
 
 @contextmanager
@@ -123,24 +155,140 @@ def pseudoword(rng: np.random.Generator, syllables: int = 3) -> str:
         return _word(draw, syllables)
 
 
+def _claim(draw, label: str, taken: set[str]) -> str:
+    """``label``, disambiguated by a number while ``taken`` holds it."""
+    if label in taken:
+        label = f"{label}{draw(10, 9999)}"
+        while label in taken:
+            label = f"{_word(draw, 3)}{draw(10, 9999)}"
+    taken.add(label)
+    return label
+
+
 def unique_labels(rng: np.random.Generator, count: int, taken: set[str]) -> list[str]:
     """``count`` pseudoword labels, unique among themselves and ``taken``.
 
-    Collisions get a numeric disambiguator, so generation never stalls.
+    Each label draws its syllable count over [2, 5), then a consonant
+    and a vowel per syllable.  Collisions get a numeric disambiguator,
+    so generation never stalls.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    labels: list[str] = []
     with _integers(rng) as draw:
-        for _ in range(count):
-            label = _word(draw, draw(2, 5))
+        if isinstance(draw, _Words32):
+            return _bulk_labels(draw, count, taken)
+        return [_claim(draw, _word(draw, draw(2, 5)), taken) for _ in range(count)]
+
+
+def _label_tables(window: np.ndarray) -> tuple[list[int], list[str], int]:
+    """The label walk's lookups over a window of words.
+
+    ``spans[p]`` is the number of words a label starting at ``p`` takes
+    (its syllable-count word, then a consonant and a vowel word per
+    syllable); ``pairs[p]`` is the syllable a consonant word at ``p``
+    and a vowel word at ``p + 1`` spell; ``stop`` is the first word any
+    of the bounds 3, 18 and 5 rejects, else the window's length.
+    """
+    counts, ok = _lemire(window, 3)
+    consonants, consonant_ok = _lemire(window, len(_CONSONANTS))
+    vowels, vowel_ok = _lemire(window, len(_VOWELS))
+    rejected = np.flatnonzero(~(ok & consonant_ok & vowel_ok))
+    stop = int(rejected[0]) if len(rejected) else len(window)
+    pairs = _SYLLABLES[consonants[:-1] * np.uint64(len(_VOWELS)) + vowels[1:]]
+    return (counts * np.uint64(2) + np.uint64(5)).tolist(), pairs.tolist(), stop
+
+
+def _bulk_labels(words: _Words32, count: int, taken: set[str]) -> list[str]:
+    """:func:`unique_labels` over a PCG64 word stream, a window at a time.
+
+    Each label is a few lookups in :func:`_label_tables`.  A collision
+    draws its disambiguator with scalar draws, from the word after the
+    label, and the walk resumes where those stop; a rejected word or the
+    window's end makes one label a scalar draw, then a new window opens.
+    """
+    labels: list[str] = []
+    while len(labels) < count:
+        base = words.pos
+        spans, pairs, stop = _label_tables(
+            words.ahead(min(_WINDOW, 9 * (count - len(labels)))))
+        i = 0
+        while i < stop and len(labels) < count:
+            end = i + spans[i]
+            if end > stop:
+                break
+            label = "".join(pairs[i + 1:end:2])
             if label in taken:
-                label = f"{label}{draw(10, 9999)}"
-                while label in taken:
-                    label = f"{_word(draw, 3)}{draw(10, 9999)}"
-            taken.add(label)
+                words.pos = base + end
+                label = _claim(words, label, taken)
+                end = words.pos - base
+            else:
+                taken.add(label)
             labels.append(label)
+            i = end
+        words.pos = base + i
+        if len(labels) < count:
+            labels.append(_claim(words, _word(words, words(2, 5)), taken))
     return labels
+
+
+def choice_rows(rng: np.random.Generator, n: int, sizes) -> np.ndarray:
+    """``rng.choice(n, size=k, replace=False)`` for each ``k`` of ``sizes``.
+
+    Returns the rows concatenated, leaving ``rng`` where the per-row
+    calls would.  Over a PCG64 stream the rows are replayed from bulk
+    words (:func:`_replay_choices`); otherwise, or if a word is
+    rejected, they are drawn by per-row calls.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    with _integers(rng) as draw:
+        rows = (_replay_choices(draw, n, sizes)
+                if isinstance(draw, _Words32) and n <= 10_000 else None)
+    if rows is None:
+        rows = [rng.choice(n, size=k, replace=False) for k in sizes.tolist()]
+        rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    return rows
+
+
+def _replay_choices(words: _Words32, n: int, sizes: np.ndarray) -> np.ndarray | None:
+    """Per-row ``Generator.choice(n, k, replace=False)``, replayed in bulk.
+
+    numpy (for ``n`` up to 10,000) samples by Floyd's algorithm, one
+    draw over ``[0, j]`` for j = n-k .. n-1 that takes ``j`` itself when
+    the draw is already picked, then shuffles the picks by Fisher-Yates,
+    one draw over ``[0, i]`` for i = k-1 .. 1.  A draw over ``[0, 0]``
+    reads no word.  Rows of one size are replayed together.  Returns
+    None, drawing nothing, if Lemire rejects any of the words.
+    """
+    plans = {k: [j + 1 for j in range(n - k, n) if j] + list(range(k, 1, -1))
+             for k in np.unique(sizes).tolist()}  # bounds in stream order
+    used = np.zeros(len(sizes), dtype=np.int64)
+    for k, plan in plans.items():
+        used[sizes == k] = len(plan)
+    first = np.cumsum(used) - used  # each row's first word
+    bounds = np.empty(int(used.sum()), dtype=np.uint64)
+    for k, plan in plans.items():
+        bounds[first[sizes == k][:, None] + np.arange(len(plan))] = plan
+    values, accepted = _lemire(words.ahead(len(bounds)), bounds)
+    if not accepted.all():
+        return None
+    words.pos += len(bounds)
+    values = values.astype(np.int64)
+    out = np.empty(int(sizes.sum()), dtype=np.int64)
+    row_start = np.cumsum(sizes) - sizes
+    for k, plan in plans.items():
+        rows = np.flatnonzero(sizes == k)
+        drawn = values[first[rows][:, None] + np.arange(len(plan))]
+        skip = int(n == k)  # Floyd's first draw is over [0, 0]: it picks 0
+        picks = np.zeros((len(rows), k), dtype=np.int64)
+        for t in range(skip, k):
+            value = drawn[:, t - skip]
+            seen = (picks[:, :t] == value[:, None]).any(axis=1)
+            picks[:, t] = np.where(seen, n - k + t, value)
+        every = np.arange(len(rows))
+        for i, r in zip(range(k - 1, 0, -1), drawn[:, k - skip:].T):
+            picks[every, i], picks[every, r] = picks[every, r], picks[every, i]
+        out[row_start[rows][:, None] + np.arange(k)] = picks
+    return out
 
 
 def _gtlds(uniforms: np.ndarray) -> list[str]:

@@ -27,6 +27,7 @@ from ..world.profiles import profile_for
 from ..world.sites import CHAMPION_RULES, NAMED_SITES, Archetype, resolve_scope
 from .domains import (
     COUNTRY_SUFFIX,
+    choice_rows,
     endemic_domains,
     global_domains,
     multinational_domain,
@@ -224,8 +225,8 @@ def _strengths_for(rng: np.random.Generator, category_ids: np.ndarray,
     return np.minimum(raw, np.minimum(per_cat_cap, PROCEDURAL_STRENGTH_CAP))
 
 
-#: Universes are deterministic functions of their config and expensive to
-#: build (~15 s of CPU at full scale, ~2 s at small scale, on one 2.1 GHz
+#: Universes are deterministic functions of their config and cost CPU to
+#: build (~4.6-5.6 s at full scale, ~0.5-0.7 s at small scale, on one 2.1 GHz
 #: Xeon vCPU), so they are memoised for the process lifetime.  Treat a
 #: built Universe as immutable.
 _UNIVERSE_CACHE: dict[UniverseConfig, Universe] = {}
@@ -526,12 +527,14 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
         related = related_map[code]
         neighbor_membership[code].extend(uids)
         if related:
-            extra_counts = rng.integers(1, 4, size=len(uids))
-            for uid, k in zip(uids, extra_counts):
-                picks = rng.choice(len(related), size=min(int(k), len(related)),
-                                   replace=False)
-                for idx in picks:
-                    neighbor_membership[related[int(idx)]].append(uid)
+            # One rng.choice(len(related), k, replace=False) per site,
+            # replayed in bulk; each related country gains its sites
+            # in uid order, as the per-site loop appended them.
+            sizes = np.minimum(rng.integers(1, 4, size=len(uids)), len(related))
+            picks = choice_rows(rng, len(related), sizes)
+            owners = np.repeat(np.asarray(uids, dtype=np.int64), sizes)
+            for idx, other in enumerate(related):
+                neighbor_membership[other].extend(owners[picks == idx].tolist())
 
     n = len(sites)
     non_public = np.zeros(n, dtype=bool)

@@ -4,6 +4,7 @@ Five base months are generated and reported cold (warming an artifact
 store); a single-process server is started over version 1 and kept up
 while a sixth month is ingested in place.  Then:
 
+- the ingest's ``--trace`` holds one ``synth.universe_build`` span;
 - the delta report on the warm store executes a strict subset of the
   cold report's tasks, and every version-1 site keeps its label;
 - the ``as_of=1`` rankings bytes do not move across the ingest, and a
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from .test_report_trace import named
 from .test_serve_cli import Served, get, get_json, pytestmark, repro  # noqa: F401
 
 BASE_MONTHS = ("2021-07", "2021-08", "2021-09", "2021-10", "2021-11")
@@ -71,7 +73,8 @@ def ingested(tmp_path_factory) -> dict[str, object]:
             "health_before": get_json(server.url + "/v1/healthz"),
         }
         seen["ingest"] = repro("ingest", "--data", "data", "--months",
-                               NEW_MONTH, "--small", cwd=root).stdout
+                               NEW_MONTH, "--small", "--trace",
+                               "ingest-trace.jsonl", cwd=root).stdout
         seen["delta"] = report(root, "run-delta")
         seen["after"] = get(server.url + AS_OF_1)
         seen["health_after"] = get_json(server.url + "/v1/healthz")
@@ -91,6 +94,12 @@ def test_server_starts_on_version_1(ingested):
 
 def test_ingest_bumps_the_version(ingested):
     assert "dataset version 1 -> 2" in ingested["ingest"], ingested["ingest"]
+
+
+def test_ingest_trace_holds_one_universe_build(ingested):
+    assert "wrote trace ingest-trace.jsonl" in ingested["ingest"]
+    trace = ingested["root"] / "ingest-trace.jsonl"
+    assert len(named(trace, "synth.universe_build")) == 1
 
 
 def test_delta_report_executes_a_strict_subset(ingested):

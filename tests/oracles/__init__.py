@@ -10,7 +10,9 @@ per-curve endemicity scorer (:mod:`tests.oracles.endemicity`) for the
 rank-matrix one; the per-site running-sum global ranking
 (:mod:`tests.oracles.crux`) for the bincount one; the per-site
 category walks (:mod:`tests.oracles.weighting`) for the category-code
-bincounts; and the per-site coverage walk
-(:mod:`tests.oracles.sampling`) for the membership-mask sum.  Parity suites and the speedup benchmarks import them
-from here; nothing under ``src/`` does.
+bincounts; the per-site coverage walk (:mod:`tests.oracles.sampling`)
+for the membership-mask sum; and the per-call label walk
+(:mod:`tests.oracles.labels`) for the bulk Lemire tables.  Parity
+suites and the speedup benchmarks import them from here; nothing under
+``src/`` does.
 """

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -156,6 +157,12 @@ def _feed(digest, value) -> None:
             _feed(digest, item)
     elif isinstance(value, (list, tuple)):
         digest.update(f"l{len(value)}".encode())
+        if all(item is None or type(item) is str for item in value):
+            # The per-item bytes below, for a million-name column at once.
+            digest.update("".join(
+                f"{'null' if item is None else encode_basestring_ascii(item)}\x00"
+                for item in value).encode())
+            return
         for item in value:
             _feed(digest, item)
     else:
@@ -186,3 +193,10 @@ class TestContentPinned:
     def test_small_universe_digest(self, seed, expected):
         universe = _build_universe_uncached(UniverseConfig.small(seed))
         assert universe_digest(universe) == expected
+
+    def test_full_universe_digest(self):
+        # Taken from the per-draw label walk and per-site choice calls;
+        # the full pools collide far more often than the small ones.
+        universe = _build_universe_uncached(UniverseConfig(seed=3))
+        assert universe_digest(universe) == (
+            "aa587a483473863dc81190f3f60646362398e755901720789539b34f1326b7cf")
