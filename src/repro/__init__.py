@@ -49,9 +49,7 @@ from .core import (
 # ``from repro.report import render_table`` keeps working everywhere
 # while the attribute ``repro.report`` is the facade function below.
 from . import report as _report_module  # noqa: F401
-from .api import (
-    analyze, convert, generate, ingest, load, loadtest, report, serve,
-)
+from .api import analyze, convert, generate, ingest, load, report, serve
 
 __version__ = "1.1.0"
 
@@ -71,7 +69,6 @@ __all__ = [
     "generate",
     "ingest",
     "load",
-    "loadtest",
     "report",
     "serve",
 ]

@@ -412,53 +412,6 @@ def serve(
     return None
 
 
-def loadtest(
-    url: str,
-    *,
-    duration: float | None = None,
-    requests: int | None = None,
-    concurrency: int = 8,
-    client_procs: int = 1,
-    seed: int = 2022,
-    top_sites: int = 100,
-    slo: "object | None" = None,
-    timeout: float = 10.0,
-    baseline: "dict | None" = None,
-    min_speedup: float | None = None,
-    bench_out: str | Path | None = None,
-):
-    """Replay a Zipf-shaped query mix against a running server.
-
-    A thin facade over :func:`repro.fleet.loadtest.run_loadtest`: the
-    mix is discovered from the server itself (countries from the
-    rankings choices, the Zipf exponent fit to ``/v1/distributions``),
-    replayed from ``concurrency`` keep-alive connections, and measured
-    as per-endpoint p50/p95/p99 plus overall throughput.  Returns the
-    :class:`~repro.fleet.loadtest.LoadTestReport`; check ``report.ok``
-    / ``report.violations()`` against the given ``slo``.  ``bench_out``
-    additionally writes the payload as ``BENCH_service.json``.
-    """
-    from .fleet.loadtest import run_loadtest
-
-    report = run_loadtest(
-        url,
-        duration=duration,
-        requests=requests,
-        concurrency=concurrency,
-        client_procs=client_procs,
-        seed=seed,
-        top_sites=top_sites,
-        slo=slo,
-        timeout=timeout,
-        baseline=baseline,
-        min_speedup=min_speedup,
-    )
-    if bench_out is not None:
-        report.write_bench_json(bench_out)
-    return report
-
-
 __all__ = [
-    "analyze", "convert", "generate", "ingest", "load", "loadtest",
-    "report", "serve",
+    "analyze", "convert", "generate", "ingest", "load", "report", "serve",
 ]

@@ -9,7 +9,6 @@ inspect    Print the head of rank lists from a saved dataset.
 analyze    Run one pipeline task over a saved dataset and print it.
 report     Run the full analysis DAG into a run directory.
 serve      Serve a saved dataset over the JSON HTTP API.
-loadtest   Replay a Zipf-shaped query mix against a running server.
 trace      Summarize a JSONL span trace written by ``--trace``.
 crux       Produce the CrUX-style public rank-bucket export.
 world      Print facts about the synthetic world (countries, taxonomy).
@@ -231,51 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--trace", default=None, metavar="PATH",
                      help="write a JSONL span trace on shutdown "
                           "(one http.request span per request)")
-
-    lt = sub.add_parser(
-        "loadtest",
-        help="replay a Zipf-shaped query mix against a running server",
-    )
-    lt.add_argument("url", help="base URL of a running `repro serve` "
-                                "(e.g. http://127.0.0.1:8000)")
-    lt.add_argument("--duration", type=float, default=None, metavar="SECONDS",
-                    help="run for this long (default: bounded by "
-                         "--requests instead)")
-    lt.add_argument("--requests", type=int, default=None,
-                    help="total request budget (default: 200 when "
-                         "--duration is not given)")
-    lt.add_argument("--concurrency", type=int, default=8,
-                    help="client threads, each with a keep-alive "
-                         "connection (default: 8)")
-    lt.add_argument("--client-procs", type=int, default=1,
-                    help="fork the load generator across this many "
-                         "processes (one GIL caps near one server "
-                         "process's throughput; default: 1)")
-    lt.add_argument("--seed", type=int, default=2022,
-                    help="RNG seed for the request schedule (default: 2022)")
-    lt.add_argument("--top-sites", type=int, default=100,
-                    help="how many head sites feed /v1/sites queries "
-                         "(default: 100)")
-    lt.add_argument("--timeout", type=float, default=10.0,
-                    help="per-request timeout in seconds (default: 10)")
-    lt.add_argument("--slo-p50-ms", type=float, default=None,
-                    help="fail (exit 2) if overall p50 exceeds this")
-    lt.add_argument("--slo-p95-ms", type=float, default=None,
-                    help="fail (exit 2) if overall p95 exceeds this")
-    lt.add_argument("--slo-p99-ms", type=float, default=None,
-                    help="fail (exit 2) if overall p99 exceeds this")
-    lt.add_argument("--slo-error-rate", type=float, default=None,
-                    help="fail (exit 2) if the error fraction exceeds this")
-    lt.add_argument("--slo-min-rps", type=float, default=None,
-                    help="fail (exit 2) if throughput falls below this")
-    lt.add_argument("--bench-out", default=None, metavar="PATH",
-                    help="write the report as a BENCH_service.json")
-    lt.add_argument("--baseline", default=None, metavar="PATH",
-                    help="an earlier --bench-out JSON to compare "
-                         "throughput against")
-    lt.add_argument("--min-speedup", type=float, default=None,
-                    help="fail (exit 2) unless throughput is at least "
-                         "this multiple of the --baseline's")
 
     trc = sub.add_parser(
         "trace", help="inspect a JSONL span trace written by --trace"
@@ -539,74 +493,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    import json
-
-    from . import api
-    from .fleet import SLO, LoadTestError
-    from .report import render_table
-
-    baseline = None
-    if args.baseline:
-        path = Path(args.baseline)
-        if not path.is_file():
-            print(f"no baseline bench JSON at {path}", file=sys.stderr)
-            return 2
-        baseline = json.loads(path.read_text())
-    slo = SLO(
-        p50_ms=args.slo_p50_ms,
-        p95_ms=args.slo_p95_ms,
-        p99_ms=args.slo_p99_ms,
-        error_rate=args.slo_error_rate,
-        min_rps=args.slo_min_rps,
-    )
-    try:
-        report = api.loadtest(
-            args.url,
-            duration=args.duration,
-            requests=args.requests,
-            concurrency=args.concurrency,
-            client_procs=args.client_procs,
-            seed=args.seed,
-            top_sites=args.top_sites,
-            slo=slo,
-            timeout=args.timeout,
-            baseline=baseline,
-            min_speedup=args.min_speedup,
-            bench_out=args.bench_out,
-        )
-    except LoadTestError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    rows = []
-    for name in sorted(report.endpoints):
-        ep = report.endpoints[name].to_payload()
-        rows.append((
-            name, str(ep["requests"]), str(ep["errors"]),
-            f"{ep['p50_ms']:.1f}", f"{ep['p95_ms']:.1f}",
-            f"{ep['p99_ms']:.1f}",
-        ))
-    print(render_table(
-        ("endpoint", "req", "err", "p50 ms", "p95 ms", "p99 ms"),
-        rows, title=f"loadtest {report.base_url}",
-    ))
-    print(f"{report.requests} requests in {report.duration_s:.1f}s -> "
-          f"{report.throughput_rps:.1f} req/s, error rate "
-          f"{report.error_rate:.4f} (zipf s={report.zipf_s:.2f})")
-    if report.fleet is not None:
-        print(f"fleet: {report.fleet['size']} workers, "
-              f"{report.fleet['restarts_total']} restarts, "
-              f"unreachable {report.fleet['unreachable']}")
-    if report.baseline is not None and report.baseline.get("speedup"):
-        print(f"throughput {report.baseline['speedup']:.2f}x the baseline's "
-              f"{report.baseline['throughput_rps']:.1f} req/s")
-    if args.bench_out:
-        print(f"wrote {args.bench_out}")
-    for violation in report.violations():
-        print(f"SLO violation: {violation}", file=sys.stderr)
-    return 0 if report.ok else 2
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import format_summary, read_trace
 
@@ -690,7 +576,6 @@ _COMMANDS = {
     "analyze": _cmd_analyze,
     "report": _cmd_report,
     "serve": _cmd_serve,
-    "loadtest": _cmd_loadtest,
     "trace": _cmd_trace,
     "crux": _cmd_crux,
     "world": _cmd_world,

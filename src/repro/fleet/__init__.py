@@ -19,31 +19,17 @@ and drain across cores the way production front ends do:
   (:func:`merge_snapshots`, fanned in over each worker's internal
   port) plus a ``fleet`` block.
 
-:mod:`repro.fleet.loadtest` is the measuring stick: it replays a
-Zipf-shaped query mix (fit from the server's own distribution curves)
-and asserts SLOs, which is how CI holds the multi-worker speedup.
+``benchmarks/bench_fleet.py`` is the measuring stick: it replays a
+seeded Zipf-shaped query mix against one process and against a fleet
+over the same dataset, and gates the fleet's throughput speedup.
 """
 
-from .loadtest import (
-    SLO,
-    LoadTestError,
-    LoadTestReport,
-    QueryMix,
-    discover_mix,
-    run_loadtest,
-)
 from .metrics import merge_snapshots
 from .supervisor import FleetSupervisor
 from .worker import worker_main
 
 __all__ = [
-    "SLO",
     "FleetSupervisor",
-    "LoadTestError",
-    "LoadTestReport",
-    "QueryMix",
-    "discover_mix",
     "merge_snapshots",
-    "run_loadtest",
     "worker_main",
 ]

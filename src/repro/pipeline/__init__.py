@@ -24,7 +24,7 @@ or, from the shell::
     repro report --data out/feb --out runs/feb --jobs 4
 """
 
-from .artifacts import ArtifactStore, artifact_bytes
+from .artifacts import ArtifactStore, encode_artifact
 from .context import TaskContext, infer_config
 from .registry import TaskRegistry
 from .reporting import render_task, write_run_dir
@@ -49,9 +49,9 @@ __all__ = [
     "TaskRegistry",
     "TaskStatus",
     "ThreadedTaskExecutor",
-    "artifact_bytes",
     "canonical_json",
     "default_registry",
+    "encode_artifact",
     "infer_config",
     "params_hash",
     "render_task",

@@ -26,22 +26,52 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .task import canonical_json
+from .task import canonical_json, result_digest
 
 #: Bump when the envelope layout changes; old artifacts become misses.
 _ARTIFACT_VERSION = 1
 
 
-def artifact_bytes(name: str, key: str, result: object) -> bytes:
-    """The exact bytes stored for one artifact (shared with run dirs)."""
-    envelope = {
-        "version": _ARTIFACT_VERSION,
-        "task": name,
-        "key": key,
-        "result": result,
-    }
-    return (canonical_json(envelope) + "\n").encode("utf-8")
+class Artifact(NamedTuple):
+    """One task result, its digest and its exact stored bytes."""
+
+    result: object
+    digest: str
+    data: bytes
+
+
+def _envelope(name: str, key: str) -> tuple[bytes, bytes]:
+    """The bytes before and after the result in ``name``/``key``'s file.
+
+    The envelope's canonical key order is ``key``, ``result``, ``task``,
+    ``version``, so the result's canonical JSON is an exact substring
+    of the envelope's: one encoding gives the digest and the file.
+    """
+    head = '{"key":' + canonical_json(key) + ',"result":'
+    tail = f',"task":{canonical_json(name)},"version":{_ARTIFACT_VERSION}}}\n'
+    return head.encode("utf-8"), tail.encode("utf-8")
+
+
+def encode_artifact(name: str, key: str, result: object) -> Artifact:
+    """``result`` encoded once: its digest and its stored bytes."""
+    encoded = canonical_json(result).encode("utf-8")
+    head, tail = _envelope(name, key)
+    return Artifact(result, result_digest(encoded), head + encoded + tail)
+
+
+def decode_artifact(name: str, key: str, data: bytes) -> Artifact:
+    """The artifact stored as ``data``, with no re-encoding.
+
+    Raises ``ValueError`` unless ``data`` is ``name``/``key``'s
+    envelope around a JSON result.
+    """
+    head, tail = _envelope(name, key)
+    if not (data.startswith(head) and data.endswith(tail)):
+        raise ValueError(f"not the artifact of {name}/{key}")
+    encoded = data[len(head):len(data) - len(tail)]
+    return Artifact(json.loads(encoded), result_digest(encoded), data)
 
 
 @dataclass
@@ -69,38 +99,30 @@ class ArtifactStore:
     def path_for(self, fingerprint: str, name: str, key: str) -> Path:
         return self.dir_for(fingerprint) / f"{name}__{key}.json"
 
-    def get(self, fingerprint: str, name: str, key: str) -> object | None:
-        """The stored result, or ``None`` on a miss.
+    def get(self, fingerprint: str, name: str, key: str) -> Artifact | None:
+        """The stored artifact, or ``None`` on a miss.
 
-        Unreadable or malformed files (torn writes, foreign formats)
-        count as misses — the task simply recomputes and overwrites.
+        Unreadable or malformed files (torn writes, foreign formats,
+        another address's envelope) count as misses — the task simply
+        recomputes and overwrites.
         """
         path = self.path_for(fingerprint, name, key)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            artifact = decode_artifact(name, key, path.read_bytes())
         except (OSError, ValueError):
             self.stats.misses += 1
             return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != _ARTIFACT_VERSION
-            or payload.get("task") != name
-            or payload.get("key") != key
-            or "result" not in payload
-        ):
-            self.stats.misses += 1
-            return None
         self.stats.hits += 1
-        return payload["result"]
+        return artifact
 
-    def put(self, fingerprint: str, name: str, key: str, result: object) -> Path:
-        """Store one artifact; the write is atomic (tmp file + rename)."""
+    def put(self, fingerprint: str, name: str, key: str, data: bytes) -> Path:
+        """Store one artifact's bytes; the write is atomic (tmp + rename)."""
         path = self.path_for(fingerprint, name, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(artifact_bytes(name, key, result))
+                handle.write(data)
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -7,17 +7,17 @@ Layout::
     <out>/tables/<task>.txt      rendered table/figure for renderable tasks
     <out>/REPORT.txt             all rendered sections, in DAG order
 
-Artifacts reuse :func:`repro.pipeline.artifacts.artifact_bytes`, so a
-run directory's ``artifacts/`` files are byte-identical to the
-artifact store's — ``diff -r`` between a run dir and the cache is
-empty, and between a serial and a parallel run dir too.
+Artifacts are the run report's stored bytes (encoded once per run,
+or read back from the store), so a run directory's ``artifacts/``
+files are byte-identical to the artifact store's — ``diff -r`` between
+a run dir and the cache is empty, and between a serial and a parallel
+run dir too.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .artifacts import artifact_bytes
 from .registry import TaskRegistry
 from .runner import RunReport
 from .task import TaskStatus
@@ -46,9 +46,8 @@ def write_run_dir(
     sections: list[str] = []
     for name in report.order:
         record = report.records[name]
-        if name in report.results:
-            payload = artifact_bytes(name, record.key or "", report.results[name])
-            (artifacts / f"{name}.json").write_bytes(payload)
+        if name in report.artifacts:
+            (artifacts / f"{name}.json").write_bytes(report.artifacts[name])
         rendered = render_task(registry, report, name)
         if rendered is not None:
             (tables / f"{name}.txt").write_text(rendered + "\n", encoding="utf-8")

@@ -31,10 +31,10 @@ from ..core.dataset import BrowsingDataset
 from ..core.errors import PipelineError, TaskUnavailable
 from ..core.types import Month
 from ..obs import get_tracer
-from .artifacts import ArtifactStore
+from .artifacts import ArtifactStore, encode_artifact
 from .context import TaskContext
 from .registry import TaskRegistry
-from .task import Task, TaskRecord, TaskStatus, result_digest
+from .task import Task, TaskRecord, TaskStatus
 
 #: What executing one task body yields: (status, result, error, seconds).
 Outcome = tuple[TaskStatus, object, str | None, float]
@@ -96,6 +96,8 @@ class RunReport:
     order: tuple[str, ...]
     records: dict[str, TaskRecord] = field(default_factory=dict)
     results: dict[str, object] = field(default_factory=dict)
+    #: Each result's exact artifact bytes, as stored (or read back).
+    artifacts: dict[str, bytes] = field(default_factory=dict)
 
     def count(self, status: TaskStatus) -> int:
         return sum(1 for r in self.records.values() if r.status is status)
@@ -231,9 +233,10 @@ class PipelineRunner:
                     if cached is not None:
                         report.records[name] = TaskRecord(
                             name, TaskStatus.CACHED, key=key,
-                            digest=result_digest(cached),
+                            digest=cached.digest,
                         )
-                        report.results[name] = cached
+                        report.results[name] = cached.result
+                        report.artifacts[name] = cached.data
                         tracer.record(
                             "pipeline.task",
                             time.perf_counter() - lookup,
@@ -258,10 +261,14 @@ class PipelineRunner:
                 record.error = error
                 record.seconds = seconds
                 if status is TaskStatus.OK:
+                    artifact = encode_artifact(name, record.key, result)
                     report.results[name] = result
-                    record.digest = result_digest(result)
+                    report.artifacts[name] = artifact.data
+                    record.digest = artifact.digest
                     if self.store is not None:
-                        self.store.put(ctx.fingerprint, name, record.key, result)
+                        self.store.put(
+                            ctx.fingerprint, name, record.key, artifact.data
+                        )
                 tracer.record(
                     "pipeline.task", seconds,
                     task=name, status=status.value, store=store_outcome,

@@ -48,17 +48,15 @@ def params_hash(params: Mapping[str, object], extra: str = "") -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def result_digest(result: object) -> str:
-    """A short digest of a task result, for dependents' cache keys.
+def result_digest(encoded: bytes) -> str:
+    """A short digest of a task result's canonical JSON bytes.
 
     Folding each dependency's result digest into a dependent's key
     gives the DAG Merkle-style early cutoff: after an ingest, a task
     whose inputs (month, params, dependency *results*) are all
     unchanged keeps its warm artifact, even though the dataset grew.
     """
-    return hashlib.sha256(
-        canonical_json(result).encode("utf-8")
-    ).hexdigest()[:16]
+    return hashlib.sha256(encoded).hexdigest()[:16]
 
 
 class TaskStatus(enum.Enum):

@@ -175,8 +175,8 @@ def bind(host: str, port: int, *, backlog: int = 128) -> socket.socket:
     """A listening socket; ``port=0`` picks a free port.
 
     It always carries ``SO_REUSEADDR``, so rapid restart loops — tests,
-    `repro loadtest` runs, fleet supervisors respawning a worker — never
-    trip over EADDRINUSE while the old socket lingers in TIME_WAIT.
+    benchmark runs, fleet supervisors respawning a worker — never trip
+    over EADDRINUSE while the old socket lingers in TIME_WAIT.
     """
     family = socket.AF_INET6 if ":" in host else socket.AF_INET
     return socket.create_server((host, port), family=family, backlog=backlog)

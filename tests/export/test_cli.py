@@ -323,55 +323,6 @@ class TestServeParser:
         assert port > 0
 
 
-class TestLoadtestParser:
-    def test_defaults(self):
-        args = _build_parser().parse_args(["loadtest", "http://x:1"])
-        assert args.url == "http://x:1"
-        assert args.duration is None
-        assert args.requests is None
-        assert args.concurrency == 8
-        assert args.client_procs == 1
-        assert args.seed == 2022
-        assert args.bench_out is None
-        assert args.baseline is None
-        assert args.min_speedup is None
-        for name in ("slo_p50_ms", "slo_p95_ms", "slo_p99_ms",
-                     "slo_error_rate", "slo_min_rps"):
-            assert getattr(args, name) is None
-
-    def test_all_flags(self):
-        args = _build_parser().parse_args([
-            "loadtest", "http://x:1", "--duration", "5",
-            "--concurrency", "16", "--client-procs", "2",
-            "--seed", "7", "--top-sites", "50",
-            "--slo-p95-ms", "100", "--slo-error-rate", "0.01",
-            "--slo-min-rps", "200", "--bench-out", "B.json",
-            "--baseline", "A.json", "--min-speedup", "2.0",
-        ])
-        assert args.duration == 5.0
-        assert args.concurrency == 16
-        assert args.client_procs == 2
-        assert args.slo_p95_ms == 100.0
-        assert args.slo_error_rate == 0.01
-        assert args.min_speedup == 2.0
-
-    def test_unreachable_server_exits_2(self, capsys):
-        code = main([
-            "loadtest", "http://127.0.0.1:1", "--timeout", "0.5",
-            "--requests", "1",
-        ])
-        assert code == 2
-        assert "cannot reach" in capsys.readouterr().err
-
-    def test_missing_baseline_exits_2(self, tmp_path, capsys):
-        code = main([
-            "loadtest", "http://127.0.0.1:1",
-            "--baseline", str(tmp_path / "absent.json"),
-        ])
-        assert code == 2
-        assert "baseline" in capsys.readouterr().err
-
-
 class TestTraceFlag:
     def test_parsers_accept_trace(self):
         for command in (

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.pipeline import artifact_bytes, default_registry
+from repro.pipeline import default_registry, encode_artifact
 from repro.pipeline.tasks import _f, _q
 from repro.stats.descriptive import quartiles
 from repro.stats.rbo import weighted_rbo
@@ -55,8 +55,8 @@ class TestSimilarityBytes:
             "values": [[_f(v) for v in row] for row in values.tolist()],
         }
         assert (
-            artifact_bytes("similarity", "parity", got)
-            == artifact_bytes("similarity", "parity", want)
+            encode_artifact("similarity", "parity", got).data
+            == encode_artifact("similarity", "parity", want).data
         )
 
 
@@ -111,8 +111,8 @@ class TestTemporalBytes:
         assert got["anchored"] == want_anchored
         want = dict(got, adjacent=want_adjacent, anchored=want_anchored)
         assert (
-            artifact_bytes("temporal", "parity", got)
-            == artifact_bytes("temporal", "parity", want)
+            encode_artifact("temporal", "parity", got).data
+            == encode_artifact("temporal", "parity", want).data
         )
 
 
@@ -137,8 +137,8 @@ class TestIntersectionsBytes:
             })
         want = dict(got, buckets=want_buckets)
         assert (
-            artifact_bytes("intersections", "parity", got)
-            == artifact_bytes("intersections", "parity", want)
+            encode_artifact("intersections", "parity", got).data
+            == encode_artifact("intersections", "parity", want).data
         )
 
 
@@ -178,6 +178,6 @@ class TestMetricOverlapBytes:
                 },
             )
             assert (
-                artifact_bytes("overlap", "parity", entry)
-                == artifact_bytes("overlap", "parity", want_entry)
+                encode_artifact("overlap", "parity", entry).data
+                == encode_artifact("overlap", "parity", want_entry).data
             )

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import repro
 from repro.cli import _build_parser, main
+from repro.pipeline import ArtifactStore
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,53 @@ class TestReportCommand:
             "endemicity", "labels", "endemic_categories",
         }
 
+
+class TestEncodeOnce:
+    """Each task result is JSON-encoded at most once per ``report``.
+
+    A cold run encodes a result once and takes its digest, its stored
+    file and its run-dir file from those bytes; a warm run reuses the
+    stored bytes and encodes nothing.
+    """
+
+    @pytest.fixture(scope="class")
+    def two_country_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("encode-once") / "ds"
+        assert main([
+            "generate", "--small", "--out", str(out), "--countries", "US", "KR",
+        ]) == 0
+        return out
+
+    def test_cold_and_warm_runs_encode_each_result_at_most_once(
+        self, two_country_dir, tmp_path, monkeypatch
+    ):
+        real = json.dumps
+        store = ArtifactStore(two_country_dir / ".artifacts")
+        for out, most in ((tmp_path / "cold", 1), (tmp_path / "warm", 0)):
+            dumped: list[object] = []
+
+            def spy(obj, *args, **kwargs):
+                dumped.append(obj)
+                return real(obj, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(json, "dumps", spy)
+                run = repro.report(str(two_country_dir), str(out))
+            assert run.executed > 0 if most else run.executed == 0
+            assert run.results
+            for name, result in run.results.items():
+                # An encoding of the result alone or inside its envelope.
+                encodings = sum(
+                    1 for obj in dumped
+                    if obj is result
+                    or (isinstance(obj, dict) and obj.get("result") is result)
+                )
+                assert encodings <= most, (out.name, name, encodings)
+                stored = store.path_for(
+                    run.fingerprint, name, run.records[name].key
+                )
+                written = out / "artifacts" / f"{name}.json"
+                assert written.read_bytes() == stored.read_bytes(), name
 
 class TestAnalyzeViaRegistry:
     def test_choices_come_from_the_registry(self):

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.analysis import SimilarityMatrix
 from repro.core import Platform
-from repro.pipeline import artifact_bytes, default_registry
+from repro.pipeline import default_registry, encode_artifact
 from repro.pipeline.tasks import _f
 from repro.stats.affinity import affinity_propagation
 from repro.stats.correction import bonferroni
@@ -99,8 +99,8 @@ class TestPlatformsBytes:
         ]
         want = {"metrics": want_metrics}
         assert (
-            artifact_bytes("platforms", "parity", got)
-            == artifact_bytes("platforms", "parity", want)
+            encode_artifact("platforms", "parity", got).data
+            == encode_artifact("platforms", "parity", want).data
         )
 
 
@@ -155,6 +155,6 @@ class TestClustersBytes:
         )
         want = scalar_cluster_report(matrix)
         assert (
-            artifact_bytes("clusters", "parity", got)
-            == artifact_bytes("clusters", "parity", want)
+            encode_artifact("clusters", "parity", got).data
+            == encode_artifact("clusters", "parity", want).data
         )
