@@ -13,7 +13,7 @@ build is paid once up front, outside all timings):
 
 * per-slice serial (:func:`tests.oracles.scorer.execute_reference`) —
   the byte-identity oracle, scoring one breakdown at a time;
-* batched serial (``SerialExecutor()``) — the headline path, asserted
+* batched serial (``jobs=1``) — the headline path, asserted
   ≥ 3× the per-slice baseline and byte-identical to it;
 * batched parallel — country grids shipped whole to forked workers
   (the ≥ 2× assertion only fires with enough CPUs).
@@ -27,12 +27,7 @@ import os
 import time
 
 from repro.core import Metric, Platform, STUDY_MONTHS
-from repro.engine import (
-    GenerationEngine,
-    ParallelExecutor,
-    SerialExecutor,
-    SlicePlan,
-)
+from repro.engine import GenerationEngine, SlicePlan
 from repro.engine.executor import _GENERATORS
 from repro.synth import GeneratorConfig, TelemetryGenerator
 from repro.synth.universe import build_universe
@@ -68,21 +63,21 @@ def test_engine_full_grid(benchmark):
     build_universe(config.resolved_universe())
     fingerprint = config.fingerprint()
 
-    def cold_engine(executor):
+    def cold_engine(jobs):
         _GENERATORS.pop(fingerprint, None)
-        return GenerationEngine(config, executor=executor)
+        return GenerationEngine(config, jobs=jobs)
 
     # Parallel first, so workers fork from a parent without warmed
     # per-country generator state — the same work the serial runs do.
     parallel_t, parallel_lists = _timed(
-        lambda: cold_engine(ParallelExecutor(jobs=WORKERS)).run(plan)
+        lambda: cold_engine(WORKERS).run(plan)
     )
 
     perslice_t, perslice_lists = _timed(
         lambda: execute_reference(TelemetryGenerator(config), plan)
     )
 
-    batched_engine = cold_engine(SerialExecutor())
+    batched_engine = cold_engine(1)
     batched_t, batched_lists = _timed(
         lambda: benchmark.pedantic(
             batched_engine.run, args=(plan,), rounds=1, iterations=1

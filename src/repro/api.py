@@ -269,7 +269,6 @@ def report(
     out: str | Path,
     *,
     tasks: Iterable[str] | None = None,
-    jobs: int = 1,
     store: "ArtifactStore | str | Path | None" = None,
     no_store: bool = False,
     config: "GeneratorConfig | None" = None,
@@ -300,7 +299,6 @@ def report(
         run = run_pipeline(
             dataset,
             list(tasks) if tasks is not None else None,
-            jobs=jobs,
             store=store,
             config=_context_config(dataset, config, small, seed),
             month=Month.parse(month) if isinstance(month, str) else month,
@@ -319,7 +317,6 @@ def serve(
     no_store: bool = False,
     cache_size: int = 256,
     cache_bytes: int | None = None,
-    jobs: int = 1,
     config: "GeneratorConfig | None" = None,
     month: "Month | str | None" = None,
     small: bool = False,
@@ -373,7 +370,6 @@ def serve(
         no_store=no_store,
         cache_size=cache_size,
         cache_bytes=cache_bytes,
-        jobs=jobs,
         config=config,
         month=month,
         small=small,

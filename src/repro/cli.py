@@ -167,9 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--data", required=True, help="saved dataset directory")
     rep.add_argument("--out", required=True, help="run directory to write")
-    rep.add_argument("--jobs", type=int, default=1,
-                     help="concurrent tasks (default: 1 = serial; artifacts "
-                          "are byte-identical either way)")
     rep.add_argument("--tasks", nargs="*", default=None,
                      help="task subset (dependencies are pulled in; "
                           "default: the whole registry)")
@@ -215,9 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--cache-bytes", type=int, default=None,
                      help="byte budget for the payload LRU (per worker); "
                           "evicts oldest entries until under budget")
-    srv.add_argument("--jobs", type=int, default=1,
-                     help="concurrent pipeline tasks per analysis request "
-                          "(default: 1 = serial)")
     srv.add_argument("--month", type=_parse_month, default=None,
                      help="reference month (default: the dataset's last)")
     srv.add_argument("--small", action="store_true",
@@ -413,7 +407,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             args.data,
             args.out,
             tasks=args.tasks,
-            jobs=args.jobs,
             store=store,
             no_store=args.no_store,
             month=args.month,
@@ -462,7 +455,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             no_store=args.no_store,
             cache_size=args.cache_size,
             cache_bytes=args.cache_bytes,
-            jobs=args.jobs,
             month=args.month,
             small=args.small,
             seed=args.seed,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..core.dataset import BrowsingDataset
-from ..core.errors import GenerationError
 from ..core.rankedlist import RankedList
 from ..core.truth import GroundTruth
 from ..core.types import Breakdown, Metric, Month, Platform, REFERENCE_MONTH
@@ -24,26 +23,27 @@ from .plan import SlicePlan
 
 
 class GenerationEngine:
-    """Executor-pluggable slice generation."""
+    """Slice generation, in process or on a process pool.
+
+    ``jobs > 1`` runs the plan on a :class:`ParallelExecutor` of that
+    many workers; anything else scores in process.  Both produce
+    byte-identical slices.
+    """
 
     def __init__(
         self,
         config: GeneratorConfig | None = None,
         *,
-        executor: SerialExecutor | ParallelExecutor | None = None,
         jobs: int | None = None,
         generator: TelemetryGenerator | None = None,
     ) -> None:
         if generator is not None:
             config = generator.config
         self.config = config or GeneratorConfig()
-        if jobs is not None:
-            if executor is not None:
-                raise GenerationError(
-                    "pass either executor= or jobs=, not both"
-                )
-            executor = ParallelExecutor(jobs=jobs) if jobs > 1 else None
-        self.executor = executor or SerialExecutor()
+        self.executor = (
+            ParallelExecutor(jobs=jobs) if jobs is not None and jobs > 1
+            else SerialExecutor()
+        )
         self._generator = generator
         self._fingerprint: str | None = None
 

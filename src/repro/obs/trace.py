@@ -216,26 +216,6 @@ class Tracer:
             stack.remove(span)
         self.collector.append(span.to_dict())
 
-    def record(self, name: str, seconds: float, **attrs: object) -> None:
-        """A pre-measured, already-finished span (no context manager).
-
-        Used where the duration was measured elsewhere — e.g. the
-        pipeline runner settles task outcomes (with their timings) from
-        the coordinating thread.  ``ts`` is back-dated by ``seconds``
-        so span trees still read in start order.
-        """
-        parent = self.current
-        span = Span(
-            self,
-            name,
-            f"{self._prefix}{next(self._ids)}",
-            parent.span_id if parent is not None else None,
-            attrs,
-        )
-        span.ts = time.time() - seconds
-        span.duration_ms = seconds * 1000.0
-        self.collector.append(span.to_dict())
-
     def adopt(
         self,
         span_dicts: Iterable[dict[str, object]],
@@ -321,9 +301,6 @@ class NullTracer:
 
     def span(self, _name: str, **_attrs: object) -> _NullSpan:
         return self._SPAN
-
-    def record(self, _name: str, _seconds: float, **_attrs: object) -> None:
-        return None
 
     def adopt(self, _span_dicts, *, parent=None) -> int:
         return 0

@@ -13,8 +13,8 @@ the value the task body would recompute, and changing any knob starts
 a new cache line instead of serving stale results.
 
 Artifacts are canonical JSON (sorted keys, fixed separators), so a
-file is a pure function of its address — parallel and serial runs
-write byte-identical artifacts — and stays greppable/diffable with
+file is a pure function of its address — any two runs write
+byte-identical artifacts — and stays greppable/diffable with
 standard tools.  Writes are atomic (tmp file + rename), so a crash
 never leaves a torn artifact under its final name.
 """

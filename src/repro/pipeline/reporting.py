@@ -10,8 +10,8 @@ Layout::
 Artifacts are the run report's stored bytes (encoded once per run,
 or read back from the store), so a run directory's ``artifacts/``
 files are byte-identical to the artifact store's — ``diff -r`` between
-a run dir and the cache is empty, and between a serial and a parallel
-run dir too.
+a run dir and the cache is empty, and between a cold and a warm run
+dir only ``run.json`` differs.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ def canonical_json(payload: object) -> str:
     """The one JSON serialization used for hashing and artifacts.
 
     Sorted keys and fixed separators make the bytes a pure function of
-    the value, so parallel and serial runs emit identical artifacts.
+    the value, so every run of a task emits identical artifacts.
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

@@ -7,8 +7,8 @@ runs the analysis, and returns a JSON-shaped summary (the artifact);
 the CLI and run reports print.  Dependencies express real data flow —
 ground truth (``labels``/``tags``/``has_app``) feeds the composition
 family, the endemicity scoring feeds the popularity mix, and the wRBO
-matrix feeds clustering and geography — so independent branches run
-concurrently under the threaded executor.
+matrix feeds clustering and geography — and the runner executes them
+one at a time in that dependency order.
 
 Heavy imports live inside task bodies: building the registry (e.g. to
 populate ``analyze --analysis`` choices) costs nothing.

@@ -63,8 +63,12 @@ def render_shares(
     top: int = 15,
     percent: bool = True,
 ) -> str:
-    """Render a category → share mapping, largest first."""
-    ordered = sorted(shares.items(), key=lambda kv: -kv[1])[:top]
+    """Render a category → share mapping, largest first.
+
+    Ties go by name, so the table does not depend on the mapping's
+    insertion order (a stored artifact's JSON keys come back sorted).
+    """
+    ordered = sorted(shares.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
     rows = [
         (name, f"{value * 100:.1f}%" if percent else f"{value:.4f}")
         for name, value in ordered

@@ -37,10 +37,8 @@ from ..obs import get_tracer
 from ..pipeline import (
     ArtifactStore,
     PipelineRunner,
-    SerialTaskExecutor,
     TaskContext,
     TaskStatus,
-    ThreadedTaskExecutor,
     canonical_json,
     default_registry,
 )
@@ -73,7 +71,6 @@ class QueryService:
         month: Month | None = None,
         cache: PayloadCache | int = 256,
         cache_bytes: int | None = None,
-        jobs: int = 1,
         root: str | Path | None = None,
         version: int | None = None,
     ) -> None:
@@ -82,8 +79,7 @@ class QueryService:
         if isinstance(store, (str, Path)):
             store = ArtifactStore(store)
         self.store = store
-        executor = ThreadedTaskExecutor(jobs) if jobs > 1 else SerialTaskExecutor()
-        self.runner = PipelineRunner(self.registry, executor=executor, store=store)
+        self.runner = PipelineRunner(self.registry, store=store)
         self.ctx = TaskContext(dataset, config=config, month=month)
         self.cache = (
             cache if isinstance(cache, PayloadCache)

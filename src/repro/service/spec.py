@@ -39,7 +39,6 @@ class ServeSpec:
     no_store: bool = False
     cache_size: int = 256
     cache_bytes: int | None = None
-    jobs: int = 1
     config: "GeneratorConfig | None" = None
     month: "Month | str | None" = None
     small: bool = False
@@ -77,7 +76,6 @@ def build_service(spec: ServeSpec) -> "QueryService":
         month=month,
         cache=spec.cache_size,
         cache_bytes=spec.cache_bytes,
-        jobs=spec.jobs,
         root=spec.data if on_disk else getattr(dataset, "root", None),
         version=int(spec.as_of) if spec.as_of is not None else None,
     )

@@ -641,10 +641,9 @@ class TelemetryGenerator:
     ) -> BrowsingDataset:
         """Generate a dataset covering the requested breakdown grid.
 
-        Delegates to :class:`repro.engine.GenerationEngine` with the
-        serial executor, which scores with this generator; pass an
-        engine explicitly (with a :class:`~repro.engine.ParallelExecutor`)
-        for the parallel path.
+        Delegates to :class:`repro.engine.GenerationEngine` in process,
+        scoring with this generator; build an engine with ``jobs > 1``
+        for the process-pool path.
         """
         from ..engine import GenerationEngine  # local: engine builds on synth
 

@@ -5,7 +5,9 @@ A report reads the ground truth stored with the dataset, so only
 holds exactly one `synth.universe_build` span and the report trace none.
 Over a columnar dataset every list the report reads is decoded in a
 `store.materialize` span, so those spans' `slices` add up to the lists
-an identical in-process report materialises.
+an identical in-process report materialises.  Every span a task causes
+(kernels, Fisher batches, slice decodes) nests under that task's
+`pipeline.task` span.
 """
 
 from __future__ import annotations
@@ -71,3 +73,31 @@ def test_materialize_spans_cover_the_slices_the_report_reads(traced):
     assert read > 0
     assert traced_slices == read
     assert all(span["attrs"]["sites"] > 0 for span in materialized)
+
+
+@pytest.mark.parametrize("trace", ["report", "report-col"])
+def test_task_work_nests_under_its_task_span(traced, trace):
+    by_id = {span["span"]: span for span in spans(traced[trace])}
+
+    def ancestors(span):
+        while span.get("parent") in by_id:
+            span = by_id[span["parent"]]
+            yield span
+
+    def in_run(span):
+        return any(a["name"] == "pipeline.run" for a in ancestors(span))
+
+    caused = [
+        span for span in by_id.values()
+        if span["name"] == "stats.fisher_batch"
+        or span["name"].startswith("kernel.")
+        or (span["name"] == "store.materialize" and in_run(span))
+    ]
+    names = {span["name"] for span in caused}
+    assert {"stats.fisher_batch", "kernel.pairwise_wrbo",
+            "kernel.rank_matrix"} <= names
+    if trace == "report-col":
+        assert "store.materialize" in names
+    orphans = [span["name"] for span in caused
+               if by_id[span["parent"]]["name"] != "pipeline.task"]
+    assert orphans == []

@@ -74,9 +74,9 @@ class TestParallelExecutor:
         serial = GenerationEngine(config, generator=generator).generate(
             countries=COUNTRIES
         )
-        parallel = GenerationEngine(
-            config, executor=ParallelExecutor(jobs=2)
-        ).generate(countries=COUNTRIES)
+        parallel = GenerationEngine(config, jobs=2).generate(
+            countries=COUNTRIES
+        )
         assert set(serial.breakdowns()) == set(parallel.breakdowns())
         for breakdown in serial.breakdowns():
             assert _blob(serial[breakdown]) == _blob(parallel[breakdown]), breakdown

@@ -92,9 +92,22 @@ class TestGenerateEngineFlags:
             main(argv + ["--cache-dir", str(tmp_path / "slices")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "--data", "d", "--out", "o"],
+        ["serve", "--data", "d"],
+    ])
+    def test_jobs_flag_is_generation_only(self, argv, capsys):
+        # Pipeline runs take one thread; only generate/ingest fan out.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestConvert:
     def test_round_trip_is_byte_identical(self, dataset_dir, tmp_path, capsys):
+        from repro.export.io import dataset_fingerprint, load_dataset
+
         col = tmp_path / "col"
         back = tmp_path / "back"
         assert main(["convert", str(dataset_dir), str(col)]) == 0
@@ -107,6 +120,11 @@ class TestConvert:
                 original.read_bytes()
         assert (back / "manifest.json").read_bytes() == \
             (dataset_dir / "manifest.json").read_bytes()
+        assert (back / "ground_truth.jsonl").read_bytes() == \
+            (dataset_dir / "ground_truth.jsonl").read_bytes()
+        text, mapped = load_dataset(dataset_dir), load_dataset(col)
+        assert mapped.storage == "columnar-mmap"
+        assert dataset_fingerprint(text) == dataset_fingerprint(mapped)
 
     def test_missing_source_exits_2(self, tmp_path, capsys):
         assert main(["convert", str(tmp_path / "nope"),
@@ -269,7 +287,6 @@ class TestServeParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8000
         assert args.cache_size == 256
-        assert args.jobs == 1
         assert args.store is None
         assert not args.no_store
         assert args.trace is None
@@ -277,7 +294,7 @@ class TestServeParser:
     def test_port_zero_and_flags_accepted(self):
         args = _build_parser().parse_args([
             "serve", "--data", "ds", "--port", "0",
-            "--cache-size", "16", "--jobs", "4", "--no-store",
+            "--cache-size", "16", "--no-store",
         ])
         assert args.port == 0
         assert args.cache_size == 16

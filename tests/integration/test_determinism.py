@@ -1,7 +1,7 @@
 """Integration: reproducibility guarantees across the whole stack."""
 
 from repro.core import Breakdown, Metric, Month, Platform, REFERENCE_MONTH
-from repro.engine import GenerationEngine, ParallelExecutor
+from repro.engine import GenerationEngine
 from repro.synth import GeneratorConfig, TelemetryGenerator
 
 
@@ -42,7 +42,7 @@ class TestDatasetDeterminism:
     def test_slice_byte_identical_across_generation_paths(self, generator):
         """The engine refactor's core invariant: a single ``rank_list``
         slice, the same slice from a full ``generate()`` grid, and the
-        same slice from a ``ParallelExecutor`` run are byte-identical."""
+        same slice from a ``jobs=2`` engine run are byte-identical."""
         config = generator.config
         breakdown = Breakdown(
             "KR", Platform.ANDROID, Metric.TIME_ON_PAGE, REFERENCE_MONTH
@@ -52,9 +52,9 @@ class TestDatasetDeterminism:
             breakdown.month,
         )
         full = generator.generate(countries=("KR", "US"))[breakdown]
-        parallel = GenerationEngine(
-            config, executor=ParallelExecutor(jobs=2)
-        ).generate(countries=("KR", "US"))[breakdown]
+        parallel = GenerationEngine(config, jobs=2).generate(
+            countries=("KR", "US")
+        )[breakdown]
 
         def blob(ranked):
             return ("\n".join(ranked.sites) + "\n").encode("utf-8")

@@ -82,15 +82,6 @@ class TestSpanNesting:
         (item,) = tracer.collector.snapshot()
         assert item["duration_ms"] >= 0.0
 
-    def test_record_backdates_and_parents(self):
-        tracer = Tracer()
-        with tracer.span("root") as root:
-            tracer.record("settled", 1.5, task="x")
-        settled, _ = tracer.collector.snapshot()
-        assert settled["duration_ms"] == 1500.0
-        assert settled["parent"] == root.span_id
-        assert settled["attrs"] == {"task": "x"}
-
 
 class TestThreadSafety:
     def test_per_thread_stacks_stay_independent(self):
@@ -178,7 +169,6 @@ class TestNullShim:
     def test_null_tracer_surface(self):
         assert NULL_TRACER.enabled is False
         assert NULL_TRACER.current is None
-        assert NULL_TRACER.record("x", 1.0) is None
         assert NULL_TRACER.adopt([{"span": "1"}]) == 0
         assert NULL_TRACER.snapshot() == {"enabled": False}
 

@@ -8,7 +8,7 @@ in ``/v1/metrics``) is covered next to the other HTTP tests in
 import pytest
 
 from repro.core import Metric, Platform
-from repro.engine import GenerationEngine, ParallelExecutor
+from repro.engine import GenerationEngine
 from repro.obs import NULL_TRACER, Tracer, set_tracer
 from repro.pipeline import PipelineRunner, TaskContext, TaskRegistry
 from repro.store import write_columnar
@@ -60,9 +60,7 @@ class TestEngineTracing:
         engine.generate(countries=("US",), **GRID)  # must not raise
 
     def test_parallel_workers_spans_are_adopted(self, generator, tracer):
-        engine = GenerationEngine(
-            generator.config, executor=ParallelExecutor(jobs=2)
-        )
+        engine = GenerationEngine(generator.config, jobs=2)
         engine.generate(countries=("US", "KR"), **GRID)
 
         spans = _by_name(tracer)

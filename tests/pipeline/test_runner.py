@@ -1,18 +1,14 @@
 """Runner semantics on toy DAGs: ordering, isolation, artifact reuse."""
 
-import threading
-
 import pytest
 
-from repro.core.errors import PipelineError, TaskUnavailable
+from repro.core.errors import TaskUnavailable
 from repro.pipeline import (
     ArtifactStore,
     PipelineRunner,
-    SerialTaskExecutor,
     TaskContext,
     TaskRegistry,
     TaskStatus,
-    ThreadedTaskExecutor,
 )
 
 
@@ -62,39 +58,6 @@ class TestDagExecution:
         report = PipelineRunner(_diamond(calls)).run(ctx, ["left"])
         assert set(calls) == {"base", "left"}
         assert set(report.records) == {"base", "left"}
-
-    def test_parallel_matches_serial(self, ctx):
-        serial = PipelineRunner(_diamond([])).run(ctx)
-        threaded = PipelineRunner(
-            _diamond([]), executor=ThreadedTaskExecutor(4)
-        ).run(ctx)
-        assert serial.results == threaded.results
-        assert serial.order == threaded.order
-
-    def test_independent_tasks_share_a_wave(self, ctx):
-        registry = TaskRegistry()
-        barrier = threading.Barrier(2, timeout=10)
-
-        @registry.task("a")
-        def a(ctx, inputs):
-            barrier.wait()
-            return {}
-
-        @registry.task("b")
-        def b(ctx, inputs):
-            barrier.wait()
-            return {}
-
-        # Both bodies block until the other has started: only truly
-        # concurrent execution can pass the barrier.
-        report = PipelineRunner(
-            registry, executor=ThreadedTaskExecutor(2)
-        ).run(ctx)
-        assert report.executed == 2
-
-    def test_bad_jobs_rejected(self):
-        with pytest.raises(PipelineError, match="jobs"):
-            ThreadedTaskExecutor(0)
 
 
 class TestFailureIsolation:

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.pipeline import (
-    ArtifactStore,
     PipelineRunner,
     TaskContext,
     TaskStatus,
-    ThreadedTaskExecutor,
     default_registry,
     render_task,
     run_pipeline,
@@ -68,30 +66,6 @@ class TestFullRun:
         labels = report.results["labels"]
         assert labels  # non-empty
         assert set(labels) <= pipeline_ctx.sites()
-
-
-class TestDeterminism:
-    def test_parallel_artifacts_byte_identical_to_serial(
-        self, pipeline_ctx, tmp_path
-    ):
-        registry = default_registry()
-        serial_store = ArtifactStore(tmp_path / "serial")
-        threaded_store = ArtifactStore(tmp_path / "threads")
-        PipelineRunner(registry, store=serial_store).run(pipeline_ctx)
-        PipelineRunner(
-            registry, executor=ThreadedTaskExecutor(4), store=threaded_store
-        ).run(pipeline_ctx)
-
-        serial_files = {
-            p.relative_to(serial_store.root): p.read_bytes()
-            for p in serial_store.root.rglob("*.json")
-        }
-        threaded_files = {
-            p.relative_to(threaded_store.root): p.read_bytes()
-            for p in threaded_store.root.rglob("*.json")
-        }
-        assert serial_files == threaded_files
-        assert len(serial_files) == len(registry)
 
 
 class TestDegradedDatasets:

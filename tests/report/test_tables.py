@@ -57,3 +57,11 @@ class TestRenderShares:
     def test_top_limits_rows(self):
         out = render_shares({c: 0.01 for c in "abcdefg"}, title="T", top=3)
         assert len(out.splitlines()) == 3 + 3
+
+    def test_ties_break_by_name_not_insertion_order(self):
+        forward = {"b": 0.2, "a": 0.2, "d": 0.1, "c": 0.1, "e": 0.1}
+        backward = dict(reversed(forward.items()))
+        out = render_shares(forward, title="T", top=4)
+        assert out == render_shares(backward, title="T", top=4)
+        body = [line.split()[0] for line in out.splitlines()[3:]]
+        assert body == ["a", "b", "c", "d"]

@@ -135,11 +135,3 @@ class TestParameterConventions:
         with pytest.raises(TypeError):
             engine.generate(("US",))
 
-    def test_engine_rejects_jobs_and_executor_together(self, generator):
-        from repro.core import GenerationError
-        from repro.engine import GenerationEngine, SerialExecutor
-
-        with pytest.raises(GenerationError, match="not both"):
-            GenerationEngine(
-                generator.config, executor=SerialExecutor(), jobs=2
-            )
