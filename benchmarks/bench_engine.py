@@ -1,22 +1,19 @@
-"""Generation-engine benchmark: per-slice vs batched vs parallel.
+"""Generation-engine benchmark: per-slice vs batched scoring.
 
 Times the full study grid — 45 countries × 2 platforms × 3 metrics × 6
 months (1620 slices, December included) — through the plan/execute
 engine on the *small* universe, so the bench runs anywhere; the
 mechanics being measured — one matrix pass per country grid, keyed
-component reuse, memoised privacy cutoffs, per-country work-unit
-sharding — are scale-independent.
+component reuse, memoised privacy cutoffs — are scale-independent.
 
-Three scoring paths are timed from equally cold generator state (the
+Two scoring paths are timed from equally cold generator state (the
 process-level generator memo is dropped before each run; the universe
 build is paid once up front, outside all timings):
 
-* per-slice serial (:func:`tests.oracles.scorer.execute_reference`) —
-  the byte-identity oracle, scoring one breakdown at a time;
-* batched serial (``jobs=1``) — the headline path, asserted
-  ≥ 3× the per-slice baseline and byte-identical to it;
-* batched parallel — country grids shipped whole to forked workers
-  (the ≥ 2× assertion only fires with enough CPUs).
+* per-slice (:func:`tests.oracles.scorer.execute_reference`) — the
+  byte-identity oracle, scoring one breakdown at a time;
+* batched (:meth:`GenerationEngine.run`) — the engine's one path,
+  asserted ≥ 3× the per-slice baseline and byte-identical to it.
 
 Results land in ``BENCH_engine.json`` next to the other CI artifacts.
 """
@@ -28,14 +25,13 @@ import time
 
 from repro.core import Metric, Platform, STUDY_MONTHS
 from repro.engine import GenerationEngine, SlicePlan
-from repro.engine.executor import _GENERATORS
+from repro.engine.engine import _GENERATORS
 from repro.synth import GeneratorConfig, TelemetryGenerator
 from repro.synth.universe import build_universe
 from tests.oracles.scorer import execute_reference
 
 from _bench_utils import print_comparison, write_bench_json
 
-WORKERS = 4
 MIN_BATCH_SPEEDUP = 3.0
 
 
@@ -58,46 +54,26 @@ def test_engine_full_grid(benchmark):
     )
     assert len(plan) == 45 * 2 * 3 * 6
     # Pay the universe build once, outside every timing below; each
-    # scoring run then drops the process-level generator memo so all
-    # three start from identical cold per-country state.
+    # scoring run then starts from identical cold per-country state.
     build_universe(config.resolved_universe())
-    fingerprint = config.fingerprint()
-
-    def cold_engine(jobs):
-        _GENERATORS.pop(fingerprint, None)
-        return GenerationEngine(config, jobs=jobs)
-
-    # Parallel first, so workers fork from a parent without warmed
-    # per-country generator state — the same work the serial runs do.
-    parallel_t, parallel_lists = _timed(
-        lambda: cold_engine(WORKERS).run(plan)
-    )
 
     perslice_t, perslice_lists = _timed(
         lambda: execute_reference(TelemetryGenerator(config), plan)
     )
 
-    batched_engine = cold_engine(1)
+    _GENERATORS.pop(config.fingerprint(), None)
+    batched_engine = GenerationEngine(config)
     batched_t, batched_lists = _timed(
         lambda: benchmark.pedantic(
             batched_engine.run, args=(plan,), rounds=1, iterations=1
         )
     )
 
-    assert set(perslice_lists) == set(batched_lists) == set(parallel_lists)
+    assert set(perslice_lists) == set(batched_lists)
     for breakdown, ranked in perslice_lists.items():
         assert ranked.sites == batched_lists[breakdown].sites, breakdown
-        assert ranked.sites == parallel_lists[breakdown].sites, breakdown
 
     batch_speedup = perslice_t / batched_t if batched_t > 0 else float("inf")
-    parallel_speedup = (
-        perslice_t / parallel_t if parallel_t > 0 else float("inf")
-    )
-    cpus = os.cpu_count() or 1
-    parallel_note = (
-        "ok" if parallel_speedup >= 2.0
-        else f"not asserted: only {cpus} CPU(s)"
-    )
     print_comparison(
         [
             ("per-slice serial (s)", "-", f"{perslice_t:.2f}",
@@ -106,12 +82,8 @@ def test_engine_full_grid(benchmark):
              "one matrix pass per country grid"),
             ("batched speedup", f">= {MIN_BATCH_SPEEDUP:.1f}",
              f"{batch_speedup:.2f}x", "asserted, byte-identical"),
-            ("batched parallel (s)", "-", f"{parallel_t:.2f}",
-             f"{WORKERS} workers, {cpus} CPU(s)"),
-            ("parallel speedup", ">= 2.0", f"{parallel_speedup:.2f}x",
-             parallel_note),
         ],
-        "Generation engine — full grid: per-slice vs batched vs parallel",
+        "Generation engine — full grid: per-slice vs batched",
     )
 
     write_bench_json("engine", {
@@ -121,20 +93,12 @@ def test_engine_full_grid(benchmark):
         },
         "per_slice_serial_s": round(perslice_t, 4),
         "batched_serial_s": round(batched_t, 4),
-        "batched_parallel_s": round(parallel_t, 4),
         "batched_speedup": round(batch_speedup, 2),
-        "parallel_speedup": round(parallel_speedup, 2),
         "min_batched_speedup": MIN_BATCH_SPEEDUP,
-        "workers": WORKERS,
-        "cpus": cpus,
+        "cpus": os.cpu_count() or 1,
     })
 
     assert batch_speedup >= MIN_BATCH_SPEEDUP, (
         f"expected >= {MIN_BATCH_SPEEDUP}x batched speedup on the full "
         f"grid, got {batch_speedup:.2f}x"
     )
-    if cpus >= WORKERS:
-        assert parallel_speedup >= 2.0, (
-            f"expected >= 2x speedup at {WORKERS} workers, "
-            f"got {parallel_speedup:.2f}x"
-        )

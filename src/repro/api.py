@@ -3,8 +3,8 @@
 Seven verbs cover the library's lifecycle, re-exported from
 ``repro/__init__.py`` so no consumer needs a deep import:
 
-* :func:`generate` — build a dataset (optionally parallel and/or saved
-  to disk in either storage format);
+* :func:`generate` — build a dataset (optionally saved to disk in
+  either storage format);
 * :func:`load` — read a saved dataset back (codec auto-detected; a
   columnar directory opens memory-mapped in O(open)); ``as_of=``
   opens an earlier dataset version through its archived manifest;
@@ -115,7 +115,6 @@ def ingest(
     config: "GeneratorConfig | None" = None,
     small: bool = False,
     seed: int | None = None,
-    jobs: int | None = None,
     trace: str | Path | None = None,
 ):
     """Append ``months`` to the saved dataset at ``data``, in place.
@@ -141,7 +140,6 @@ def ingest(
             config=config,
             small=small,
             seed=seed,
-            jobs=jobs,
         )
 
 
@@ -170,7 +168,6 @@ def generate(
     metrics: Iterable["Metric | str"] | None = None,
     months: Iterable["Month | str"] | None = None,
     all_months: bool = False,
-    jobs: int = 1,
     out: str | Path | None = None,
     format: str = "text",
     trace: str | Path | None = None,
@@ -178,11 +175,10 @@ def generate(
     """Build a synthetic dataset through the generation engine.
 
     ``config`` overrides ``small``/``seed``; ``months`` beats
-    ``all_months``; ``jobs > 1`` fans per-country work units out to a
-    process pool (byte-identical to serial); ``out`` saves the dataset
-    before returning it, encoded by ``format`` (``"text"`` or
-    ``"columnar"``); ``trace`` writes a JSONL span trace of the run
-    (see :mod:`repro.obs`).
+    ``all_months``; ``out`` saves the dataset before returning it,
+    encoded by ``format`` (``"text"`` or ``"columnar"``); ``trace``
+    writes a JSONL span trace of the run (see :mod:`repro.obs`).
+    Generation runs in the calling process.
     """
     from .core.types import REFERENCE_MONTH, STUDY_MONTHS
     from .engine.engine import GenerationEngine
@@ -201,7 +197,7 @@ def generate(
         "metrics": _metrics(metrics) or Metric.studied(),
         "months": resolved_months,
     }
-    engine = GenerationEngine(config, jobs=jobs)
+    engine = GenerationEngine(config)
     with tracing(trace):
         dataset = engine.generate(**grid)
         if out is not None:

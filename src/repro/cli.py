@@ -85,9 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--metrics", nargs="*", type=_parse_metric, default=None,
                      help="metrics to generate "
                           "(default: page_loads time_on_page)")
-    gen.add_argument("--jobs", type=int, default=1,
-                     help="parallel worker processes (default: 1 = serial; "
-                          "output is byte-identical either way)")
     gen.add_argument("--format", default="text",
                      choices=("text", "columnar"),
                      help="storage codec for --out (default: text; "
@@ -130,9 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--format", default=None,
                      choices=("text", "columnar"),
                      help="storage codec (default: auto-detected)")
-    ing.add_argument("--jobs", type=int, default=1,
-                     help="parallel worker processes for the new slices "
-                          "(default: 1 = serial; byte-identical either way)")
     ing.add_argument("--small", action="store_true",
                      help="dataset was generated with --small")
     ing.add_argument("--seed", type=int, default=None,
@@ -263,7 +257,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         metrics=tuple(args.metrics) if args.metrics else None,
         months=tuple(args.months) if args.months else None,
         all_months=args.all_months,
-        jobs=args.jobs,
         out=args.out,
         format=args.format,
         trace=args.trace,
@@ -312,7 +305,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             format=args.format,
             small=args.small,
             seed=args.seed,
-            jobs=args.jobs,
             trace=args.trace,
         )
     except DatasetError as exc:

@@ -1,10 +1,11 @@
-"""The generation engine: plan → executor → dataset.
+"""The generation engine: plan → batched scoring → dataset.
 
 :class:`GenerationEngine` is the single entry point the generator, the
-CLI and the benchmark fixtures all route through.  Each requested plan
-goes to its executor (serial or a process pool, byte-identical either
-way).  No generator (and hence no universe) is constructed until a run
-or the dataset's ground truth first needs one.
+CLI and the benchmark fixtures all route through.  A plan runs in the
+calling process, one batched matrix pass per country work unit
+(:meth:`TelemetryGenerator.rank_lists_batch`).  No generator (and hence
+no universe) is constructed until a run or the dataset's ground truth
+first needs one.
 """
 
 from __future__ import annotations
@@ -18,32 +19,36 @@ from ..core.types import Breakdown, Metric, Month, Platform, REFERENCE_MONTH
 from ..obs import get_tracer
 from ..synth.generator import GeneratorConfig, TelemetryGenerator
 from ..synth.traffic import global_distributions
-from .executor import ParallelExecutor, SerialExecutor, generator_for
 from .plan import SlicePlan
+
+#: Generators are deterministic functions of their config and carry the
+#: memoised universe plus per-country state, so the process keeps one
+#: per fingerprint and engines over the same config share it.
+_GENERATORS: dict[str, TelemetryGenerator] = {}
+
+
+def generator_for(config: GeneratorConfig) -> TelemetryGenerator:
+    """This process's memoised generator for ``config``."""
+    fingerprint = config.fingerprint()
+    generator = _GENERATORS.get(fingerprint)
+    if generator is None:
+        generator = TelemetryGenerator(config)
+        _GENERATORS[fingerprint] = generator
+    return generator
 
 
 class GenerationEngine:
-    """Slice generation, in process or on a process pool.
-
-    ``jobs > 1`` runs the plan on a :class:`ParallelExecutor` of that
-    many workers; anything else scores in process.  Both produce
-    byte-identical slices.
-    """
+    """Slice generation in the calling process, one country at a time."""
 
     def __init__(
         self,
         config: GeneratorConfig | None = None,
         *,
-        jobs: int | None = None,
         generator: TelemetryGenerator | None = None,
     ) -> None:
         if generator is not None:
             config = generator.config
         self.config = config or GeneratorConfig()
-        self.executor = (
-            ParallelExecutor(jobs=jobs) if jobs is not None and jobs > 1
-            else SerialExecutor()
-        )
         self._generator = generator
         self._fingerprint: str | None = None
 
@@ -74,20 +79,19 @@ class GenerationEngine:
     def run(self, plan: SlicePlan) -> dict[Breakdown, RankedList]:
         """Produce every slice of ``plan``, in plan order.
 
+        Each country work unit is scored in one batched matrix pass.
         Under an active tracer the run is one ``engine.run`` span and
-        every slice an ``engine.generate_slice`` span (emitted by the
-        executor, wherever it runs).
+        every slice an ``engine.generate_slice`` span.
         """
-        tracer = get_tracer()
-        with tracer.span(
+        with get_tracer().span(
             "engine.run", fingerprint=self.fingerprint, slices=len(plan)
         ):
-            # Build the generator here, before a process pool forks:
-            # workers inherit it (and its universe) through
-            # ``_GENERATORS`` instead of each building their own.
-            produced = self.executor.execute(
-                self.config, plan, generator=self.generator, tracer=tracer,
-            )
+            generator = self.generator
+            produced: dict[Breakdown, RankedList] = {}
+            for unit in plan.partition():
+                produced.update(generator.rank_lists_batch(
+                    unit.country, unit.breakdowns()
+                ))
             return {b: produced[b] for b in plan.breakdowns()}
 
     # -- datasets -----------------------------------------------------------------
@@ -126,7 +130,4 @@ class GenerationEngine:
         return self.generator.ground_truth(sorted(dataset.all_sites()))
 
     def __repr__(self) -> str:
-        return (
-            f"GenerationEngine(fingerprint={self.fingerprint}, "
-            f"executor={self.executor.name})"
-        )
+        return f"GenerationEngine(fingerprint={self.fingerprint})"

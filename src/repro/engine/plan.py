@@ -1,4 +1,4 @@
-"""Slice planning: which breakdowns to generate, deduped and sharded.
+"""Slice planning: which breakdowns to generate, deduped and grouped.
 
 The generator's contract (see :mod:`repro.synth.generator`) makes every
 breakdown independently regenerable from ``(seed, country, component)``
@@ -7,8 +7,8 @@ noise streams; the only state *shared* between breakdowns is per-country
 :class:`SlicePlan` therefore replaces the old nested
 country × platform × metric × month loop with an explicit, deduplicated
 request list partitioned into per-country :class:`CountryWorkUnit`\\ s —
-the natural shard: each unit can run on any worker, in any order, and
-still produce lists byte-identical to in-process execution.
+the natural batch: each unit is scored in one matrix pass, in any
+order, and still produces lists byte-identical to the per-slice scorer.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class CountryWorkUnit:
 
     Country state (candidate pool, base scores) and month walks are
     computed once per country and shared by every slice in the unit, so
-    splitting a country across workers would duplicate that work.
+    splitting a country across batches would duplicate that work.
     """
 
     country: str
@@ -73,20 +73,6 @@ class CountryWorkUnit:
 
     def breakdowns(self) -> tuple[Breakdown, ...]:
         return tuple(request.breakdown for request in self.requests)
-
-    def grid_shape(self) -> tuple[int, int, int]:
-        """Distinct (platforms, metrics, months) this unit spans.
-
-        The batched executor scores the unit as one matrix whose
-        component reuse scales with these counts; the shape is attached
-        to ``engine.work_unit`` spans so traces show how much sharing a
-        unit actually had.
-        """
-        return (
-            len({r.platform for r in self.requests}),
-            len({r.metric for r in self.requests}),
-            len({r.month for r in self.requests}),
-        )
 
 
 class SlicePlan:

@@ -4,8 +4,7 @@ One lightweight subsystem answers "where does time go" across the
 three execution layers (see DESIGN.md, "Observability"):
 
 * the **generation engine** emits one ``engine.generate_slice`` span
-  per slice, including spans recorded inside process-pool workers and
-  adopted back into the parent trace;
+  per slice;
 * the **pipeline runner** emits one ``pipeline.task`` span per task
   with its status and artifact-store outcome;
 * the **serving layer** emits one ``http.request`` span per request

@@ -2,8 +2,8 @@
 
 Works on the plain span dicts :func:`~repro.obs.trace.read_trace`
 returns, so it can digest any JSONL trace file — a ``repro report
---trace`` run, a serve session, or a worker-adopted engine trace.  Two
-views:
+--trace`` run, a serve session, or a ``repro generate --trace`` run.
+Two views:
 
 * :func:`slowest_spans` — the top-N individual spans by duration, the
   direct answer to "what single operation cost the most";

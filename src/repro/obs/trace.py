@@ -13,19 +13,12 @@ Finished spans land in a thread-safe :class:`TraceCollector` and can be
 exported as JSON Lines — one self-contained JSON object per span — via
 :meth:`Tracer.write` / :func:`read_trace`.
 
-Two properties the hot paths rely on:
-
-* **Disabled tracing is a shim, not a branch.**  The module-level
-  default tracer is :data:`NULL_TRACER`, whose ``span()`` returns one
-  reusable no-op span; instrumented code is written unconditionally
-  (``with get_tracer().span(...)``) and pays only an attribute lookup
-  and a no-op context manager when tracing is off (measured in
-  ``benchmarks/bench_obs.py``).
-* **Cross-process spans are adopted, not lost.**  Process-pool workers
-  (the parallel generation executor) record into a local tracer and
-  ship finished spans back as dicts; the parent re-parents them under
-  its active span via :meth:`Tracer.adopt`, so one trace file covers
-  work wherever it ran.
+Disabled tracing is a shim, not a branch.  The module-level default
+tracer is :data:`NULL_TRACER`, whose ``span()`` returns one reusable
+no-op span; instrumented code is written unconditionally (``with
+get_tracer().span(...)``) and pays only an attribute lookup and a no-op
+context manager when tracing is off (measured in
+``benchmarks/bench_obs.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "NULL_TRACER",
@@ -143,16 +136,6 @@ class TraceCollector:
         with self._lock:
             self._spans.append(span_dict)
 
-    def extend(self, span_dicts: Iterable[dict[str, object]]) -> None:
-        with self._lock:
-            self._spans.extend(span_dicts)
-
-    def drain(self) -> list[dict[str, object]]:
-        """Remove and return everything collected so far."""
-        with self._lock:
-            spans, self._spans = self._spans, []
-            return spans
-
     def snapshot(self) -> list[dict[str, object]]:
         with self._lock:
             return list(self._spans)
@@ -167,16 +150,13 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self, trace_id: str | None = None, *, span_prefix: str = ""
-    ) -> None:
+    def __init__(self, trace_id: str | None = None) -> None:
         if trace_id is None:
             # Wall-clock based: unique enough across runs, and stable
             # within one (no randomness — see the determinism rules).
             trace_id = f"t{time.time_ns():x}"
         self.trace_id = trace_id
         self.collector = TraceCollector()
-        self._prefix = span_prefix
         self._ids = itertools.count(1)
         self._local = threading.local()
 
@@ -200,7 +180,7 @@ class Tracer:
         return Span(
             self,
             name,
-            f"{self._prefix}{next(self._ids)}",
+            str(next(self._ids)),
             parent.span_id if parent is not None else None,
             attrs,
         )
@@ -215,33 +195,6 @@ class Tracer:
         elif span in stack:  # pragma: no cover - mis-nested exit
             stack.remove(span)
         self.collector.append(span.to_dict())
-
-    def adopt(
-        self,
-        span_dicts: Iterable[dict[str, object]],
-        *,
-        parent: Span | None = None,
-    ) -> int:
-        """Merge spans recorded by another tracer (e.g. a pool worker).
-
-        Spans are rewritten onto this trace id, and roots (spans with no
-        parent of their own) are re-parented under ``parent`` (default:
-        this thread's active span).  Returns how many were adopted.
-        Worker span ids stay distinct through the worker's
-        ``span_prefix``.
-        """
-        if parent is None:
-            parent = self.current
-        parent_id = parent.span_id if parent is not None else None
-        adopted = []
-        for item in span_dicts:
-            item = dict(item)
-            item["trace"] = self.trace_id
-            if item.get("parent") is None:
-                item["parent"] = parent_id
-            adopted.append(item)
-        self.collector.extend(adopted)
-        return len(adopted)
 
     # -- export -------------------------------------------------------------------
 
@@ -301,9 +254,6 @@ class NullTracer:
 
     def span(self, _name: str, **_attrs: object) -> _NullSpan:
         return self._SPAN
-
-    def adopt(self, _span_dicts, *, parent=None) -> int:
-        return 0
 
     def snapshot(self) -> dict[str, object]:
         return {"enabled": False}

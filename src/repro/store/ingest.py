@@ -153,7 +153,6 @@ def ingest_months(
     config=None,
     small: bool = False,
     seed: int | None = None,
-    jobs: int | None = None,
 ) -> IngestReport:
     """Append the requested months to the dataset at ``root``.
 
@@ -208,7 +207,7 @@ def ingest_months(
     plan = SlicePlan.from_grid(
         dataset.countries, dataset.platforms, dataset.metrics, wanted
     )
-    engine = GenerationEngine(config, jobs=jobs)
+    engine = GenerationEngine(config)
     produced = engine.run(plan)
 
     new_version = version_before + 1

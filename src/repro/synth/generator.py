@@ -58,7 +58,7 @@ import json
 import sys
 import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,10 +67,7 @@ from ..core.errors import GenerationError
 from ..core.rankedlist import RankedList
 from ..core.truth import GroundTruth
 from ..core.types import Breakdown, Metric, Month, Platform, REFERENCE_MONTH
-from ..obs import NULL_TRACER
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs import NullTracer, Tracer
+from ..obs import get_tracer
 from ..world.countries import get_country
 from .privacy import (
     PrivacyConfig,
@@ -459,8 +456,6 @@ class TelemetryGenerator:
         self,
         country: str,
         breakdowns: Sequence[Breakdown],
-        *,
-        tracer: "Tracer | NullTracer" = NULL_TRACER,
     ) -> dict[Breakdown, RankedList]:
         """Every requested slice of one country's grid, in one matrix pass.
 
@@ -525,6 +520,7 @@ class TelemetryGenerator:
                 gauss_cache[component] = arr
             return arr
 
+        tracer = get_tracer()
         matrix = np.empty((len(breakdowns), n_all), dtype=np.float64)
         results: dict[Breakdown, RankedList] = {}
         for row, breakdown in zip(matrix, breakdowns):
@@ -641,9 +637,8 @@ class TelemetryGenerator:
     ) -> BrowsingDataset:
         """Generate a dataset covering the requested breakdown grid.
 
-        Delegates to :class:`repro.engine.GenerationEngine` in process,
-        scoring with this generator; build an engine with ``jobs > 1``
-        for the process-pool path.
+        Delegates to :class:`repro.engine.GenerationEngine`, scoring with
+        this generator.
         """
         from ..engine import GenerationEngine  # local: engine builds on synth
 

@@ -5,7 +5,7 @@ every component of the score sum across the slices of a country's grid;
 its contract is that sharing is *invisible* — each emitted list matches
 the per-slice scorer in :mod:`tests.oracles.scorer` byte for byte,
 through every route a slice can take: direct calls, :meth:`rank_list`,
-both executors, a columnar save and load, and an incremental ingest
+an engine run, a columnar save and load, and an incremental ingest
 append.
 """
 
@@ -15,12 +15,7 @@ import pytest
 
 from repro.core import Breakdown, Metric, Month, Platform, STUDY_MONTHS
 from repro.core.errors import GenerationError
-from repro.engine import (
-    GenerationEngine,
-    ParallelExecutor,
-    SerialExecutor,
-    SlicePlan,
-)
+from repro.engine import GenerationEngine, SlicePlan
 from repro.export.io import load_dataset, save_dataset
 from repro.store import ingest_months
 from repro.synth import GeneratorConfig, TelemetryGenerator
@@ -135,20 +130,12 @@ class TestExecutorParity:
         return execute_reference(generator, self.PLAN)
 
     def test_serial_batched_matches_reference(self, generator, reference):
-        batched = SerialExecutor().execute(
-            generator.config, self.PLAN, generator=generator
-        )
+        batched = GenerationEngine(
+            generator.config, generator=generator
+        ).run(self.PLAN)
         assert set(batched) == set(reference)
         for breakdown, ranked in reference.items():
             assert _blob(ranked) == _blob(batched[breakdown]), breakdown
-
-    def test_parallel_batched_matches_reference(self, generator, reference):
-        parallel = ParallelExecutor(jobs=2).execute(
-            generator.config, self.PLAN, generator=generator
-        )
-        assert set(parallel) == set(reference)
-        for breakdown, ranked in reference.items():
-            assert _blob(ranked) == _blob(parallel[breakdown]), breakdown
 
 
 class TestStoreParity:

@@ -1,18 +1,16 @@
-"""Tests for the generation engine: executors, and the lazily
-materialising columnar dataset its output is saved and read back as."""
+"""Tests for the generation engine, and the lazily materialising
+columnar dataset its output is saved and read back as."""
 
 import filecmp
-import os
 
 import pytest
 
 import repro
+import repro.engine.engine as engine_module
 import repro.synth.universe as universe_module
-from repro.engine import executor as executor_module
 from repro.obs import read_trace
 from repro.core import Breakdown, Metric, Platform, REFERENCE_MONTH
-from repro.core.errors import GenerationError
-from repro.engine import GenerationEngine, ParallelExecutor, SlicePlan
+from repro.engine import GenerationEngine, SlicePlan
 from repro.export.io import load_dataset, save_dataset
 from repro.store import MappedBrowsingDataset
 
@@ -51,15 +49,14 @@ class TestSerialEngine:
     def test_generate_scores_with_its_own_generator(self):
         # A config no other test uses, so no memoised generator exists;
         # the small universe itself is shared with the session fixture.
-        from repro.engine.executor import _GENERATORS
         from repro.synth import GeneratorConfig, TelemetryGenerator
 
         gen = TelemetryGenerator(GeneratorConfig.small(list_size=700))
-        before = dict(_GENERATORS)
+        before = dict(engine_module._GENERATORS)
         dataset = gen.generate(countries=("US", "KR"))
         assert len(dataset) == 8
         assert set(gen._per_country) == {"US", "KR"}
-        assert _GENERATORS == before
+        assert engine_module._GENERATORS == before
 
     def test_run_returns_plan_order(self, generator):
         engine = GenerationEngine(generator.config, generator=generator)
@@ -67,63 +64,25 @@ class TestSerialEngine:
         results = engine.run(plan)
         assert tuple(results) == plan.breakdowns()
 
-
-class TestParallelExecutor:
-    def test_byte_identical_to_serial(self, generator):
-        config = generator.config
-        serial = GenerationEngine(config, generator=generator).generate(
-            countries=COUNTRIES
-        )
-        parallel = GenerationEngine(config, jobs=2).generate(
-            countries=COUNTRIES
-        )
-        assert set(serial.breakdowns()) == set(parallel.breakdowns())
-        for breakdown in serial.breakdowns():
-            assert _blob(serial[breakdown]) == _blob(parallel[breakdown]), breakdown
-
-    def test_single_unit_falls_back_to_serial(self, generator):
-        executor = ParallelExecutor(jobs=4)
-        plan = SlicePlan.from_grid(countries=("US",))
-        results = executor.execute(generator.config, plan, generator=generator)
-        assert set(results) == set(plan.breakdowns())
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(GenerationError):
-            ParallelExecutor(jobs=0)
-
-    def test_default_jobs_is_cpu_count(self):
-        assert ParallelExecutor().jobs == (os.cpu_count() or 1)
-
-    def test_pool_workers_inherit_the_parents_universe(
+    def test_cold_traced_generate_builds_the_universe_once(
         self, tmp_path, monkeypatch
     ):
-        """A cold ``jobs=2`` generate builds the universe once, in the
-        parent, before the pool forks: a build in any worker raises."""
-        parent = os.getpid()
-        build = universe_module._build_universe_uncached
-
-        def parent_only(config):
-            assert os.getpid() == parent, "a pool worker built the universe"
-            return build(config)
-
+        """A cold traced ``repro.generate`` builds the universe exactly
+        once, and writes the same files as a warm rerun."""
         monkeypatch.setattr(universe_module, "_UNIVERSE_CACHE", {})
-        monkeypatch.setattr(executor_module, "_GENERATORS", {})
-        monkeypatch.setattr(
-            universe_module, "_build_universe_uncached", parent_only
-        )
+        monkeypatch.setattr(engine_module, "_GENERATORS", {})
         trace = tmp_path / "trace.jsonl"
-        repro.generate(small=True, countries=COUNTRIES, jobs=2,
-                       out=tmp_path / "parallel", trace=trace)
+        repro.generate(small=True, countries=COUNTRIES,
+                       out=tmp_path / "cold", trace=trace)
         builds = [span for span in read_trace(trace)
                   if span["name"] == "synth.universe_build"]
         assert len(builds) == 1
-        repro.generate(small=True, countries=COUNTRIES, jobs=1,
-                       out=tmp_path / "serial")
-        names = sorted(p.relative_to(tmp_path / "serial").as_posix()
-                       for p in (tmp_path / "serial").rglob("*") if p.is_file())
+        repro.generate(small=True, countries=COUNTRIES, out=tmp_path / "warm")
+        names = sorted(p.relative_to(tmp_path / "warm").as_posix()
+                       for p in (tmp_path / "warm").rglob("*") if p.is_file())
         assert names
         match, mismatch, errors = filecmp.cmpfiles(
-            tmp_path / "serial", tmp_path / "parallel", names, shallow=False
+            tmp_path / "warm", tmp_path / "cold", names, shallow=False
         )
         assert (mismatch, errors) == ([], [])
 

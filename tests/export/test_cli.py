@@ -47,17 +47,14 @@ class TestGenerateEngineFlags:
             "generate", "--out", "somewhere",
             "--platforms", "windows",
             "--metrics", "time_on_page", "page_loads",
-            "--jobs", "4",
         ])
         assert args.platforms == [Platform.WINDOWS]
         assert args.metrics == [Metric.TIME_ON_PAGE, Metric.PAGE_LOADS]
-        assert args.jobs == 4
 
     def test_engine_flags_default_to_studied_grid_and_serial(self):
         args = _build_parser().parse_args(["generate", "--out", "somewhere"])
         assert args.platforms is None
         assert args.metrics is None
-        assert args.jobs == 1
 
     def test_bad_platform_rejected(self):
         with pytest.raises(SystemExit):
@@ -95,9 +92,11 @@ class TestGenerateEngineFlags:
     @pytest.mark.parametrize("argv", [
         ["report", "--data", "d", "--out", "o"],
         ["serve", "--data", "d"],
+        ["generate", "--out", "o"],
+        ["ingest", "--data", "d", "--months", "2022-02"],
     ])
-    def test_jobs_flag_is_generation_only(self, argv, capsys):
-        # Pipeline runs take one thread; only generate/ingest fan out.
+    def test_no_command_takes_jobs(self, argv, capsys):
+        # Generation and pipeline runs both stay in the calling process.
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--jobs", "2"])
         assert exc.value.code == 2
@@ -434,7 +433,7 @@ class TestIngestCLI:
             "ingest", "--data", "ds", "--month", "2021-10",
         ])
         assert [str(m) for m in args.months] == ["2021-10"]
-        assert args.format is None and args.jobs == 1
+        assert args.format is None
 
     def test_ingest_bumps_the_version(self, growable_dir, capsys):
         assert main([

@@ -42,7 +42,8 @@ class TestDatasetDeterminism:
     def test_slice_byte_identical_across_generation_paths(self, generator):
         """The engine refactor's core invariant: a single ``rank_list``
         slice, the same slice from a full ``generate()`` grid, and the
-        same slice from a ``jobs=2`` engine run are byte-identical."""
+        same slice from an engine built from the config alone are
+        byte-identical."""
         config = generator.config
         breakdown = Breakdown(
             "KR", Platform.ANDROID, Metric.TIME_ON_PAGE, REFERENCE_MONTH
@@ -52,14 +53,14 @@ class TestDatasetDeterminism:
             breakdown.month,
         )
         full = generator.generate(countries=("KR", "US"))[breakdown]
-        parallel = GenerationEngine(config, jobs=2).generate(
+        engine = GenerationEngine(config).generate(
             countries=("KR", "US")
         )[breakdown]
 
         def blob(ranked):
             return ("\n".join(ranked.sites) + "\n").encode("utf-8")
 
-        assert blob(direct) == blob(full) == blob(parallel)
+        assert blob(direct) == blob(full) == blob(engine)
 
     def test_distribution_curves_identical_across_instances(self):
         a = TelemetryGenerator(GeneratorConfig.small(seed=80))

@@ -8,7 +8,6 @@ import pytest
 from repro.obs import (
     NULL_TRACER,
     NullTracer,
-    TraceCollector,
     Tracer,
     aggregate_spans,
     format_summary,
@@ -113,48 +112,6 @@ class TestThreadSafety:
         ids = [s["span"] for s in spans]
         assert len(set(ids)) == len(ids)  # globally unique despite racing
 
-    def test_collector_concurrent_append_and_drain(self):
-        collector = TraceCollector()
-        barrier = threading.Barrier(4)
-
-        def feed():
-            barrier.wait()
-            for i in range(200):
-                collector.append({"i": i})
-
-        threads = [threading.Thread(target=feed) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        drained = collector.drain()
-        assert len(drained) == 800
-        assert len(collector) == 0
-
-
-class TestAdoption:
-    def test_worker_spans_reparent_under_active_span(self):
-        worker = Tracer(span_prefix="w7-")
-        with worker.span("engine.work_unit"):
-            with worker.span("engine.generate_slice"):
-                pass
-        shipped = worker.collector.drain()
-
-        parent = Tracer()
-        with parent.span("engine.run") as root:
-            adopted = parent.adopt(shipped)
-        assert adopted == 2
-        spans = {s["name"]: s for s in parent.collector.snapshot()}
-        unit = spans["engine.work_unit"]
-        child = spans["engine.generate_slice"]
-        assert unit["parent"] == root.span_id  # root re-parented
-        assert child["parent"] == unit["span"]  # internal links kept
-        assert unit["span"].startswith("w7-")
-        assert all(
-            s["trace"] == parent.trace_id
-            for s in parent.collector.snapshot()
-        )
-
 
 class TestNullShim:
     def test_null_span_is_reused_and_inert(self):
@@ -169,7 +126,6 @@ class TestNullShim:
     def test_null_tracer_surface(self):
         assert NULL_TRACER.enabled is False
         assert NULL_TRACER.current is None
-        assert NULL_TRACER.adopt([{"span": "1"}]) == 0
         assert NULL_TRACER.snapshot() == {"enabled": False}
 
     def test_null_span_swallows_nothing(self):

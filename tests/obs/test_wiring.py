@@ -59,26 +59,6 @@ class TestEngineTracing:
         engine = GenerationEngine(generator.config, generator=generator)
         engine.generate(countries=("US",), **GRID)  # must not raise
 
-    def test_parallel_workers_spans_are_adopted(self, generator, tracer):
-        engine = GenerationEngine(generator.config, jobs=2)
-        engine.generate(countries=("US", "KR"), **GRID)
-
-        spans = _by_name(tracer)
-        (run,) = spans["engine.run"]
-        units = spans["engine.work_unit"]
-        assert {u["attrs"]["country"] for u in units} == {"US", "KR"}
-        assert all(u["parent"] == run["span"] for u in units)
-        unit_ids = {u["span"] for u in units}
-        slices = spans["engine.generate_slice"]
-        assert len(slices) == 2
-        assert {s["parent"] for s in slices} <= unit_ids
-        # Worker ids are pid-prefixed, so two pools can never collide.
-        assert all(u["span"].startswith("w") for u in units)
-        assert all(
-            s["trace"] == tracer.trace_id
-            for s in tracer.collector.snapshot()
-        )
-
 
 class TestPipelineTracing:
     def _registry(self) -> TaskRegistry:

@@ -20,7 +20,7 @@ import pytest
 
 from repro import api
 from repro.core import BrowsingDataset, Month
-from repro.engine import GenerationEngine, executor
+from repro.engine import GenerationEngine, engine as engine_module
 from repro.export.io import load_dataset, save_dataset
 from repro.pipeline import TaskStatus, canonical_json, default_registry, run_pipeline
 from repro.service import QueryService
@@ -43,14 +43,14 @@ def no_universe_build(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(universe_module, "_UNIVERSE_CACHE", {})
-        patch.setattr(executor, "_GENERATORS", {})
+        patch.setattr(engine_module, "_GENERATORS", {})
         patch.setattr(universe_module, "_build_universe_uncached", refuse)
         yield
 
 
 def test_guard_refuses_a_build(monkeypatch):
     with no_universe_build(monkeypatch), pytest.raises(AssertionError):
-        executor.generator_for(GeneratorConfig.small())
+        engine_module.generator_for(GeneratorConfig.small())
 
 
 def _results(run) -> dict[str, str]:
@@ -117,7 +117,7 @@ def test_reports_never_build_the_universe(
 
 def test_domains_emit_labels_canonical_sites_only(tmp_path, monkeypatch):
     config = GeneratorConfig.small(emit="domains")
-    domains = executor.generator_for(config)
+    domains = engine_module.generator_for(config)
     dataset = domains.generate(countries=COUNTRIES, months=(PIN,))
     run = run_pipeline(dataset, registry=generator_path_registry(domains),
                        config=config)
