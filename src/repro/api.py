@@ -5,7 +5,7 @@ Seven verbs cover the library's lifecycle, re-exported from
 
 * :func:`generate` — build a dataset (optionally saved to disk in
   either storage format);
-* :func:`load` — read a saved dataset back (codec auto-detected; a
+* :func:`load` — read a saved dataset back (format read off its files; a
   columnar directory opens memory-mapped in O(open)); ``as_of=``
   opens an earlier dataset version through its archived manifest;
 * :func:`ingest` — append new months to a saved dataset in place,
@@ -78,12 +78,11 @@ def _metrics(values: Iterable["Metric | str"] | None) -> tuple[Metric, ...] | No
 def load(
     data: "DatasetLike",
     *,
-    format: str | None = None,
     as_of: int | None = None,
 ) -> "BrowsingDataset":
     """A :class:`BrowsingDataset` from a saved directory (or passthrough).
 
-    The storage codec is auto-detected (``format=None``): a columnar
+    The format is read off the files present: a columnar
     directory comes back as a memory-mapped
     :class:`~repro.store.MappedBrowsingDataset` whose lists materialise
     lazily, a text directory as the eager container.  ``as_of=<version>``
@@ -104,14 +103,13 @@ def load(
         return data
     from .export.io import load_dataset
 
-    return load_dataset(data, format=format, as_of=as_of)
+    return load_dataset(data, as_of=as_of)
 
 
 def ingest(
     data: str | Path,
     months: Iterable["Month | str"],
     *,
-    format: str | None = None,
     config: "GeneratorConfig | None" = None,
     small: bool = False,
     seed: int | None = None,
@@ -136,7 +134,6 @@ def ingest(
         return ingest_months(
             data,
             months,
-            format=format,
             config=config,
             small=small,
             seed=seed,
@@ -197,12 +194,14 @@ def generate(
         "metrics": _metrics(metrics) or Metric.studied(),
         "months": resolved_months,
     }
+    if out is not None:
+        from .export.io import refuse_dataset_at, save_dataset
+
+        refuse_dataset_at(out)  # before the generation it would discard
     engine = GenerationEngine(config)
     with tracing(trace):
         dataset = engine.generate(**grid)
         if out is not None:
-            from .export.io import save_dataset
-
             save_dataset(dataset, out, format=format)
     return dataset
 

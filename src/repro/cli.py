@@ -98,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-encode a saved dataset between storage codecs",
     )
     conv.add_argument("src", nargs="?", default=None,
-                      help="source dataset directory (codec "
-                           "auto-detected); --data works too")
+                      help="source dataset directory (format read off "
+                           "its files); --data works too")
     conv.add_argument("dst", nargs="?", default=None,
                       help="destination directory to write; --out works too")
     conv.add_argument("--data", dest="data", default=None,
@@ -124,9 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="months to append, e.g. 2022-03 (already-present "
                           "months are skipped; a fully-present set is a "
                           "byte-identical no-op)")
-    ing.add_argument("--format", default=None,
-                     choices=("text", "columnar"),
-                     help="storage codec (default: auto-detected)")
     ing.add_argument("--small", action="store_true",
                      help="dataset was generated with --small")
     ing.add_argument("--seed", type=int, default=None,
@@ -270,7 +267,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     from . import api
-    from .core.errors import DatasetError
     from .export.io import detect_format
 
     src = args.data if args.data is not None else args.src
@@ -281,35 +277,21 @@ def _cmd_convert(args: argparse.Namespace) -> int:
               "`--data SRC --out DST`", file=sys.stderr)
         return 2
     source_format = detect_format(src)
-    if source_format is None:
-        print(f"no dataset under {src} (neither manifest.bin nor "
-              "manifest.json)", file=sys.stderr)
-        return 2
-    try:
-        dst = api.convert(src, dst, format=args.format)
-    except DatasetError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    dst = api.convert(src, dst, format=args.format)
     print(f"converted {src} ({source_format}) -> {dst} ({args.format})")
     return 0
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from . import api
-    from .core.errors import DatasetError
 
-    try:
-        result = api.ingest(
-            args.data,
-            tuple(args.months),
-            format=args.format,
-            small=args.small,
-            seed=args.seed,
-            trace=args.trace,
-        )
-    except DatasetError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    result = api.ingest(
+        args.data,
+        tuple(args.months),
+        small=args.small,
+        seed=args.seed,
+        trace=args.trace,
+    )
     if not result.changed:
         print(f"{args.data} already has "
               f"{' '.join(str(m) for m in result.months_present)}; "
@@ -359,7 +341,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from . import api
-    from .core.errors import DatasetError, PipelineError, TaskUnavailable
+    from .core.errors import PipelineError, TaskUnavailable
     from .pipeline import canonical_json, default_registry
 
     try:
@@ -367,11 +349,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             args.data, args.analysis, small=args.small, seed=args.seed,
             as_of=args.as_of,
         )
-    except DatasetError as exc:
-        # Covers an unknown --as-of too: the message lists the
-        # available versions, mirroring unknown-country/unknown-task.
-        print(exc, file=sys.stderr)
-        return 2
     except TaskUnavailable as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -385,7 +362,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from . import api
-    from .core.errors import DatasetError
     from .pipeline import ArtifactStore
 
     if args.no_store:
@@ -394,22 +370,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
         store = ArtifactStore(
             args.store or Path(args.data) / ".artifacts"
         )
-    try:
-        report = api.report(
-            args.data,
-            args.out,
-            tasks=args.tasks,
-            store=store,
-            no_store=args.no_store,
-            month=args.month,
-            small=args.small,
-            seed=args.seed,
-            as_of=args.as_of,
-            trace=args.trace,
-        )
-    except DatasetError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    report = api.report(
+        args.data,
+        args.out,
+        tasks=args.tasks,
+        store=store,
+        no_store=args.no_store,
+        month=args.month,
+        small=args.small,
+        seed=args.seed,
+        as_of=args.as_of,
+        trace=args.trace,
+    )
     for name in report.order:
         record = report.records[name]
         note = f"  ({record.error})" if record.error else ""
@@ -426,7 +398,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from . import api
-    from .core.errors import DatasetError
     from .export.io import latest_version
     from .service import ENDPOINTS, serve_forever
 
@@ -435,28 +406,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "(fleet workers would race on one trace file)",
               file=sys.stderr)
         return 2
-    try:
-        version = (args.as_of if args.as_of is not None
-                   else latest_version(args.data))
-        server = api.serve(
-            args.data,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            store=args.store,
-            no_store=args.no_store,
-            cache_size=args.cache_size,
-            cache_bytes=args.cache_bytes,
-            month=args.month,
-            small=args.small,
-            seed=args.seed,
-            as_of=args.as_of,
-            block=False,
-            trace=args.trace,
-        )
-    except DatasetError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    version = (args.as_of if args.as_of is not None
+               else latest_version(args.data))
+    server = api.serve(
+        args.data,
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        store=args.store,
+        no_store=args.no_store,
+        cache_size=args.cache_size,
+        cache_bytes=args.cache_bytes,
+        month=args.month,
+        small=args.small,
+        seed=args.seed,
+        as_of=args.as_of,
+        block=False,
+        trace=args.trace,
+    )
     # The first line is `serving {data} on {url}` for every worker
     # count: the URL is the *resolved*, connectable address (also for
     # --port 0 and wildcard binds), and smoke tests grep exactly this
@@ -567,8 +534,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .core.errors import DatasetError
+
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except DatasetError as exc:
+        # A missing, malformed or occupied dataset directory, or an
+        # unknown --as-of (the message lists the available versions).
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,22 +9,17 @@ from .crux import (
     global_ranking,
 )
 from .io import (
-    DatasetCodec,
-    available_formats,
     breakdown_slug,
     convert_dataset,
     dataset_fingerprint,
     detect_format,
     load_dataset,
-    register_codec,
     save_dataset,
 )
 
 __all__ = [
     "CRUX_BUCKETS",
     "CruxExport",
-    "DatasetCodec",
-    "available_formats",
     "breakdown_slug",
     "bucket_of",
     "coarsen_list",
@@ -34,6 +29,5 @@ __all__ = [
     "export_crux",
     "global_ranking",
     "load_dataset",
-    "register_codec",
     "save_dataset",
 ]

@@ -1,14 +1,14 @@
-"""Dataset persistence: the codec registry plus the text codec.
+"""Dataset persistence: the one write path, loading, and the text codec.
 
 A saved dataset is a directory; *how* the directory encodes the lists
-is a **codec**:
+is its **format**, and the manifest present tells them apart:
 
 ``text``      the original greppable layout — ``manifest.json`` plus
               one ``lists/<slug>.txt`` file per breakdown (one site per
               line, rank order) and the ``ground_truth.jsonl`` sidecar
               (one ``[site, category, has_app, tags]`` JSON row per
               site).  Deliberately boring so exports can be consumed
-              without this library; the export/debug codec.
+              without this library; the export/debug format.
 ``columnar``  the binary layout of :mod:`repro.store` — ``manifest.bin``,
               a packed vocabulary string table (``vocab.bin``), one
               contiguous ``int32`` id array (``lists.bin``) that
@@ -16,17 +16,23 @@ is a **codec**:
               O(open) and processes share pages, and the ground-truth
               column family (``truth.bin``) keyed by site id.
 
-:func:`save_dataset` takes ``format=``; :func:`load_dataset`
-auto-detects from the files present (a ``manifest.bin`` wins over a
-``manifest.json`` when both exist).  The two codecs round-trip exactly:
-text → columnar → text is byte-identical, and
-:func:`dataset_fingerprint` agrees across codecs, so artifact stores
+:func:`save_dataset` takes ``format=``; :func:`load_dataset` reads the
+format off the files present (a ``manifest.bin`` wins over a
+``manifest.json`` when both exist).  The two formats round-trip
+exactly: text → columnar → text is byte-identical, and
+:func:`dataset_fingerprint` agrees across them, so artifact stores
 keyed by the fingerprint stay valid across a convert.
 
-Saves are crash-safe under both codecs: every file is written to a
-temp sibling and ``os.replace``\\ d into place, with the manifest
-written last, so an interrupted save never leaves a manifest naming
-files that are absent or torn.
+Every write goes through :func:`write_dataset`.  A save writes every
+list onto an empty store, and refuses a directory that already holds a
+dataset; an ingest (:func:`repro.store.ingest_months`) makes the same
+call with the live version it grows.  The steps both formats share
+live there — canonical breakdown order, vocabulary and ground-truth
+growth, the fingerprint rule and the write order — and only the
+encoders differ.  Each file is written by :func:`atomic_write` (temp
+sibling + ``os.replace``): the superseded manifest is archived first,
+the data files next and the manifest last, so an interrupted write
+never leaves a manifest naming files that are absent or torn.
 
 The manifest's ``metadata`` object carries the generator provenance;
 datasets produced by the generation engine include a ``fingerprint``
@@ -34,7 +40,7 @@ key there — the :meth:`GeneratorConfig.fingerprint` content address of
 every generation knob — so an export can be matched to the exact
 configuration that produced it.
 
-Both codecs store the dataset's :class:`~repro.core.truth.GroundTruth`
+Both formats store the dataset's :class:`~repro.core.truth.GroundTruth`
 (category, tags and Android-app flag per site) with its row count and
 SHA-256 in the manifest, and read it lazily, checking the digest, when
 the ground truth is first asked for.  A dataset saved before ground
@@ -54,19 +60,22 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ..core.dataset import BrowsingDataset
 from ..core.distribution import TrafficDistribution
-from ..core.errors import DatasetError
+from ..core.errors import DatasetError, RankListError
 from ..core.rankedlist import RankedList
 from ..core.truth import GroundTruth, check_entries
 from ..core.types import Breakdown, Metric, Month, Platform
 from ..core.vocab import SiteVocabulary
+from ..obs import span as obs_span
 
 TEXT_FORMAT_VERSION = 1
 
-#: The text codec's ground-truth sidecar.
+#: The text format's ground-truth sidecar.
 TRUTH_TEXT = "ground_truth.jsonl"
 
 #: Subdirectory where superseded manifests are archived by ingest.
@@ -74,6 +83,10 @@ TRUTH_TEXT = "ground_truth.jsonl"
 #: dataset version N; its list data stays valid because ingest is
 #: append-only — old windows and old list files are never rewritten.
 VERSIONS_DIR = "versions"
+
+#: Each format's live manifest, in detection order: a binary manifest
+#: wins when a directory carries both.
+MANIFESTS = {"columnar": "manifest.bin", "text": "manifest.json"}
 
 
 def dataset_version(dataset: BrowsingDataset) -> int:
@@ -106,7 +119,7 @@ def breakdown_slug(breakdown: Breakdown) -> str:
 
 
 def breakdown_entry(breakdown: Breakdown, **fields: object) -> dict[str, object]:
-    """One breakdown's manifest record: its key, then the codec's ``fields``."""
+    """One breakdown's manifest record: its key, then the format's ``fields``."""
     return {
         "country": breakdown.country,
         "platform": breakdown.platform.value,
@@ -136,15 +149,17 @@ def _jsonable_metadata(metadata: Mapping[str, object]) -> dict[str, object]:
     return out
 
 
-def sorted_breakdowns(dataset: BrowsingDataset) -> list[Breakdown]:
-    """The canonical save order every codec writes breakdowns in."""
+def sorted_breakdowns(breakdowns: Iterable[Breakdown]) -> list[Breakdown]:
+    """The canonical order every format writes breakdowns in."""
     return sorted(
-        dataset.breakdowns(),
+        breakdowns,
         key=lambda b: (b.country, b.platform.value, b.metric.value, b.month),
     )
 
 
-def distribution_entries(dataset: BrowsingDataset) -> list[dict]:
+def distribution_entries(
+    distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
+) -> list[dict]:
     """The canonical manifest rows for the distribution curves."""
     return [
         {
@@ -153,7 +168,7 @@ def distribution_entries(dataset: BrowsingDataset) -> list[dict]:
             **dist.to_dict(),
         }
         for (platform, metric), dist in sorted(
-            dataset.distributions().items(),
+            distributions.items(),
             key=lambda kv: (kv[0][0].value, kv[0][1].value),
         )
     ]
@@ -192,14 +207,25 @@ def dataset_fingerprint(dataset: BrowsingDataset) -> str:
     SHA-256 over every breakdown slug and its sites in canonical
     order — still a pure function of the content, just paid per call.
     """
-    recorded = dataset.metadata.get("fingerprint")
-    if isinstance(recorded, str) and recorded:
-        return recorded
-    recorded = getattr(dataset, "content_fingerprint", None)
-    if isinstance(recorded, str) and recorded:
-        return recorded
+    return _fingerprint(
+        dataset.metadata, dataset.breakdowns(), dataset.__getitem__,
+        getattr(dataset, "content_fingerprint", None),
+    )
+
+
+def _fingerprint(
+    metadata: Mapping[str, object],
+    breakdowns: Iterable[Breakdown],
+    lists: Callable[[Breakdown], RankedList],
+    content: str | None = None,
+) -> str:
+    """The fingerprint rule: the recorded provenance, else the recorded
+    ``content`` fingerprint, else a content hash over every list."""
+    for recorded in (metadata.get("fingerprint"), content):
+        if isinstance(recorded, str) and recorded:
+            return recorded
     return content_hash(
-        (breakdown_slug(b), dataset[b].sites) for b in sorted_breakdowns(dataset)
+        (breakdown_slug(b), lists(b).sites) for b in sorted_breakdowns(breakdowns)
     )
 
 
@@ -215,110 +241,63 @@ def content_hash(rows: Iterable[tuple[str, Iterable[str]]]) -> str:
     return digest.hexdigest()[:16]
 
 
-# -- codec registry -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DatasetCodec:
-    """One on-disk dataset encoding: how to save, load and recognise it.
-
-    The three optional fields opt a codec into versioned (``as_of``)
-    loading: ``manifest`` names the live manifest file, ``read_version``
-    reads the ``dataset_version`` out of one manifest file, and
-    ``load_at`` loads the dataset *as described by* an archived manifest
-    under ``versions/`` (valid because ingest appends, never rewrites).
-    """
-
-    name: str
-    save: Callable[[BrowsingDataset, Path], Path]
-    load: Callable[[Path], BrowsingDataset]
-    detect: Callable[[Path], bool]
-    manifest: str | None = None
-    read_version: Callable[[Path], int] | None = None
-    load_at: Callable[[Path, Path], BrowsingDataset] | None = None
-
-    def archived_manifest(self, root: Path, version: int) -> Path:
-        """Where ingest archives the manifest that pinned ``version``."""
-        suffix = Path(self.manifest).suffix if self.manifest else ""
-        return Path(root) / VERSIONS_DIR / f"manifest.v{version}{suffix}"
-
-
-_CODECS: dict[str, DatasetCodec] = {}
-
-#: Detection order: binary manifests win when a directory carries both.
-_DETECT_ORDER = ("columnar", "text")
-
-
-def register_codec(codec: DatasetCodec) -> DatasetCodec:
-    """Add (or replace) a codec under its name; returns it for chaining."""
-    _CODECS[codec.name] = codec
-    return codec
-
-
-def _ensure_codecs() -> None:
-    """Import-time registration of the built-in non-text codecs.
-
-    The columnar codec lives in :mod:`repro.store`, which imports this
-    module for the shared manifest helpers — so the registry pulls it
-    in lazily rather than at import time.
-    """
-    if "columnar" not in _CODECS:
-        from .. import store  # noqa: F401  (registers "columnar")
-
-
-def codec_for(name: str) -> DatasetCodec:
-    """The registered codec called ``name``; raises with valid choices."""
-    _ensure_codecs()
-    try:
-        return _CODECS[name]
-    except KeyError:
-        choices = ", ".join(sorted(_CODECS))
-        raise DatasetError(
-            f"unknown dataset format {name!r}; choose one of: {choices}"
-        ) from None
-
-
-def available_formats() -> tuple[str, ...]:
-    """Names of every registered codec, sorted."""
-    _ensure_codecs()
-    return tuple(sorted(_CODECS))
+# -- finding and loading a dataset --------------------------------------------------
 
 
 def detect_format(root: str | Path) -> str | None:
-    """The codec whose files are present under ``root`` (or ``None``)."""
-    _ensure_codecs()
-    root = Path(root)
-    for name in _DETECT_ORDER:
-        codec = _CODECS.get(name)
-        if codec is not None and codec.detect(root):
-            return name
-    for name, codec in sorted(_CODECS.items()):
-        if name not in _DETECT_ORDER and codec.detect(root):
-            return name
+    """The format whose manifest is present under ``root`` (or ``None``)."""
+    for format, manifest in MANIFESTS.items():
+        if (Path(root) / manifest).is_file():
+            return format
     return None
 
 
-def save_dataset(
-    dataset: BrowsingDataset, root: str | Path, *, format: str = "text"
-) -> Path:
-    """Write a dataset to ``root`` (created if needed); returns the path."""
-    return codec_for(format).save(dataset, Path(root))
-
-
-def _resolve_codec(root: Path, format: str | None) -> DatasetCodec:
+def _format_at(root: Path) -> str:
+    format = detect_format(root)
     if format is None:
-        format = detect_format(root)
-        if format is None:
-            raise DatasetError(
-                f"no dataset under {root}: neither manifest.bin (columnar) "
-                "nor manifest.json (text) is present"
-            )
-    return codec_for(format)
+        raise DatasetError(
+            f"no dataset under {root}: neither manifest.bin (columnar) "
+            "nor manifest.json (text) is present"
+        )
+    return format
 
 
-def dataset_versions(
-    root: str | Path, *, format: str | None = None
-) -> tuple[int, ...]:
+def _manifest_name(format: str, version: int | None = None) -> str:
+    """The live manifest, or the archived one that pins ``version``."""
+    name = MANIFESTS[format]
+    if version is None:
+        return name
+    return f"{VERSIONS_DIR}/manifest.v{version}{Path(name).suffix}"
+
+
+def _read_manifest(path: Path, data: bytes | None = None) -> dict:
+    """The manifest at ``path`` (either format), or :class:`DatasetError`."""
+    if data is None:
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            raise DatasetError(f"no {path.name} under {path.parent}") from None
+    if path.suffix == ".bin":
+        from ..store.format import unpack_manifest
+
+        return unpack_manifest(data, path)
+    try:
+        manifest = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
+        raise DatasetError(f"{path}: malformed manifest JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"{path}: manifest is not a JSON object")
+    return manifest
+
+
+def latest_version(root: str | Path) -> int:
+    """The version the live manifest at ``root`` records."""
+    root = Path(root)
+    manifest = _read_manifest(root / _manifest_name(_format_at(root)))
+    return int(manifest.get("dataset_version", 1))
+
+
+def dataset_versions(root: str | Path) -> tuple[int, ...]:
     """Every loadable version at ``root``: archived ones plus the live one.
 
     A dataset that has never been ingested into has exactly one version
@@ -327,64 +306,219 @@ def dataset_versions(
     bumps the live one.
     """
     root = Path(root)
-    codec = _resolve_codec(root, format)
-    if codec.manifest is None or codec.read_version is None:
-        raise DatasetError(
-            f"codec {codec.name!r} does not support versioned loading"
-        )
-    versions = {codec.read_version(root / codec.manifest)}
-    suffix = Path(codec.manifest).suffix
+    suffix = Path(MANIFESTS[_format_at(root)]).suffix
+    versions = {latest_version(root)}
     for path in (root / VERSIONS_DIR).glob(f"manifest.v*{suffix}"):
-        stem = path.name[len("manifest.v"):]
-        stem = stem[: -len(suffix)] if suffix else stem
         try:
-            versions.add(int(stem))
+            versions.add(int(path.name[len("manifest.v"):-len(suffix)]))
         except ValueError:
             continue
     return tuple(sorted(versions))
 
 
-def latest_version(root: str | Path, *, format: str | None = None) -> int:
-    """The version the live manifest at ``root`` records."""
-    root = Path(root)
-    codec = _resolve_codec(root, format)
-    if codec.manifest is None or codec.read_version is None:
-        raise DatasetError(
-            f"codec {codec.name!r} does not support versioned loading"
-        )
-    return codec.read_version(root / codec.manifest)
-
-
-def load_dataset(
-    root: str | Path,
-    *,
-    format: str | None = None,
-    as_of: int | None = None,
-) -> BrowsingDataset:
+def load_dataset(root: str | Path, *, as_of: int | None = None) -> BrowsingDataset:
     """Load a dataset previously written by :func:`save_dataset`.
 
-    With ``format=None`` (the default) the codec is auto-detected from
-    the files present; pass a name to force one.  ``as_of`` loads a
+    The format is the one whose manifest is present.  ``as_of`` loads a
     specific dataset version: the live manifest when it matches, else
     the archived manifest under ``versions/`` — raising
     :class:`UnknownVersionError` (listing the available versions) when
     neither pins it.
     """
     root = Path(root)
-    codec = _resolve_codec(root, format)
-    if as_of is None:
-        return codec.load(root)
-    wanted = int(as_of)
-    available = dataset_versions(root, format=codec.name)
-    if wanted not in available:
-        raise UnknownVersionError(root, wanted, available)
-    if wanted == codec.read_version(root / codec.manifest):
-        return codec.load(root)
-    if codec.load_at is None:  # pragma: no cover - registry misuse
+    format = _format_at(root)
+    path = root / _manifest_name(format)
+    if as_of is not None:
+        available = dataset_versions(root)
+        if int(as_of) not in available:
+            raise UnknownVersionError(root, int(as_of), available)
+        if int(as_of) != latest_version(root):
+            path = root / _manifest_name(format, int(as_of))
+    if format == "text":
+        return _load_text(root, path)
+    from ..store.columnar import open_columnar
+
+    return open_columnar(root, path)
+
+
+# -- the one write path -------------------------------------------------------------
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Crash-safe write: a temp sibling ``os.replace``\\ d onto ``path``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def refuse_dataset_at(root: Path) -> None:
+    """Raise unless ``root`` is free for a save: no manifest, no archive."""
+    if any((Path(root) / name).exists()
+           for name in (*MANIFESTS.values(), VERSIONS_DIR)):
         raise DatasetError(
-            f"codec {codec.name!r} cannot load archived versions"
+            f"{root} already holds a dataset; add months to it with "
+            "`repro ingest`, or save to a fresh directory"
         )
-    return codec.load_at(root, codec.archived_manifest(root, wanted))
+
+
+@dataclass(frozen=True)
+class Stored:
+    """The live version an ingest grows; a save grows the empty store."""
+
+    dataset: BrowsingDataset
+    #: Its sites in stored id order; new sites are numbered after them.
+    names: tuple[str, ...]
+    #: Its manifest, kept verbatim under ``versions/``.
+    manifest: bytes
+
+
+@dataclass(frozen=True)
+class Grown:
+    """The store after a write: what the shared steps hand an encoder."""
+
+    root: Path
+    #: The lists this write adds, in canonical order, and their ids.
+    lists: list[tuple[Breakdown, RankedList]]
+    ids: list[np.ndarray]
+    #: Every site name in id order: the stored ones, then the new.
+    names: tuple[str, ...]
+    truth: GroundTruth | None
+    version: int
+    metadata: dict[str, object]
+    fingerprint: str
+    distributions: list[dict]
+    #: The stored version's breakdown records, as written.
+    stored_entries: dict[Breakdown, dict]
+
+    def entries(self, new: list[dict]) -> list[dict]:
+        """The stored and the ``new`` breakdown records, in canonical order."""
+        merged = dict(self.stored_entries)
+        merged.update((b, entry) for (b, _), entry in zip(self.lists, new))
+        return [merged[b] for b in sorted_breakdowns(merged)]
+
+
+def _grown_truth(
+    truth: GroundTruth | None, sites: Sequence[str], truth_for
+) -> GroundTruth:
+    """``truth`` plus rows for every site of ``sites`` it lacks.
+
+    ``sites`` is the grown site order (stored ids first), so an ingest
+    appends rows for the new sites, and a save — or an ingest into a
+    dataset saved before ground truth was stored — writes every row in
+    id order.
+    """
+    if truth is None:
+        return truth_for(sites)
+    known = set(truth.sites)
+    return truth.extend(truth_for([s for s in sites if s not in known]))
+
+
+def write_dataset(
+    root: Path,
+    format: str,
+    lists: Mapping[Breakdown, RankedList],
+    *,
+    metadata: Mapping[str, object],
+    distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
+    version: int,
+    truth_for: Callable[[Sequence[str]], GroundTruth] | None = None,
+    stored: Stored | None = None,
+) -> Path:
+    """Write ``lists`` under ``format`` onto the store at ``root``.
+
+    A save passes no ``stored`` version: the lists go onto an empty
+    store, and a directory that already holds a dataset is refused.  An
+    ingest passes the live version it grows; its manifest is archived
+    under ``versions/`` and its lists, ids and ground-truth rows are
+    kept.  ``truth_for`` gives the ground-truth rows of sites the store
+    lacks (``None``: the dataset has no ground truth).  One
+    ``store.write`` span (attributes ``lists`` and ``bytes``) covers
+    the write.
+    """
+    if format not in MANIFESTS:
+        raise DatasetError(
+            f"unknown dataset format {format!r}; choose one of: "
+            + ", ".join(sorted(MANIFESTS))
+        )
+    root = Path(root)
+    if stored is None:
+        refuse_dataset_at(root)
+    with obs_span("store.write") as span:
+        ordered = [(b, lists[b]) for b in sorted_breakdowns(lists)]
+        vocab = SiteVocabulary(stored.names if stored else ())
+        ids = [vocab.intern_many(ranked.sites) for _, ranked in ordered]
+        names = vocab.names()
+        truth = stored.dataset.ground_truth() if stored else None
+        if truth_for is not None:
+            truth = _grown_truth(truth, names, truth_for)
+        every = [*lists, *(stored.dataset.breakdowns() if stored else ())]
+        grown = Grown(
+            root=root,
+            lists=ordered,
+            ids=ids,
+            names=names,
+            truth=truth,
+            version=version,
+            metadata=_jsonable_metadata(metadata),
+            fingerprint=_fingerprint(
+                metadata, every,
+                lambda b: lists[b] if b in lists else stored.dataset[b],
+            ),
+            distributions=distribution_entries(distributions),
+            # Both loaders key a dataset by its manifest's breakdown
+            # records, in the manifest's order.
+            stored_entries={} if stored is None else dict(zip(
+                stored.dataset.breakdowns(),
+                _read_manifest(root / _manifest_name(format),
+                               stored.manifest)["breakdowns"],
+            )),
+        )
+        if format == "text":
+            files = _encode_text(grown)
+        else:
+            from ..store.columnar import encode_columnar
+
+            files = encode_columnar(grown)
+        if stored is not None:
+            archived = _manifest_name(format, dataset_version(stored.dataset))
+            files = {archived: stored.manifest, **files}
+        # Archive first, data files next, the manifest last: a torn
+        # write leaves the previous version (or no dataset) live.
+        for path, data in files.items():
+            atomic_write(root / path, data)
+        span.set("lists", len(ordered))
+        span.set("bytes", sum(map(len, files.values())))
+    return root
+
+
+def save_dataset(
+    dataset: BrowsingDataset, root: str | Path, *, format: str = "text"
+) -> Path:
+    """Write ``dataset`` to a fresh directory ``root``; returns the path.
+
+    A directory that already holds a dataset (a ``manifest.json``, a
+    ``manifest.bin`` or a ``versions/`` archive) raises
+    :class:`DatasetError`: grow it with ``repro ingest`` instead.
+    """
+    truth = dataset.ground_truth()
+    return write_dataset(
+        Path(root),
+        format,
+        {b: dataset[b] for b in dataset.breakdowns()},
+        metadata=dataset.metadata,
+        distributions=dataset.distributions(),
+        version=dataset_version(dataset),
+        truth_for=None if truth is None else truth.reindex,
+    )
 
 
 def convert_dataset(
@@ -405,23 +539,7 @@ def convert_dataset(
     return save_dataset(load_dataset(src), dst, format=format)
 
 
-# -- the text codec -----------------------------------------------------------------
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Crash-safe text write: temp sibling + ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+# -- the text format ----------------------------------------------------------------
 
 
 def _truth_text(truth: GroundTruth) -> str:
@@ -435,16 +553,6 @@ def _truth_text(truth: GroundTruth) -> str:
 
 def _truth_bytes(truth: GroundTruth) -> bytes:
     return _truth_text(truth).encode("utf-8")
-
-
-def truth_record(truth: GroundTruth) -> tuple[str, dict[str, object]]:
-    """The sidecar text and its manifest record."""
-    text = _truth_text(truth)
-    return text, {
-        "file": TRUTH_TEXT,
-        "entries": len(truth),
-        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-    }
 
 
 def _parse_truth_text(data: bytes, path: Path) -> GroundTruth:
@@ -488,60 +596,53 @@ def _text_truth_loader(root: Path, manifest: dict, manifest_path: Path):
     return load
 
 
-def _save_text(dataset: BrowsingDataset, root: Path) -> Path:
-    lists_dir = root / "lists"
-    truth = dataset.ground_truth()
-    vocab = SiteVocabulary()
-
-    breakdowns = []
-    for breakdown in sorted_breakdowns(dataset):
-        slug = breakdown_slug(breakdown)
-        sites = dataset[breakdown].sites
-        _atomic_write_text(lists_dir / f"{slug}.txt", "\n".join(sites) + "\n")
-        if truth is not None:
-            vocab.intern_many(sites)
-        breakdowns.append(breakdown_entry(breakdown, file=f"lists/{slug}.txt"))
-
+def _encode_text(grown: Grown) -> dict[str, bytes]:
+    """One ``lists/<slug>.txt`` per new list, the sidecar, the manifest."""
+    files: dict[str, bytes] = {}
+    entries = []
+    for breakdown, ranked in grown.lists:
+        name = f"lists/{breakdown_slug(breakdown)}.txt"
+        files[name] = ("\n".join(ranked.sites) + "\n").encode("utf-8")
+        entries.append(breakdown_entry(breakdown, file=name))
     manifest = {
         "format_version": TEXT_FORMAT_VERSION,
-        "dataset_version": dataset_version(dataset),
-        "metadata": _jsonable_metadata(dataset.metadata),
-        "breakdowns": breakdowns,
-        "distributions": distribution_entries(dataset),
+        "dataset_version": grown.version,
+        "metadata": grown.metadata,
+        "breakdowns": grown.entries(entries),
+        "distributions": grown.distributions,
     }
-    if truth is not None:
-        # Rows in first-seen site order, as a columnar save numbers them.
-        text, manifest["ground_truth"] = truth_record(
-            truth.reindex(vocab.names())
-        )
-        _atomic_write_text(root / TRUTH_TEXT, text)
-    # The manifest goes last: a torn save leaves stray list files at
-    # worst, never a manifest naming files that are absent or short.
-    _atomic_write_text(root / "manifest.json", json.dumps(manifest, indent=2))
-    return root
+    if grown.truth is not None:
+        files[TRUTH_TEXT] = _truth_bytes(grown.truth)
+        manifest["ground_truth"] = {
+            "file": TRUTH_TEXT,
+            "entries": len(grown.truth),
+            "sha256": hashlib.sha256(files[TRUTH_TEXT]).hexdigest(),
+        }
+    files[MANIFESTS["text"]] = json.dumps(manifest, indent=2).encode("utf-8")
+    return files
 
 
-def _load_text(
-    root: Path, manifest_path: Path | None = None
-) -> BrowsingDataset:
-    if manifest_path is None:
-        manifest_path = root / "manifest.json"
-    if not manifest_path.is_file():
-        raise DatasetError(f"no {manifest_path.name} under {root}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+def _load_text(root: Path, manifest_path: Path) -> BrowsingDataset:
+    manifest = _read_manifest(manifest_path)
     if manifest.get("format_version") != TEXT_FORMAT_VERSION:
         raise DatasetError(
-            f"unsupported format version {manifest.get('format_version')!r}"
+            f"{manifest_path}: unsupported format version "
+            f"{manifest.get('format_version')!r}"
         )
 
     lists: dict[Breakdown, RankedList] = {}
-    for entry in manifest["breakdowns"]:
-        breakdown = parse_breakdown_entry(entry)
+    for entry in manifest.get("breakdowns", ()):
+        try:
+            breakdown = parse_breakdown_entry(entry)
+            path = root / entry["file"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(
+                f"{manifest_path}: malformed breakdown entry {entry!r}: {exc!r}"
+            ) from exc
         if breakdown in lists:
             raise DatasetError(
                 f"{manifest_path}: duplicate manifest entry for {breakdown}"
             )
-        path = root / entry["file"]
         try:
             text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
@@ -549,35 +650,17 @@ def _load_text(
                 f"dataset at {root} is torn: manifest names "
                 f"{entry['file']} for {breakdown}, but the file is absent"
             ) from None
-        lists[breakdown] = RankedList(
-            line for line in text.splitlines() if line
-        )
+        try:
+            lists[breakdown] = RankedList(
+                line for line in text.splitlines() if line
+            )
+        except RankListError as exc:
+            raise DatasetError(f"{path}: {exc}") from exc
 
-    distributions = parse_distribution_entries(manifest["distributions"])
+    distributions = parse_distribution_entries(manifest.get("distributions", []))
     dataset = BrowsingDataset(
         lists, distributions, manifest.get("metadata", {}),
         ground_truth=_text_truth_loader(root, manifest, manifest_path),
     )
     dataset.version = int(manifest.get("dataset_version", 1))
     return dataset
-
-
-def _read_text_version(manifest_path: Path) -> int:
-    if not manifest_path.is_file():
-        raise DatasetError(f"no {manifest_path.name} at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    return int(manifest.get("dataset_version", 1))
-
-
-register_codec(
-    DatasetCodec(
-        name="text",
-        save=_save_text,
-        load=_load_text,
-        detect=lambda root: (root / "manifest.json").is_file(),
-        manifest="manifest.json",
-        read_version=_read_text_version,
-        load_at=_load_text,
-    )
-)
-

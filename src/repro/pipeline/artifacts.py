@@ -15,19 +15,19 @@ a new cache line instead of serving stale results.
 Artifacts are canonical JSON (sorted keys, fixed separators), so a
 file is a pure function of its address — any two runs write
 byte-identical artifacts — and stays greppable/diffable with
-standard tools.  Writes are atomic (tmp file + rename), so a crash
+standard tools.  Writes go through the datasets' crash-safe
+:func:`~repro.export.io.atomic_write` (tmp file + rename), so a crash
 never leaves a torn artifact under its final name.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from ..export.io import atomic_write
 from .task import canonical_json, result_digest
 
 #: Bump when the envelope layout changes; old artifacts become misses.
@@ -118,18 +118,7 @@ class ArtifactStore:
     def put(self, fingerprint: str, name: str, key: str, data: bytes) -> Path:
         """Store one artifact's bytes; the write is atomic (tmp + rename)."""
         path = self.path_for(fingerprint, name, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, data)
         self.stats.writes += 1
         return path
 

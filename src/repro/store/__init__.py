@@ -2,8 +2,9 @@
 
 The store gives every layer above it a zero-copy cold path:
 
-* :func:`write_columnar` serialises a :class:`BrowsingDataset` as a
-  packed vocabulary string table, one contiguous ``int32`` id array
+* :func:`~repro.store.columnar.encode_columnar` is the format's
+  encoder for the one write path (:func:`repro.export.io.write_dataset`):
+  a packed vocabulary string table, one contiguous ``int32`` id array
   holding every ranked list, the ground-truth column family keyed by
   site id, and a binary manifest carrying the breakdown index,
   metadata, distribution vectors and content fingerprints;
@@ -12,28 +13,26 @@ The store gives every layer above it a zero-copy cold path:
   materialise lazily from mapped ids plus the shared vocabulary, and
   multiple processes share one physical copy of the pages.
 
-Importing this package registers the ``"columnar"`` codec with
-:mod:`repro.export.io`, so ``save_dataset(..., format="columnar")``
-and auto-detecting ``load_dataset`` work without touching this module
-directly.  The text layout stays available as the export/debug codec;
-round-trips between the two are byte-identical.
+``save_dataset(..., format="columnar")`` writes this layout and
+``load_dataset`` opens any directory holding a ``manifest.bin``, so
+callers rarely touch this module directly.  The text layout stays
+available as the export/debug format; round-trips between the two are
+byte-identical.  :func:`ingest_months` appends months to a saved
+dataset of either format.
 """
 
 from .columnar import (
-    COLUMNAR_CODEC,
     LISTS_NAME,
     MANIFEST_NAME,
     TRUTH_NAME,
     VOCAB_NAME,
     open_columnar,
-    write_columnar,
 )
 from .format import COLUMNAR_VERSION
 from .ingest import IngestReport, ingest_months
 from .mapped import MappedBrowsingDataset, MappedStringTable
 
 __all__ = [
-    "COLUMNAR_CODEC",
     "COLUMNAR_VERSION",
     "IngestReport",
     "LISTS_NAME",
@@ -44,5 +43,4 @@ __all__ = [
     "VOCAB_NAME",
     "ingest_months",
     "open_columnar",
-    "write_columnar",
 ]

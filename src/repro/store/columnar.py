@@ -1,4 +1,4 @@
-"""The columnar dataset codec: save eagerly, open memory-mapped.
+"""The columnar dataset format: encode for the one writer, open memory-mapped.
 
 Directory layout (see :mod:`repro.store.format` for byte layouts)::
 
@@ -11,15 +11,15 @@ Directory layout (see :mod:`repro.store.format` for byte layouts)::
                             # has-Android-app (absent for datasets saved
                             # before ground truth was stored)
 
-Saving interns every list through one fresh
-:class:`~repro.core.vocab.SiteVocabulary` (first-seen order over the
-canonical breakdown sort), concatenates the id arrays, and records each
-breakdown's window in the manifest together with per-file SHA-256
-fingerprints and the dataset fingerprint.  The ground-truth column
-family is keyed by the same site ids; its digest and row count sit in
-the manifest next to the other files'.  Every file is written to a
-temp sibling and ``os.replace``\\ d, manifest last — an interrupted
-save never leaves a manifest naming torn files.
+:func:`encode_columnar` is this format's encoder for the one write
+path (:func:`repro.export.io.write_dataset`): the ids of the lists a
+write adds go after the stored ones in ``lists.bin``, the grown
+vocabulary and ground truth replace ``vocab.bin`` and ``truth.bin``
+(stored names and rows keep their ids, so every file only grows at the
+tail), and the manifest records each breakdown's window together with
+per-file SHA-256 fingerprints and the dataset fingerprint.  The
+ground-truth column family is keyed by the same site ids; its digest
+and row count sit in the manifest next to the other files'.
 
 Opening is O(open): read the manifest, validate the index, and
 ``numpy.memmap`` the two data files.  No list page is touched until a
@@ -31,36 +31,26 @@ the manifest's digest — only when the ground truth is first asked for.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
 
-import numpy as np
-
-from ..core.dataset import BrowsingDataset
 from ..core.errors import DatasetError
-from ..core.rankedlist import RankedList
 from ..core.truth import check_entries
 from ..core.types import Breakdown
-from ..core.vocab import SiteVocabulary
 from ..export.io import (
-    DatasetCodec,
-    _jsonable_metadata,
+    MANIFESTS,
+    Grown,
     breakdown_entry,
     breakdown_slug,
-    dataset_fingerprint,
-    dataset_version,
-    distribution_entries,
     parse_breakdown_entry,
     parse_distribution_entries,
-    register_codec,
-    sorted_breakdowns,
 )
 from .format import (
     COLUMNAR_VERSION,
-    atomic_write_bytes,
+    HEADER_SIZE,
+    MAGIC_LISTS,
     file_fingerprint,
     map_id_array,
-    pack_id_array,
     pack_ground_truth,
+    pack_header,
     pack_manifest,
     pack_string_table,
     unpack_ground_truth,
@@ -69,61 +59,50 @@ from .format import (
 from .mapped import MappedBrowsingDataset, MappedStringTable
 
 #: The file whose presence marks a columnar dataset directory.
-MANIFEST_NAME = "manifest.bin"
+MANIFEST_NAME = MANIFESTS["columnar"]
 VOCAB_NAME = "vocab.bin"
 LISTS_NAME = "lists.bin"
 TRUTH_NAME = "truth.bin"
 
 
-def intern_windows(
-    vocab: SiteVocabulary,
-    lists: Iterable[tuple[Breakdown, RankedList]],
-    offset: int = 0,
-) -> tuple[np.ndarray, list[dict]]:
-    """``lists`` interned back to back from id ``offset`` of ``lists.bin``:
-    the ids, and each breakdown's manifest entry with its window."""
-    chunks: list[np.ndarray] = []
-    entries: list[dict] = []
-    for breakdown, ranked in lists:
-        ids = vocab.intern_many(ranked.sites)
-        chunks.append(ids)
+def encode_columnar(grown: Grown) -> dict[str, bytes]:
+    """``vocab.bin``, ``lists.bin``, ``truth.bin`` and the manifest.
+
+    The new lists' ids are appended after the stored id prefix of
+    ``lists.bin`` (the windows the stored manifest records), so every
+    stored window stays a valid view of the grown file.
+    """
+    offset = sum(int(e["length"]) for e in grown.stored_entries.values())
+    stored_ids = b""
+    if offset:
+        with open(grown.root / LISTS_NAME, "rb") as handle:
+            handle.seek(HEADER_SIZE)
+            stored_ids = handle.read(4 * offset)
+    entries = []
+    for (breakdown, _), ids in zip(grown.lists, grown.ids):
         entries.append(breakdown_entry(breakdown, offset=offset, length=int(ids.size)))
         offset += int(ids.size)
-    return (np.concatenate(chunks) if chunks else np.empty(0, np.int32)), entries
-
-
-def write_columnar(dataset: BrowsingDataset, root: str | Path) -> Path:
-    """Write ``dataset`` to ``root`` in the columnar layout."""
-    root = Path(root)
-    vocab = SiteVocabulary()
-    all_ids, entries = intern_windows(
-        vocab, ((b, dataset[b]) for b in sorted_breakdowns(dataset))
-    )
-    vocab_bytes = pack_string_table(vocab.names())
-    lists_bytes = pack_id_array(all_ids)
-
-    manifest = {
-        "format_version": COLUMNAR_VERSION,
-        "dataset_version": dataset_version(dataset),
-        "metadata": _jsonable_metadata(dataset.metadata),
-        "dataset_fingerprint": dataset_fingerprint(dataset),
-        "breakdowns": entries,
-        "distributions": distribution_entries(dataset),
-        "files": {
-            VOCAB_NAME: file_entry(vocab_bytes, len(vocab)),
-            LISTS_NAME: file_entry(lists_bytes, int(all_ids.size)),
-        },
+    files = {
+        VOCAB_NAME: pack_string_table(grown.names),
+        LISTS_NAME: b"".join(
+            (pack_header(MAGIC_LISTS, offset), stored_ids, *grown.ids)
+        ),
     }
-    atomic_write_bytes(root / VOCAB_NAME, vocab_bytes)
-    atomic_write_bytes(root / LISTS_NAME, lists_bytes)
-    truth = dataset.ground_truth()
-    if truth is not None:
-        truth_bytes = pack_ground_truth(truth.reindex(vocab.names()))
-        manifest["files"][TRUTH_NAME] = file_entry(truth_bytes, len(vocab))
-        atomic_write_bytes(root / TRUTH_NAME, truth_bytes)
-    # Manifest last: loaders start here, so a torn save is invisible.
-    atomic_write_bytes(root / MANIFEST_NAME, pack_manifest(manifest))
-    return root
+    counts = {VOCAB_NAME: len(grown.names), LISTS_NAME: offset}
+    if grown.truth is not None:
+        files[TRUTH_NAME] = pack_ground_truth(grown.truth)
+        counts[TRUTH_NAME] = len(grown.names)
+    files[MANIFEST_NAME] = pack_manifest({
+        "format_version": COLUMNAR_VERSION,
+        "dataset_version": grown.version,
+        "metadata": grown.metadata,
+        "dataset_fingerprint": grown.fingerprint,
+        "breakdowns": grown.entries(entries),
+        "distributions": grown.distributions,
+        "files": {name: file_entry(files[name], count)
+                  for name, count in counts.items()},
+    })
+    return files
 
 
 def open_columnar(
@@ -244,26 +223,3 @@ def _truth_loader(root: Path, files: dict, manifest_path: Path):
         return check_entries(truth, entries, sha256, pack_ground_truth, path)
 
     return load
-
-
-def _read_columnar_version(manifest_path: Path) -> int:
-    try:
-        manifest = unpack_manifest(manifest_path.read_bytes(), manifest_path)
-    except FileNotFoundError:
-        raise DatasetError(
-            f"no {manifest_path.name} at {manifest_path}"
-        ) from None
-    return int(manifest.get("dataset_version", 1))
-
-
-COLUMNAR_CODEC = register_codec(
-    DatasetCodec(
-        name="columnar",
-        save=write_columnar,
-        load=open_columnar,
-        detect=lambda root: (root / MANIFEST_NAME).is_file(),
-        manifest=MANIFEST_NAME,
-        read_version=_read_columnar_version,
-        load_at=open_columnar,
-    )
-)

@@ -27,19 +27,13 @@ All integers are little-endian.  The four file kinds:
                 length), then an order-preserving UTF-8 JSON payload
                 carrying the breakdown index, dataset metadata,
                 distribution vectors and per-file content fingerprints.
-
-Writes are crash-safe: :func:`atomic_write_bytes` writes a temp sibling
-and ``os.replace``\\ s it into place, so an interrupted save never
-leaves a torn file under the final name.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-import tempfile
 from pathlib import Path
 from typing import Sequence
 
@@ -126,12 +120,6 @@ def decode_names(blob: bytes, offsets: list[int]) -> tuple[str, ...]:
 
 
 # -- id arrays ----------------------------------------------------------------------
-
-
-def pack_id_array(ids: np.ndarray) -> bytes:
-    """Serialise one contiguous ``int32`` id array (header + raw ids)."""
-    arr = np.ascontiguousarray(ids, dtype=np.int32)
-    return pack_header(MAGIC_LISTS, arr.size) + arr.tobytes()
 
 
 def map_id_array(path: Path) -> np.ndarray:
@@ -253,24 +241,6 @@ def unpack_manifest(data: bytes, path: Path) -> dict:
 
 
 # -- files --------------------------------------------------------------------------
-
-
-def atomic_write_bytes(path: Path, data: bytes) -> Path:
-    """Write ``data`` to ``path`` via a temp sibling + ``os.replace``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
 
 
 def file_fingerprint(data: bytes) -> str:

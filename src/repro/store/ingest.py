@@ -5,7 +5,9 @@ one.  The generator's month walk is *cumulative and append-stable* —
 every month's innovation is keyed ``(seed, country, "walk:<index>")``
 independent of which months a run requests — so generating month N
 against an existing dataset yields lists byte-identical to a fresh
-N-month generation.  Ingestion therefore never rewrites history:
+N-month generation.  Ingestion therefore never rewrites history: it
+hands the new lists and the live version to the same writer a save
+uses (:func:`repro.export.io.write_dataset`), which appends them.
 
 * **text**: new ``lists/<slug>.txt`` files are written, the manifest
   gains the new breakdown rows (canonical sort order preserved) and the
@@ -27,7 +29,8 @@ grown store.  Readers holding the old manifest — or an old mmap — keep
 seeing exactly the old bytes: the manifest lands via ``os.replace``,
 and open maps pin the old inode.
 
-Crash safety matches the save path: data files first, manifest last.
+Crash safety is the save path's: archive first, data files next,
+manifest last.
 A crash mid-ingest leaves the old manifest live over grown-but-unread
 data files.  Readers take every count from the manifest, never from a
 file header, so the orphaned tails stay invisible, and the next ingest
@@ -36,50 +39,25 @@ appends after the manifest's counts, overwriting them.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import Iterable
 
 from ..core.dataset import BrowsingDataset
 from ..core.errors import DatasetError
-from ..core.rankedlist import RankedList
-from ..core.truth import GroundTruth
-from ..core.types import Breakdown, Month
+from ..core.types import Month
 from ..core.vocab import SiteVocabulary
 from ..export.io import (
-    TEXT_FORMAT_VERSION,
-    TRUTH_TEXT,
-    VERSIONS_DIR,
-    _atomic_write_text,
-    _resolve_codec,
-    breakdown_entry,
-    breakdown_slug,
-    content_hash,
+    MANIFESTS,
+    Stored,
+    dataset_version,
+    detect_format,
+    load_dataset,
     sorted_breakdowns,
-    truth_record,
+    write_dataset,
 )
-from .columnar import (
-    LISTS_NAME,
-    MANIFEST_NAME,
-    TRUTH_NAME,
-    VOCAB_NAME,
-    file_entry,
-    intern_windows,
-)
-from .format import (
-    HEADER_SIZE,
-    MAGIC_LISTS,
-    atomic_write_bytes,
-    pack_ground_truth,
-    pack_header,
-    pack_manifest,
-    pack_string_table,
-    unpack_manifest,
-)
+from .mapped import MappedBrowsingDataset
 
 
 @dataclass(frozen=True)
@@ -114,28 +92,16 @@ class IngestReport:
         }
 
 
-def _entry_key(entry: Mapping[str, object]) -> tuple:
-    """Canonical manifest ordering — matches ``sorted_breakdowns``."""
-    return (
-        entry["country"],
-        entry["platform"],
-        entry["metric"],
-        tuple(entry["month"]),
-    )
-
-
-def _canonical_produced(
-    produced: Mapping[Breakdown, RankedList]
-) -> list[tuple[Breakdown, RankedList]]:
-    return sorted(
-        produced.items(),
-        key=lambda kv: (
-            kv[0].country,
-            kv[0].platform.value,
-            kv[0].metric.value,
-            kv[0].month,
-        ),
-    )
+def _stored_names(dataset: BrowsingDataset) -> tuple[str, ...]:
+    """The stored sites in id order: a columnar dataset's vocabulary
+    file, else the order a save numbers them (first seen over the lists
+    in canonical order)."""
+    if isinstance(dataset, MappedBrowsingDataset):
+        return dataset._table.decode_all()
+    vocab = SiteVocabulary()
+    for breakdown in sorted_breakdowns(dataset.breakdowns()):
+        vocab.intern_many(dataset[breakdown].sites)
+    return vocab.names()
 
 
 def _coerce_months(months: Iterable[Month | str]) -> tuple[Month, ...]:
@@ -149,7 +115,6 @@ def ingest_months(
     root: str | Path,
     months: Iterable[Month | str],
     *,
-    format: str | None = None,
     config=None,
     small: bool = False,
     seed: int | None = None,
@@ -161,25 +126,21 @@ def ingest_months(
     version does not move, and the report says so.  Otherwise the new
     slices are generated with the same :class:`GeneratorConfig` that
     produced the dataset (inferred from the recorded provenance, or the
-    ``small``/``seed`` flags for unprovenanced exports), appended under
-    the dataset's codec, and the dataset version is bumped by one with
+    ``small``/``seed`` flags for unprovenanced exports), appended in
+    the dataset's format, and the dataset version is bumped by one with
     the superseded manifest archived under ``versions/``.
     """
     start = time.perf_counter()
     root = Path(root)
-    codec = _resolve_codec(root, format)
-    if codec.manifest is None or codec.read_version is None:
-        raise DatasetError(
-            f"codec {codec.name!r} does not support incremental ingest"
-        )
-    dataset = codec.load(root)
-    version_before = int(getattr(dataset, "version", 1))
+    dataset = load_dataset(root)
+    fmt = detect_format(root)
+    version_before = dataset_version(dataset)
     requested = _coerce_months(months)
     wanted = tuple(m for m in requested if m not in dataset.months)
     if not wanted:
         return IngestReport(
             root=str(root),
-            format=codec.name,
+            format=fmt,
             version_before=version_before,
             version=version_before,
             months_added=(),
@@ -210,16 +171,23 @@ def ingest_months(
     engine = GenerationEngine(config)
     produced = engine.run(plan)
 
-    new_version = version_before + 1
-    append = _append_columnar if codec.name == "columnar" else _append_text
-    append(root, dataset, produced, engine.generator.ground_truth,
-           version_before, new_version)
+    write_dataset(
+        root,
+        fmt,
+        produced,
+        metadata=dataset.metadata,
+        distributions=dataset.distributions(),
+        version=version_before + 1,
+        truth_for=engine.generator.ground_truth,
+        stored=Stored(dataset, _stored_names(dataset),
+                      (root / MANIFESTS[fmt]).read_bytes()),
+    )
 
     return IngestReport(
         root=str(root),
-        format=codec.name,
+        format=fmt,
         version_before=version_before,
-        version=new_version,
+        version=version_before + 1,
         months_added=tuple(str(m) for m in wanted),
         months_present=tuple(
             str(m) for m in sorted(tuple(dataset.months) + wanted)
@@ -227,153 +195,3 @@ def ingest_months(
         slices_added=len(produced),
         seconds=time.perf_counter() - start,
     )
-
-
-# -- text append --------------------------------------------------------------------
-
-
-def _grown_truth(
-    dataset: BrowsingDataset, sites: tuple[str, ...], truth_for
-) -> GroundTruth:
-    """The dataset's table plus rows for every site of ``sites`` it lacks.
-
-    ``sites`` is the grown site order (old ids first), so this appends
-    rows for the new sites — or, for a dataset saved before ground truth
-    was stored, writes the whole table.
-    """
-    truth = dataset.ground_truth() or GroundTruth.from_rows(())
-    known = set(truth.sites)
-    return truth.extend(truth_for([s for s in sites if s not in known]))
-
-
-def _append_text(
-    root: Path,
-    dataset: BrowsingDataset,
-    produced: Mapping[Breakdown, RankedList],
-    truth_for,
-    version_before: int,
-    new_version: int,
-) -> None:
-    manifest_path = root / "manifest.json"
-    old_text = manifest_path.read_text(encoding="utf-8")
-    old = json.loads(old_text)
-
-    # The order new sidecar rows take: first-seen over the stored
-    # lists, then over the new ones.
-    vocab = SiteVocabulary()
-    for breakdown in sorted_breakdowns(dataset):
-        vocab.intern_many(dataset[breakdown].sites)
-    new_entries = []
-    for breakdown, ranked in _canonical_produced(produced):
-        vocab.intern_many(ranked.sites)
-        slug = breakdown_slug(breakdown)
-        _atomic_write_text(
-            root / "lists" / f"{slug}.txt", "\n".join(ranked.sites) + "\n"
-        )
-        new_entries.append(breakdown_entry(breakdown, file=f"lists/{slug}.txt"))
-
-    manifest = {
-        "format_version": old.get("format_version", TEXT_FORMAT_VERSION),
-        "dataset_version": new_version,
-    }
-    for key, value in old.items():
-        if key not in manifest:
-            manifest[key] = value
-    manifest["breakdowns"] = sorted(
-        list(old["breakdowns"]) + new_entries, key=_entry_key
-    )
-    truth_text, manifest["ground_truth"] = truth_record(
-        _grown_truth(dataset, vocab.names(), truth_for)
-    )
-
-    # Archive the superseded manifest verbatim, then land the new one —
-    # manifest last, so a crash leaves version N fully live.
-    _atomic_write_text(
-        root / VERSIONS_DIR / f"manifest.v{version_before}.json", old_text
-    )
-    _atomic_write_text(root / TRUTH_TEXT, truth_text)
-    _atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
-
-
-# -- columnar append ----------------------------------------------------------------
-
-
-def _append_columnar(
-    root: Path,
-    dataset: BrowsingDataset,
-    produced: Mapping[Breakdown, RankedList],
-    truth_for,
-    version_before: int,
-    new_version: int,
-) -> None:
-    manifest_path = root / MANIFEST_NAME
-    old_bytes = manifest_path.read_bytes()
-    old = unpack_manifest(old_bytes, manifest_path)
-
-    # Rebuild the stored id space, then intern the new lists after it.
-    # Appending preserves every existing id, so old manifest windows
-    # remain valid prefix views of the grown files.
-    vocab = SiteVocabulary(dataset._table.decode_all())
-    lists_bytes = (root / LISTS_NAME).read_bytes()
-    old_total = old.get("files", {}).get(LISTS_NAME, {}).get(
-        "entries", (len(lists_bytes) - HEADER_SIZE) // 4
-    )
-    old_body = lists_bytes[HEADER_SIZE:HEADER_SIZE + 4 * old_total]
-
-    new_ids, new_entries = intern_windows(
-        vocab, _canonical_produced(produced), old_total
-    )
-    new_ids = np.ascontiguousarray(new_ids, dtype=np.int32)
-    grown_lists = (
-        pack_header(MAGIC_LISTS, old_total + int(new_ids.size))
-        + old_body
-        + new_ids.tobytes()
-    )
-    grown_vocab = pack_string_table(vocab.names())
-    grown_truth = pack_ground_truth(
-        _grown_truth(dataset, vocab.names(), truth_for)
-    )
-
-    recorded = old.get("metadata", {}).get("fingerprint")
-    if isinstance(recorded, str) and recorded:
-        fingerprint = recorded
-    else:
-        # Unprovenanced import: recompute the content hash over the
-        # merged lists (old windows decode lazily through the mmap).
-        merged: list[tuple[str, tuple[str, ...]]] = [
-            (breakdown_slug(b), tuple(dataset[b].sites))
-            for b in dataset.breakdowns()
-        ]
-        merged.extend(
-            (breakdown_slug(b), tuple(ranked.sites))
-            for b, ranked in produced.items()
-        )
-        fingerprint = content_hash(sorted(merged, key=lambda kv: kv[0]))
-
-    manifest = {
-        "format_version": old["format_version"],
-        "dataset_version": new_version,
-    }
-    for key, value in old.items():
-        if key not in manifest:
-            manifest[key] = value
-    manifest["dataset_fingerprint"] = fingerprint
-    manifest["breakdowns"] = sorted(
-        list(old["breakdowns"]) + new_entries, key=_entry_key
-    )
-    manifest["files"] = {
-        VOCAB_NAME: file_entry(grown_vocab, len(vocab)),
-        LISTS_NAME: file_entry(grown_lists, old_total + int(new_ids.size)),
-        TRUTH_NAME: file_entry(grown_truth, len(vocab)),
-    }
-
-    # Archive first, data files next, manifest last.  Old readers hold
-    # the old inodes through their mmaps; new readers see version N
-    # until the final os.replace lands version N+1 atomically.
-    atomic_write_bytes(
-        root / VERSIONS_DIR / f"manifest.v{version_before}.bin", old_bytes
-    )
-    atomic_write_bytes(root / VOCAB_NAME, grown_vocab)
-    atomic_write_bytes(root / LISTS_NAME, grown_lists)
-    atomic_write_bytes(root / TRUTH_NAME, grown_truth)
-    atomic_write_bytes(root / MANIFEST_NAME, pack_manifest(manifest))

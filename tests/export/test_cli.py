@@ -145,6 +145,30 @@ class TestConvert:
         assert "naver.com" in capsys.readouterr().out
 
 
+class TestOccupiedDestination:
+    """generate and convert only write fresh directories."""
+
+    def test_generate_over_a_dataset_exits_2(self, dataset_dir, capsys):
+        manifest = (dataset_dir / "manifest.json").read_bytes()
+        assert main(["generate", "--small", "--out", str(dataset_dir),
+                     "--countries", "US", "--format", "columnar"]) == 2
+        err = capsys.readouterr().err
+        assert "already holds a dataset" in err and "repro ingest" in err
+        assert (dataset_dir / "manifest.json").read_bytes() == manifest
+        assert not (dataset_dir / "manifest.bin").exists()
+
+    def test_convert_onto_a_dataset_exits_2(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        col = tmp_path / "col"
+        assert main(["convert", str(dataset_dir), str(col)]) == 0
+        capsys.readouterr()
+        assert main(["convert", str(dataset_dir), str(col),
+                     "--format", "text"]) == 2
+        assert "already holds a dataset" in capsys.readouterr().err
+        assert not (col / "manifest.json").exists()
+
+
 class TestGenerateFormat:
     def test_generate_columnar_writes_binary_layout(self, tmp_path, capsys):
         out = tmp_path / "ds"
@@ -433,7 +457,14 @@ class TestIngestCLI:
             "ingest", "--data", "ds", "--month", "2021-10",
         ])
         assert [str(m) for m in args.months] == ["2021-10"]
-        assert args.format is None
+
+    def test_format_flag_is_gone(self, capsys):
+        # The files on disk decide the format of the dataset it grows.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ingest", "--data", "ds", "--month", "2021-10",
+                  "--format", "text"])
+        assert excinfo.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_ingest_bumps_the_version(self, growable_dir, capsys):
         assert main([

@@ -1,13 +1,13 @@
 """Tests for dataset persistence."""
 
 import json
+import shutil
 
 import pytest
 
 from repro.core import Metric, Platform, REFERENCE_MONTH
 from repro.core.errors import DatasetError
 from repro.export.io import (
-    available_formats,
     convert_dataset,
     detect_format,
     load_dataset,
@@ -147,10 +147,37 @@ class TestErrors:
         with pytest.raises(DatasetError, match="duplicate manifest entry"):
             load_dataset(root)
 
+    @pytest.mark.parametrize("damage", ["manifest", "entry", "list"])
+    def test_malformed_input_names_the_file(
+        self, small_slice, tmp_path, damage, capsys
+    ):
+        from repro.cli import main
+
+        root = save_dataset(small_slice, tmp_path / "ds")
+        manifest_path = root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if damage == "manifest":
+            culprit = manifest_path
+            culprit.write_text(manifest_path.read_text()[:-40])
+        elif damage == "entry":
+            culprit = manifest_path
+            del manifest["breakdowns"][0]["file"]
+            culprit.write_text(json.dumps(manifest))
+        else:
+            culprit = root / manifest["breakdowns"][0]["file"]
+            sites = culprit.read_text().splitlines()
+            culprit.write_text("\n".join(sites + sites[:1]) + "\n")
+        with pytest.raises(DatasetError, match=str(culprit)):
+            load_dataset(root)
+        for argv in (["inspect", "--data", str(root)],
+                     ["report", "--data", str(root),
+                      "--out", str(tmp_path / "run")]):
+            assert main(argv) == 2
+            assert str(culprit) in capsys.readouterr().err
+
 
 class TestCodecRegistry:
-    def test_both_builtin_codecs_registered(self):
-        assert set(available_formats()) >= {"text", "columnar"}
+    """The format is chosen on save and read off the files on load."""
 
     def test_detect_format(self, small_slice, tmp_path):
         save_dataset(small_slice, tmp_path / "text", format="text")
@@ -160,23 +187,15 @@ class TestCodecRegistry:
         assert detect_format(tmp_path / "nothing") is None
 
     def test_binary_manifest_wins_detection(self, small_slice, tmp_path):
-        root = tmp_path / "both"
-        save_dataset(small_slice, root, format="text")
-        save_dataset(small_slice, root, format="columnar")
+        root = save_dataset(small_slice, tmp_path / "both", format="text")
+        col = save_dataset(small_slice, tmp_path / "col", format="columnar")
+        shutil.copytree(col, root, dirs_exist_ok=True)
         assert detect_format(root) == "columnar"
+        assert load_dataset(root).storage == "columnar-mmap"
 
     def test_unknown_format_lists_choices(self, small_slice, tmp_path):
         with pytest.raises(DatasetError, match="columnar.*text"):
             save_dataset(small_slice, tmp_path / "ds", format="parquet")
-
-    def test_explicit_format_overrides_detection(self, small_slice, tmp_path):
-        root = tmp_path / "both"
-        save_dataset(small_slice, root, format="text")
-        save_dataset(small_slice, root, format="columnar")
-        eager = load_dataset(root, format="text")
-        mapped = load_dataset(root, format="columnar")
-        assert eager.storage == "memory"
-        assert mapped.storage == "columnar-mmap"
 
 
 class TestColumnarFormat:

@@ -7,11 +7,10 @@ in ``/v1/metrics``) is covered next to the other HTTP tests in
 
 import pytest
 
-from repro.core import Metric, Platform
+from repro.core import Metric, Month, Platform
 from repro.engine import GenerationEngine
 from repro.obs import NULL_TRACER, Tracer, set_tracer
 from repro.pipeline import PipelineRunner, TaskContext, TaskRegistry
-from repro.store import write_columnar
 from tests.store.conftest import KR_TIME, US_PAGE_LOADS, make_tiny_dataset
 
 
@@ -121,9 +120,11 @@ class TestPipelineTracing:
 
 class TestStoreTracing:
     def test_each_materialisation_is_one_span(self, tmp_path, tracer):
-        from repro.export.io import load_dataset
+        from repro.export.io import load_dataset, save_dataset
 
-        dataset = load_dataset(write_columnar(make_tiny_dataset(), tmp_path / "ds"))
+        dataset = load_dataset(save_dataset(
+            make_tiny_dataset(), tmp_path / "ds", format="columnar"
+        ))
         dataset[US_PAGE_LOADS]
         dataset[US_PAGE_LOADS]  # already materialised: no second span
         dataset.materialize()   # the one still-pending slice
@@ -134,6 +135,28 @@ class TestStoreTracing:
             {"slices": 1, "sites": 3}, {"slices": 1, "sites": 3},
         ]
         assert dataset.pending == 0 and len(dataset[KR_TIME]) == 3
+
+
+class TestStoreWriteTracing:
+    def test_save_convert_and_ingest_are_one_write_span_each(
+        self, generator, tmp_path, tracer
+    ):
+        from repro.export.io import convert_dataset, save_dataset
+        from repro.store import ingest_months
+
+        dataset = generator.generate(
+            countries=("US", "KR"), months=(Month(2021, 11),), **GRID
+        )
+        root = save_dataset(dataset, tmp_path / "ds", format="columnar")
+        convert_dataset(root, tmp_path / "text", format="text")
+        ingest_months(root, ["2021-12"], config=generator.config)
+
+        spans = _by_name(tracer)["store.write"]
+        assert [s["attrs"]["lists"] for s in spans] == [2, 2, 2]
+        converted = sum(p.stat().st_size
+                        for p in (tmp_path / "text").rglob("*") if p.is_file())
+        assert spans[1]["attrs"]["bytes"] == converted
+        assert all(s["attrs"]["bytes"] > 0 for s in spans)
 
 
 class TestStatsTracing:

@@ -5,14 +5,13 @@ import pytest
 
 from repro.core import Metric, Platform, SiteVocabulary
 from repro.core.errors import DatasetError, MissingBreakdownError
-from repro.export.io import dataset_fingerprint
+from repro.export.io import dataset_fingerprint, save_dataset
 from repro.store import (
     LISTS_NAME,
     MANIFEST_NAME,
     VOCAB_NAME,
     MappedBrowsingDataset,
     open_columnar,
-    write_columnar,
 )
 from repro.store.format import (
     HEADER_SIZE,
@@ -30,7 +29,7 @@ from .conftest import KR_TIME, US_PAGE_LOADS, make_tiny_dataset
 
 @pytest.fixture()
 def columnar_root(tiny_dataset, tmp_path):
-    return write_columnar(tiny_dataset, tmp_path / "ds")
+    return save_dataset(tiny_dataset, tmp_path / "ds", format="columnar")
 
 
 class TestLayout:
@@ -130,7 +129,7 @@ class TestMappedDataset:
         # No "fingerprint" metadata key: the eager dataset hashes its
         # lists, the mapped one reads the manifest record instead.
         dataset = make_tiny_dataset(metadata={})
-        root = write_columnar(dataset, tmp_path / "ds")
+        root = save_dataset(dataset, tmp_path / "ds", format="columnar")
         mapped = open_columnar(root)
         assert mapped.content_fingerprint == dataset_fingerprint(dataset)
         assert dataset_fingerprint(mapped) == dataset_fingerprint(dataset)
@@ -152,7 +151,7 @@ class TestZeroCopyIds:
         mapped = open_columnar(columnar_root)
         mapped_vocab = mapped.vocabulary()
         eager_vocab = SiteVocabulary()
-        for breakdown in sorted_breakdowns(tiny_dataset):
+        for breakdown in sorted_breakdowns(tiny_dataset.breakdowns()):
             expected = tiny_dataset[breakdown].ids(eager_vocab)
             assert mapped[breakdown].ids(mapped_vocab).tolist() == \
                 expected.tolist()

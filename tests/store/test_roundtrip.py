@@ -123,7 +123,7 @@ class TestCodecRoundTrips:
             mapped = load_dataset(root)
             mapped_vocab = mapped.vocabulary()
             eager_vocab = SiteVocabulary()
-            for breakdown in sorted_breakdowns(dataset):
+            for breakdown in sorted_breakdowns(dataset.breakdowns()):
                 expected = dataset[breakdown].ids(eager_vocab)
                 got = mapped[breakdown].ids(mapped_vocab)
                 assert got.tolist() == expected.tolist()
