@@ -343,17 +343,18 @@ def serve(
     mmap'd dataset, each worker renders every request it accepts, and
     ``/v1/metrics`` reports the merged view.  ``block=False`` then
     returns the started :class:`~repro.fleet.FleetSupervisor`
-    (``.url``, ``.wait()``, ``.stop()``).  ``trace`` is single-process only — fleet workers
-    would race on one trace file.
+    (``.url``, ``.wait()``, ``.stop()``).
 
     Like :func:`report`, the artifact store defaults to
     ``<data>/.artifacts`` for saved-dataset paths, so analyses whose
     artifacts exist are served without recomputation.  ``trace``
-    installs a tracer for the server's lifetime (one ``http.request``
-    span per request); the JSONL file is written when
+    installs a tracer for the server's lifetime (one ``http.<endpoint>``
+    span per request).  A single process writes the JSONL file when
     :func:`repro.service.serve_forever` returns — embedders who drive
     ``server.serve_forever()`` directly should close
-    ``server.trace_scope`` themselves.
+    ``server.trace_scope`` themselves; each fleet worker writes its own
+    file, ``trace`` with ``.w<index>`` before the suffix, when it
+    drains.
     """
     from .service.spec import ServeSpec
 
@@ -370,13 +371,9 @@ def serve(
         small=small,
         seed=seed,
         as_of=as_of,
+        trace=trace,
     )
     if workers > 1:
-        if trace is not None:
-            raise ValueError(
-                "trace= cannot be combined with workers > 1 "
-                "(fleet workers would race on one trace file)"
-            )
         from .fleet import FleetSupervisor
 
         supervisor = FleetSupervisor(spec, host, port, workers)

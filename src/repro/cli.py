@@ -9,7 +9,7 @@ inspect    Print the head of rank lists from a saved dataset.
 analyze    Run one pipeline task over a saved dataset and print it.
 report     Run the full analysis DAG into a run directory.
 serve      Serve a saved dataset over the JSON HTTP API.
-trace      Summarize a JSONL span trace written by ``--trace``.
+trace      Summarize JSONL span traces written by ``--trace``.
 crux       Produce the CrUX-style public rank-bucket export.
 world      Print facts about the synthetic world (countries, taxonomy).
 
@@ -214,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default: serve the latest and follow ingests)")
     srv.add_argument("--trace", default=None, metavar="PATH",
                      help="write a JSONL span trace on shutdown "
-                          "(one http.request span per request)")
+                          "(one http.<endpoint> span per request; each "
+                          "fleet worker writes PATH with a .w<N> suffix)")
 
     trc = sub.add_parser(
         "trace", help="inspect a JSONL span trace written by --trace"
@@ -223,7 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
     summ = trc_sub.add_parser(
         "summarize", help="print the slowest spans and per-name totals"
     )
-    summ.add_argument("path", help="JSONL trace file (from --trace)")
+    summ.add_argument("path", nargs="+",
+                      help="JSONL trace file(s) (from --trace), "
+                           "summarized together")
     summ.add_argument("--top", type=int, default=15,
                       help="how many individual spans to list (default: 15)")
 
@@ -401,11 +404,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .export.io import latest_version
     from .service import ENDPOINTS, serve_forever
 
-    if args.workers > 1 and args.trace:
-        print("--trace cannot be combined with --workers > 1 "
-              "(fleet workers would race on one trace file)",
-              file=sys.stderr)
-        return 2
     version = (args.as_of if args.as_of is not None
                else latest_version(args.data))
     server = api.serve(
@@ -437,7 +435,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"fleet: {args.workers} workers (pids {pids})", flush=True)
     print("endpoints: " + " ".join(ENDPOINTS), flush=True)
     if args.trace:
-        print(f"tracing to {args.trace} (written on shutdown)", flush=True)
+        each = ", one .w<N> file per worker" if args.workers > 1 else ""
+        print(f"tracing to {args.trace} (written on shutdown{each})",
+              flush=True)
     if args.workers > 1:
         return server.wait()
     serve_forever(server)
@@ -447,17 +447,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import format_summary, read_trace
 
-    path = Path(args.path)
-    if not path.is_file():
-        print(f"no trace file at {path}", file=sys.stderr)
-        return 2
-    try:
-        spans = read_trace(path)
-    except ValueError as exc:
-        print(f"malformed trace {path}: {exc}", file=sys.stderr)
-        return 1
+    spans = []
+    for path in args.path:
+        if not Path(path).is_file():
+            print(f"no trace file at {path}", file=sys.stderr)
+            return 2
+        try:
+            spans += read_trace(path)
+        except ValueError as exc:
+            print(f"malformed trace {path}: {exc}", file=sys.stderr)
+            return 1
     if not spans:
-        print(f"trace {path} contains no spans", file=sys.stderr)
+        print(f"trace {' '.join(args.path)} contains no spans", file=sys.stderr)
         return 1
     print(format_summary(spans, top=args.top))
     return 0

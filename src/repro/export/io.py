@@ -323,22 +323,25 @@ def load_dataset(root: str | Path, *, as_of: int | None = None) -> BrowsingDatas
     specific dataset version: the live manifest when it matches, else
     the archived manifest under ``versions/`` — raising
     :class:`UnknownVersionError` (listing the available versions) when
-    neither pins it.
+    neither pins it.  Each load is one ``store.open`` span (attributes
+    ``format``, ``version``).
     """
+    from ..store.columnar import open_columnar
+
     root = Path(root)
     format = _format_at(root)
     path = root / _manifest_name(format)
-    if as_of is not None:
-        available = dataset_versions(root)
-        if int(as_of) not in available:
-            raise UnknownVersionError(root, int(as_of), available)
-        if int(as_of) != latest_version(root):
-            path = root / _manifest_name(format, int(as_of))
-    if format == "text":
-        return _load_text(root, path)
-    from ..store.columnar import open_columnar
-
-    return open_columnar(root, path)
+    with obs_span("store.open", format=format) as span:
+        if as_of is not None:
+            available = dataset_versions(root)
+            if int(as_of) not in available:
+                raise UnknownVersionError(root, int(as_of), available)
+            if int(as_of) != latest_version(root):
+                path = root / _manifest_name(format, int(as_of))
+        opener = _load_text if format == "text" else open_columnar
+        dataset = opener(root, path)
+        span.set("version", dataset.version)
+        return dataset
 
 
 # -- the one write path -------------------------------------------------------------

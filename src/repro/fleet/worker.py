@@ -23,6 +23,10 @@ over a columnar dataset the open is O(open) ``mmap`` and all workers
 share one physical copy of the pages, which is what makes N workers
 cost one dataset of RAM.
 
+A worker first empties the span aggregate it inherited, so its
+``/v1/metrics`` counts only its own requests.  Given a ``trace`` path
+it writes its own trace file when it drains (:func:`worker_trace_path`).
+
 Shutdown is the single-process :class:`~repro.service.http.Lifecycle`:
 SIGTERM stops both accept loops, in-flight requests run to completion
 (bounded by ``drain_timeout``), idle keep-alive connections are
@@ -38,9 +42,10 @@ import os
 import signal
 import urllib.error
 import urllib.request
+from pathlib import Path
 from typing import Sequence
 
-from ..obs import get_tracer
+from ..obs import AGGREGATE, tracing
 from ..service.http import STOP_SIGNALS, Lifecycle, ReproHTTPServer
 from ..service.query import QueryService, render_payload
 from ..service.spec import ServeSpec, build_service
@@ -76,31 +81,34 @@ class FleetWorkerRuntime:
 
     def fleet_metrics(self, service: QueryService) -> bytes:
         """The merged ``/v1/metrics`` body: every worker's counters + fleet info."""
-        with get_tracer().span(
-            "fleet.metrics_merge", worker=self.index, workers=self.size
-        ):
-            per_worker = {str(self.index): service.metrics_snapshot()}
-            unreachable: list[int] = []
-            for index, port in enumerate(self.internal_ports):
-                if index == self.index:
-                    continue
-                try:
-                    with urllib.request.urlopen(
-                        f"http://127.0.0.1:{port}/v1/metrics",
-                        timeout=FAN_IN_TIMEOUT,
-                    ) as resp:
-                        per_worker[str(index)] = json.loads(resp.read())
-                except (OSError, urllib.error.URLError, ValueError):
-                    unreachable.append(index)
-            merged = merge_snapshots(per_worker.values())
-            merged["fleet"] = {
-                "size": self.size,
-                "worker": self.index,
-                "restarts_total": self.restarts_total(),
-                "unreachable": unreachable,
-                "workers": dict(sorted(per_worker.items())),
-            }
-            return render_payload(merged)
+        per_worker = {str(self.index): service.metrics_snapshot()}
+        unreachable: list[int] = []
+        for index, port in enumerate(self.internal_ports):
+            if index == self.index:
+                continue
+            try:
+                with urllib.request.urlopen(
+                    f"http://127.0.0.1:{port}/v1/metrics",
+                    timeout=FAN_IN_TIMEOUT,
+                ) as resp:
+                    per_worker[str(index)] = json.loads(resp.read())
+            except (OSError, urllib.error.URLError, ValueError):
+                unreachable.append(index)
+        merged = merge_snapshots(per_worker.values())
+        merged["fleet"] = {
+            "size": self.size,
+            "worker": self.index,
+            "restarts_total": self.restarts_total(),
+            "unreachable": unreachable,
+            "workers": dict(sorted(per_worker.items())),
+        }
+        return render_payload(merged)
+
+
+def worker_trace_path(path: str | Path, index: int) -> Path:
+    """Worker ``index``'s trace file: ``.w<index>`` before the suffix."""
+    path = Path(path)
+    return path.with_name(f"{path.stem}.w{index}{path.suffix}")
 
 
 def worker_main(
@@ -119,6 +127,7 @@ def worker_main(
     servers serve is kept: the worker finishes starting, closes its
     servers without serving and exits 0.
     """
+    AGGREGATE.clear()
     lifecycle = Lifecycle(spec.drain_timeout)
     lifecycle.signals.install()
     signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
@@ -128,18 +137,20 @@ def worker_main(
         internal_ports=internal_ports,
         restarts=restarts,
     )
-    service = build_service(spec)
-    # The internal server answers its own snapshot: a fan-in request
-    # must never fan out again.
-    public = ReproHTTPServer(
-        public_sock, service,
-        fleet=runtime if runtime.size > 1 else None,
-    )
-    internal = ReproHTTPServer(internal_sock, service)
-    log.info(
-        "worker %d (pid %d) serving on %s, internal %s",
-        index, os.getpid(), public.url, internal.url,
-    )
-    lifecycle.serve(public, internal)
+    trace = None if spec.trace is None else worker_trace_path(spec.trace, index)
+    with tracing(trace):
+        service = build_service(spec)
+        # The internal server answers its own snapshot: a fan-in
+        # request must never fan out again.
+        public = ReproHTTPServer(
+            public_sock, service,
+            fleet=runtime if runtime.size > 1 else None,
+        )
+        internal = ReproHTTPServer(internal_sock, service)
+        log.info(
+            "worker %d (pid %d) serving on %s, internal %s",
+            index, os.getpid(), public.url, internal.url,
+        )
+        lifecycle.serve(public, internal)
     log.info("worker %d (pid %d) drained", index, os.getpid())
     return 0

@@ -1,22 +1,22 @@
-"""repro.obs — hierarchical tracing for the whole stack.
+"""repro.obs — spans, the one telemetry primitive of the whole stack.
 
-One lightweight subsystem answers "where does time go" across the
+Spans answer "where does time go" and "how much was served" across the
 three execution layers (see DESIGN.md, "Observability"):
 
 * the **generation engine** emits one ``engine.generate_slice`` span
   per slice;
 * the **pipeline runner** emits one ``pipeline.task`` span per task
   with its status and artifact-store outcome;
-* the **serving layer** emits one ``http.request`` span per request
-  (plus per-endpoint ``service.*`` spans), surfaced as a ``trace``
-  block in ``/v1/metrics``.
+* the **serving layer** emits one ``http.<endpoint>`` span per
+  response (``http.rankings``, ``http.unknown``, ...).
 
-Instrumented code never checks whether tracing is on: the module-level
-active tracer defaults to :data:`NULL_TRACER`, a no-op shim whose cost
-is one attribute lookup per span (benchmarked in
-``benchmarks/bench_obs.py``).  ``repro generate|report|serve --trace
-PATH`` installs a real :class:`Tracer` for the run and exports JSON
-Lines; ``repro trace summarize PATH`` digests the file.
+Every span, traced or not, closes into the per-name
+:data:`AGGREGATE` that ``/v1/metrics`` renders.  Instrumented code
+never checks whether tracing is on: the active tracer defaults to
+:data:`NULL_TRACER`, whose spans are not collected (benchmarked in
+``benchmarks/bench_obs.py``).  ``--trace PATH`` installs a real
+:class:`Tracer` and exports JSON Lines (one file per fleet worker);
+``repro trace summarize PATH...`` digests the files.
 
 Quick start::
 
@@ -29,7 +29,8 @@ Quick start::
     print(obs.format_summary(spans, top=10))
 """
 
-from .summary import aggregate_spans, format_summary, slowest_spans
+from .aggregate import AGGREGATE, LATENCY_BUCKETS_MS, SpanAggregate
+from .summary import format_summary, name_rows, slowest_spans
 from .trace import (
     NULL_TRACER,
     NullTracer,
@@ -44,14 +45,17 @@ from .trace import (
 )
 
 __all__ = [
+    "AGGREGATE",
+    "LATENCY_BUCKETS_MS",
     "NULL_TRACER",
     "NullTracer",
     "Span",
+    "SpanAggregate",
     "TraceCollector",
     "Tracer",
-    "aggregate_spans",
     "format_summary",
     "get_tracer",
+    "name_rows",
     "read_trace",
     "set_tracer",
     "slowest_spans",

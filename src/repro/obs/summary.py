@@ -1,14 +1,14 @@
 """Trace analysis for ``repro trace summarize``: where did time go?
 
 Works on the plain span dicts :func:`~repro.obs.trace.read_trace`
-returns, so it can digest any JSONL trace file — a ``repro report
---trace`` run, a serve session, or a ``repro generate --trace`` run.
-Two views:
+returns, so it can digest any JSONL trace files — a ``repro report
+--trace`` run, a serve session (one file per fleet worker), or a
+``repro generate --trace`` run.  Two views:
 
 * :func:`slowest_spans` — the top-N individual spans by duration, the
   direct answer to "what single operation cost the most";
-* :func:`aggregate_spans` — per-name totals (count / total / mean /
-  max), the answer to "which *kind* of operation dominates".
+* :func:`name_rows` — per-name totals of a span aggregate, the one
+  ``/v1/metrics`` serves: "which *kind* of operation dominates".
 
 Both are pure functions returning table rows; the CLI renders them
 through :func:`repro.report.render_table`.
@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["aggregate_spans", "format_summary", "slowest_spans"]
+from .aggregate import SpanAggregate
+
+__all__ = ["format_summary", "name_rows", "slowest_spans"]
 
 #: Attributes worth showing inline in the slowest-spans table, in
 #: display order; everything else is elided to keep rows terminal-width.
 _DETAIL_ATTRS = (
-    "country", "platform", "metric", "month", "task", "endpoint",
-    "method", "path", "status_code", "store", "slices",
+    "country", "platform", "metric", "month", "task", "method", "path",
+    "status_code", "store", "slices", "format", "version",
 )
 
 
@@ -59,27 +61,24 @@ def slowest_spans(
     ]
 
 
-def aggregate_spans(
-    spans: Sequence[Mapping[str, object]],
-) -> list[tuple[str, str, str, str, str]]:
-    """Per-name (name, count, total ms, mean ms, max ms), total-sorted."""
-    totals: dict[str, list[float]] = {}
-    for span in spans:
-        totals.setdefault(str(span.get("name", "?")), []).append(
-            _duration(span)
-        )
+def name_rows(
+    totals: Mapping[str, Mapping[str, object]],
+) -> list[tuple[str, str, str, str, str, str]]:
+    """Per-name (name, count, total ms, mean ms, max ms, errors) rows of
+    a :meth:`SpanAggregate.snapshot`, total-sorted."""
     rows = sorted(
-        totals.items(), key=lambda item: sum(item[1]), reverse=True
+        totals.items(), key=lambda item: item[1]["sum_ms"], reverse=True
     )
     return [
         (
             name,
-            str(len(durations)),
-            f"{sum(durations):.3f}",
-            f"{sum(durations) / len(durations):.3f}",
-            f"{max(durations):.3f}",
+            str(entry["count"]),
+            f"{entry['sum_ms']:.3f}",
+            f"{entry['sum_ms'] / entry['count']:.3f}",
+            f"{entry['max_ms']:.3f}",
+            str(entry["errors"]),
         )
-        for name, durations in rows
+        for name, entry in rows
     ]
 
 
@@ -103,8 +102,8 @@ def format_summary(
         title=f"top {min(top, len(spans))} slowest spans",
     )
     agg = render_table(
-        ("span", "count", "total ms", "mean ms", "max ms"),
-        aggregate_spans(spans),
+        ("span", "count", "total ms", "mean ms", "max ms", "errors"),
+        name_rows(SpanAggregate.of(spans).snapshot()),
         title="by span name",
     )
     return f"{header}\n\n{slow}\n\n{agg}"

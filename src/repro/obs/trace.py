@@ -1,7 +1,7 @@
-"""Hierarchical tracing: spans, collectors, the disabled shim.
+"""Hierarchical tracing: spans, collectors, the disabled tracer.
 
 A :class:`Span` is one timed region of work — ``engine.generate_slice``,
-``pipeline.task``, ``http.request`` — with a monotonic duration, a
+``pipeline.task``, ``http.rankings`` — with a monotonic duration, a
 parent/child relationship, free-form attributes and counters.  Spans
 nest through a per-thread stack kept by the :class:`Tracer`: the span
 active on the current thread when a new one opens becomes its parent,
@@ -13,12 +13,12 @@ Finished spans land in a thread-safe :class:`TraceCollector` and can be
 exported as JSON Lines — one self-contained JSON object per span — via
 :meth:`Tracer.write` / :func:`read_trace`.
 
-Disabled tracing is a shim, not a branch.  The module-level default
-tracer is :data:`NULL_TRACER`, whose ``span()`` returns one reusable
-no-op span; instrumented code is written unconditionally (``with
-get_tracer().span(...)``) and pays only an attribute lookup and a no-op
-context manager when tracing is off (measured in
-``benchmarks/bench_obs.py``).
+Every span, traced or not, closes into the process-wide span aggregate
+(:mod:`repro.obs.aggregate`).  The module-level default tracer is
+:data:`NULL_TRACER`, whose spans are timed into the aggregate and not
+collected, so instrumented code is written unconditionally (``with
+get_tracer().span(...)``) and disabled tracing still counts (its cost
+is measured in ``benchmarks/bench_obs.py``).
 """
 
 from __future__ import annotations
@@ -27,8 +27,11 @@ import itertools
 import json
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
+
+from .aggregate import AGGREGATE
 
 __all__ = [
     "NULL_TRACER",
@@ -45,7 +48,12 @@ __all__ = [
 
 
 class Span:
-    """One timed, attributed region of work; used as a context manager."""
+    """One timed region of work; used as a context manager.
+
+    Every span closes into the span aggregate.  A span of an enabled
+    :class:`Tracer` also joins its thread's span stack and is collected;
+    the disabled tracer's spans (``tracer`` ``None``) are neither.
+    """
 
     __slots__ = (
         "name", "span_id", "parent_id", "ts", "attrs", "counters",
@@ -54,16 +62,16 @@ class Span:
 
     def __init__(
         self,
-        tracer: "Tracer",
+        tracer: "Tracer | None",
         name: str,
-        span_id: str,
+        span_id: str | None,
         parent_id: str | None,
         attrs: dict[str, object],
     ) -> None:
         self.name = name
         self.span_id = span_id
         self.parent_id = parent_id
-        self.ts = time.time()
+        self.ts = 0.0  # wall-clock start, stamped for collected spans only
         self.attrs = attrs
         self.counters: dict[str, int] = {}
         self.status = "ok"
@@ -84,19 +92,30 @@ class Span:
         self.counters[counter] = self.counters.get(counter, 0) + amount
         return self
 
+    def fail(self, error: str) -> "Span":
+        """Close as an error without an exception (e.g. an HTTP 404)."""
+        self.status = "error"
+        self.error = error
+        return self
+
     # -- context manager ----------------------------------------------------------
 
     def __enter__(self) -> "Span":
+        if self._tracer is not None:
+            self.ts = time.time()
+            self._tracer._push(self)
         self._start = time.perf_counter()
-        self._tracer._push(self)
         return self
 
     def __exit__(self, exc_type, exc, _tb) -> None:
         self.duration_ms = (time.perf_counter() - self._start) * 1000.0
         if exc is not None:
-            self.status = "error"
-            self.error = f"{exc_type.__name__}: {exc}"
-        self._tracer._pop(self)
+            self.fail(f"{exc_type.__name__}: {exc}")
+        AGGREGATE.record(
+            self.name, self.duration_ms, self.status == "error", self.counters
+        )
+        if self._tracer is not None:
+            self._tracer._pop(self)
         return None  # never swallow
 
     def to_dict(self) -> dict[str, object]:
@@ -177,13 +196,8 @@ class Tracer:
     def span(self, name: str, **attrs: object) -> Span:
         """A new span, parented to this thread's active span."""
         parent = self.current
-        return Span(
-            self,
-            name,
-            str(next(self._ids)),
-            parent.span_id if parent is not None else None,
-            attrs,
-        )
+        parent_id = parent.span_id if parent is not None else None
+        return Span(self, name, str(next(self._ids)), parent_id, attrs)
 
     def _push(self, span: Span) -> None:
         self._stack().append(span)
@@ -209,51 +223,27 @@ class Tracer:
     def write(self, path: str | Path) -> Path:
         """Export every collected span as JSON Lines; returns the path."""
         path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        spans = self.collector.snapshot()
-        with path.open("w", encoding="utf-8") as fh:
-            for span_dict in spans:
-                fh.write(json.dumps(span_dict, sort_keys=True) + "\n")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(
+            json.dumps(span, sort_keys=True) + "\n"
+            for span in self.collector.snapshot()
+        ), encoding="utf-8")
         return path
 
     def __repr__(self) -> str:
         return f"Tracer(trace_id={self.trace_id}, spans={len(self.collector)})"
 
 
-class _NullSpan:
-    """The one no-op span every disabled-path ``with`` statement reuses."""
-
-    __slots__ = ()
-
-    span_id = None
-    parent_id = None
-    status = "ok"
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        return None
-
-    def set(self, _key: str, _value: object) -> "_NullSpan":
-        return self
-
-    def add(self, _counter: str, _amount: int = 1) -> "_NullSpan":
-        return self
-
-
 class NullTracer:
-    """The disabled shim: same surface as :class:`Tracer`, does nothing."""
+    """The disabled tracer: same surface as :class:`Tracer`, collects
+    nothing; its spans only feed the aggregate."""
 
     enabled = False
     trace_id = None
     current = None
 
-    _SPAN = _NullSpan()
-
-    def span(self, _name: str, **_attrs: object) -> _NullSpan:
-        return self._SPAN
+    def span(self, name: str, **attrs: object) -> Span:
+        return Span(None, name, None, None, attrs)
 
     def snapshot(self) -> dict[str, object]:
         return {"enabled": False}
@@ -270,7 +260,7 @@ _active_guard = threading.Lock()
 
 
 def get_tracer() -> Tracer | NullTracer:
-    """The process's active tracer (the disabled shim by default)."""
+    """The process's active tracer (:data:`NULL_TRACER` by default)."""
     return _active
 
 
@@ -287,7 +277,8 @@ def span(name: str, **attrs: object):
     return _active.span(name, **attrs)
 
 
-class tracing:
+@contextmanager
+def tracing(path: str | Path | None = None) -> Iterator[Tracer | NullTracer]:
     """Scope a tracer: install on enter, write + restore on exit.
 
     ``tracing(None)`` is a transparent no-op (the active tracer stays),
@@ -297,40 +288,19 @@ class tracing:
         with tracing(args.trace):
             api.report(...)
     """
-
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        *,
-        tracer: Tracer | None = None,
-    ) -> None:
-        self.path = Path(path) if path is not None else None
-        if tracer is None and (path is not None):
-            tracer = Tracer()
-        self.tracer = tracer
-        self._previous: Tracer | NullTracer | None = None
-
-    def __enter__(self) -> Tracer | NullTracer:
-        if self.tracer is None:
-            return get_tracer()
-        self._previous = set_tracer(self.tracer)
-        return self.tracer
-
-    def __exit__(self, *_exc) -> None:
-        if self.tracer is None:
-            return None
-        set_tracer(self._previous if self._previous is not None else NULL_TRACER)
-        if self.path is not None:
-            self.tracer.write(self.path)
-        return None
+    if path is None:
+        yield get_tracer()
+        return
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    try:
+        yield tracer
+    finally:
+        set_tracer(previous)
+        tracer.write(path)
 
 
 def read_trace(path: str | Path) -> list[dict[str, object]]:
     """Parse a JSONL trace file back into span dicts (blank-line safe)."""
-    spans: list[dict[str, object]] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                spans.append(json.loads(line))
-    return spans
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines if line.strip()]

@@ -11,8 +11,10 @@ and analysis-artifact queries over one loaded dataset, with
 * analysis queries resolved through the shared
   :class:`~repro.pipeline.PipelineRunner` + artifact store, so warm
   artifacts are served without recomputation;
-* per-endpoint request counters and latency histograms
-  (:class:`ServiceMetrics`) surfaced at ``/v1/metrics``;
+* ``/v1/metrics`` rendered from the process-wide span aggregate
+  (:mod:`repro.obs`): each response is one ``http.<endpoint>`` span,
+  so per-endpoint request and error counts and latency histograms are
+  span totals, as are the reload and pipeline counters;
 * a stdlib :class:`ThreadingHTTPServer` JSON API (:mod:`.http`) with
   one route table and structured 4xx/5xx payloads — an unknown country,
   task or route is a 404 listing the valid choices, never a traceback;
@@ -44,7 +46,6 @@ from .http import (
     create_server,
     serve_forever,
 )
-from .metrics import LatencyHistogram, ServiceMetrics
 from .query import DEFAULT_TOP, QueryService, render_payload
 from .spec import ServeSpec, build_service
 
@@ -52,7 +53,6 @@ __all__ = [
     "BadRequest",
     "DEFAULT_TOP",
     "ENDPOINTS",
-    "LatencyHistogram",
     "NotFound",
     "PayloadCache",
     "QueryService",
@@ -60,7 +60,6 @@ __all__ = [
     "ReproRequestHandler",
     "ServiceError",
     "ServeSpec",
-    "ServiceMetrics",
     "Unavailable",
     "build_service",
     "create_server",

@@ -51,6 +51,13 @@ class NotFound(ServiceError):
     code = "not_found"
 
 
+class MethodNotAllowed(ServiceError):
+    """A write method: the serving API is read-only."""
+
+    status = 405
+    code = "method_not_allowed"
+
+
 class Unavailable(ServiceError):
     """The query is well-formed but this dataset cannot answer it.
 

@@ -16,7 +16,7 @@ table, :data:`ROUTES`:
 ``GET /v1/analyses/<task>``           one task's artifact (warm-served)
 ====================================  =========================================
 
-The table gives each path its metrics label and renderer.  A single
+The table gives each path its endpoint label and renderer.  A single
 process and every fleet worker run the same
 :class:`ReproRequestHandler` and render every request locally, so any
 worker count answers byte-identically.  A server fronting a fleet of
@@ -30,12 +30,11 @@ workers and runs.  Errors never leak a traceback: a
 :class:`ServiceError` maps to its status and structured payload
 (unknown country/task → 404 with the valid choices), anything else to
 a one-line 500.  Each request is logged through the ``repro.service``
-logger as ``method path status bytes ms``, traced as one
-``http.request`` span when tracing is on, and observed in
-:class:`ServiceMetrics` exactly once — service-level responses by the
-service itself, everything else (index hits, fleet metrics,
-handler-level 4xx, 405s, routing 500s) by the handler — so
-``/v1/metrics`` request counters always equal the responses sent.
+logger as ``method path status bytes ms`` and rendered inside exactly
+one ``http.<label>`` span (``unknown`` for no route,
+``method_not_allowed`` for a write method), an error for a status
+>= 400.  That span is the response's one observation, so
+``/v1/metrics`` request counters equal the responses sent.
 
 Paths are percent-decoded *per segment, after splitting*: a site name
 containing an encoded slash (``/v1/sites/foo%2Fbar``) stays one
@@ -60,8 +59,7 @@ from typing import Callable
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..obs import get_tracer
-from .errors import NotFound, ServiceError
-from .metrics import was_observed
+from .errors import MethodNotAllowed, NotFound, ServiceError
 from .query import DEFAULT_TOP, QueryService, render_payload
 
 log = logging.getLogger("repro.service")
@@ -74,7 +72,7 @@ Params = dict[str, str]
 
 @dataclass(frozen=True)
 class Route:
-    """One endpoint: its metrics label and renderer."""
+    """One endpoint: its label (``http.<label>`` span) and renderer."""
 
     label: str
     render: Callable[[QueryService, tuple[str, ...], Params], bytes]
@@ -278,61 +276,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
     # -- dispatch -----------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(self._route)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(self._method_not_allowed)
-
-    do_PUT = do_DELETE = do_PATCH = do_POST
-
-    def _dispatch(self, handler) -> None:
-        """Run ``handler``, trace the request, observe the response once.
-
-        Responses the service already counted (``observed`` true from
-        the handler, or an exception tagged by ``_instrumented``) are
-        not observed again; everything else — index hits, fleet
-        metrics, handler-level 4xx, 405s, routing 500s — is observed
-        here, so the metrics request counters equal the total responses
-        sent.
-        The in-flight count is what a stopping server drains.
-        """
-        started = time.perf_counter()
-        with self.server.inflight, get_tracer().span(  # type: ignore[attr-defined]
-            "http.request", method=self.command, path=self.path
-        ) as span:
-            self._endpoint = "unknown"
-            try:
-                status, body, observed = handler()
-            except ServiceError as exc:
-                status, body = exc.status, render_payload(exc.payload())
-                observed = was_observed(exc)
-            except Exception as exc:  # noqa: BLE001 - no tracebacks on the wire
-                status = 500
-                body = render_payload({
-                    "error": "internal_error",
-                    "message": f"{type(exc).__name__}: {exc}",
-                })
-                observed = was_observed(exc)
-            span.set("endpoint", self._endpoint)
-            span.set("status_code", status)
-            if not observed:
-                self.service.metrics.observe(
-                    self._endpoint,
-                    time.perf_counter() - started,
-                    error=status >= 400,
-                )
-            self._respond(status, body, started)
-
-    def _method_not_allowed(self) -> tuple[int, bytes, bool]:
-        self._endpoint = "method_not_allowed"
-        body = render_payload({
-            "error": "method_not_allowed",
-            "message": "the serving API is read-only; use GET",
-        })
-        return 405, body, False
-
-    def _route(self) -> tuple[int, bytes, bool]:
-        """Dispatch one GET; returns (status, body, observed-by-service).
+        """Resolve the route, then render it in its ``http.<label>`` span.
 
         Percent-decoding happens per segment *after* splitting, so an
         encoded slash inside a ``<site>`` or ``<task>`` name stays part
@@ -343,16 +287,57 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         segments = tuple(unquote(s) for s in raw.split("/")[1:]) if raw else ()
         route = resolve(segments)
         if route is None:
-            raise NotFound(
+            error = NotFound(
                 f"unknown endpoint {parsed.path!r}", choices=ENDPOINTS
             )
-        self._endpoint = route.label
+            return self._dispatch("unknown", _raising(error))
         params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
         fleet = self.server.fleet  # type: ignore[attr-defined]
         if fleet is not None and route.label == "metrics":
-            return 200, fleet.fleet_metrics(self.service), False
-        body = route.render(self.service, segments, params)
-        return 200, body, route is not _INDEX
+            return self._dispatch(
+                "metrics", lambda: fleet.fleet_metrics(self.service)
+            )
+        self._dispatch(
+            route.label, lambda: route.render(self.service, segments, params)
+        )
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch("method_not_allowed", _raising(MethodNotAllowed(
+            "the serving API is read-only; use GET"
+        )))
+
+    do_PUT = do_DELETE = do_PATCH = do_POST
+
+    def _dispatch(self, label: str, render: Callable[[], bytes]) -> None:
+        """Render one response in its one ``http.<label>`` span, then send it.
+
+        Any exception closes the span as an error.  The span closes
+        before the response is written, so a client that has read a
+        response finds it counted.  The in-flight count is what a
+        stopping server drains.
+        """
+        started = time.perf_counter()
+        with self.server.inflight:  # type: ignore[attr-defined]
+            with get_tracer().span(
+                f"http.{label}", method=self.command, path=self.path
+            ) as span:
+                try:
+                    status, body = 200, render()
+                except Exception as exc:  # noqa: BLE001 - no tracebacks on the wire
+                    message = f"{type(exc).__name__}: {exc}"
+                    span.fail(message)
+                    if not isinstance(exc, ServiceError):
+                        exc = ServiceError(message)  # a one-line 500
+                    status, body = exc.status, render_payload(exc.payload())
+                span.set("status_code", status)
+            self._respond(status, body, started)
+
+
+def _raising(error: ServiceError) -> Callable[[], bytes]:
+    """A renderer that fails with ``error`` (no route, or no such method)."""
+    def render() -> bytes:
+        raise error
+    return render
 
 
 def create_server(

@@ -19,21 +19,22 @@ Every public endpoint returns the exact *bytes* the HTTP layer writes:
 canonical JSON plus a trailing newline.  Rendered payloads live in a
 thread-safe LRU (:class:`~repro.service.cache.PayloadCache`) behind a
 per-key single-flight lock, so N concurrent identical requests compute
-once and all receive byte-identical bodies.  Request counts and latency
-histograms accumulate in :class:`~repro.service.metrics.ServiceMetrics`
-whether the service is driven over HTTP or called directly.
+once and all receive byte-identical bodies.
+
+The service records no metric of its own: ``/v1/metrics``
+(:meth:`QueryService.metrics_snapshot`) renders the process-wide span
+aggregate (:mod:`repro.obs.aggregate`) through :func:`span_metrics`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from ..core.dataset import BrowsingDataset
 from ..core.types import Metric, Month, Platform
-from ..obs import get_tracer
+from ..obs import AGGREGATE, get_tracer
 from ..pipeline import (
     ArtifactStore,
     PipelineRunner,
@@ -44,7 +45,6 @@ from ..pipeline import (
 )
 from .cache import PayloadCache, PayloadKey
 from .errors import BadRequest, NotFound, ServiceError, Unavailable, not_found
-from .metrics import ServiceMetrics, mark_observed
 
 #: Default number of ranks returned by a rankings query.
 DEFAULT_TOP = 50
@@ -56,6 +56,39 @@ _CURVE_SAMPLE_RANKS = (1, 6, 10, 100, 1_000, 10_000, 100_000, 1_000_000)
 def render_payload(payload: object) -> bytes:
     """The one byte encoding every endpoint serves (canonical JSON)."""
     return canonical_json(payload).encode("utf-8") + b"\n"
+
+
+def span_metrics(spans: Mapping[str, Mapping]) -> dict[str, object]:
+    """The ``/v1/metrics`` blocks read off a span aggregate snapshot.
+
+    ``endpoints`` are the handler's ``http.<label>`` spans, one per
+    response, so ``requests_total`` is their count; ``counters`` count
+    ``service.reload`` spans (a newly ingested version adopted) and the
+    ``pipeline.run`` spans of analysis renders, with their
+    ``executed``/``cached`` counters; ``spans`` is the whole aggregate.
+    A fleet renders its merged aggregate through this same function.
+    """
+    endpoints = {
+        name[len("http."):]: {
+            "requests": entry["count"], "errors": entry["errors"],
+            "latency": {k: entry[k] for k in ("count", "sum_ms", "max_ms",
+                                              "buckets")},
+        }
+        for name, entry in spans.items() if name.startswith("http.")
+    }
+    runs = spans.get("pipeline.run", {})
+    ran = runs.get("counters", {})
+    return {
+        "endpoints": endpoints,
+        "counters": {
+            "dataset_reloads": spans.get("service.reload", {}).get("count", 0),
+            "pipeline_cached": ran.get("cached", 0),
+            "pipeline_executed": ran.get("executed", 0),
+            "pipeline_runs": runs.get("count", 0),
+        },
+        "requests_total": sum(e["requests"] for e in endpoints.values()),
+        "spans": dict(spans),
+    }
 
 
 class QueryService:
@@ -85,7 +118,6 @@ class QueryService:
             cache if isinstance(cache, PayloadCache)
             else PayloadCache(cache, max_bytes=cache_bytes)
         )
-        self.metrics = ServiceMetrics()
         self._flights: dict[PayloadKey, threading.Lock] = {}
         self._flights_guard = threading.Lock()
         # -- dataset versioning (``?as_of=``) --------------------------
@@ -146,22 +178,18 @@ class QueryService:
                 return
             from ..export.io import load_dataset
 
-            dataset = load_dataset(self.root)
-            ctx = TaskContext(
-                dataset, config=self._config, month=self._month_pin
-            )
-            version = int(getattr(dataset, "version", 1))
+            with get_tracer().span("service.reload") as span:
+                dataset = load_dataset(self.root)
+                ctx = TaskContext(
+                    dataset, config=self._config, month=self._month_pin
+                )
+                version = int(getattr(dataset, "version", 1))
+                span.set("version", version)
             self._contexts[version] = ctx
             self._latest = version
             self.dataset = dataset
             self.ctx = ctx
             self._manifest_stat = stat
-            self.metrics.add("dataset_reloads")
-
-    def current_version(self) -> int:
-        """The version default (``as_of``-less) requests are served at."""
-        self._refresh()
-        return self._latest
 
     def _resolve(self, as_of) -> tuple[int, TaskContext]:
         """The (version, context) a request pins; default is latest."""
@@ -282,7 +310,7 @@ class QueryService:
             raise not_found("task", name, sorted(self.registry.names()))
         return self.registry.get(name)
 
-    # -- caching / instrumentation ------------------------------------------------
+    # -- caching ------------------------------------------------------------------
 
     def _flight(self, key: PayloadKey) -> threading.Lock:
         with self._flights_guard:
@@ -309,22 +337,6 @@ class QueryService:
             with self._flights_guard:
                 self._flights.pop(key, None)
 
-    def _instrumented(self, endpoint: str, fn: Callable[[], bytes]) -> bytes:
-        start = time.perf_counter()
-        with get_tracer().span(f"service.{endpoint}"):
-            try:
-                result = fn()
-            except Exception as exc:
-                self.metrics.observe(
-                    endpoint, time.perf_counter() - start, error=True
-                )
-                # Tell the HTTP layer this response is already counted
-                # (it observes everything the service never saw).
-                mark_observed(exc)
-                raise
-        self.metrics.observe(endpoint, time.perf_counter() - start)
-        return result
-
     # -- endpoints ----------------------------------------------------------------
 
     def rankings(
@@ -338,13 +350,6 @@ class QueryService:
         as_of: int | str | None = None,
     ) -> bytes:
         """The head of one (country, platform, metric, month) rank list."""
-        return self._instrumented(
-            "rankings",
-            lambda: self._rankings(country, platform, metric, month, top,
-                                   as_of),
-        )
-
-    def _rankings(self, country, platform, metric, month, top, as_of) -> bytes:
         version, ctx = self._resolve(as_of)
         country = self._country(country, ctx)
         platform = self._platform(platform, ctx)
@@ -389,11 +394,6 @@ class QueryService:
         as_of: int | str | None = None,
     ) -> bytes:
         """One site's rank in every country of a (platform, metric, month)."""
-        return self._instrumented(
-            "site", lambda: self._site(site, platform, metric, month, as_of)
-        )
-
-    def _site(self, site, platform, metric, month, as_of) -> bytes:
         if not site:
             raise BadRequest("site must be non-empty")
         version, ctx = self._resolve(as_of)
@@ -437,11 +437,6 @@ class QueryService:
         as_of: int | str | None = None,
     ) -> bytes:
         """The global cumulative traffic curve for a (platform, metric)."""
-        return self._instrumented(
-            "distribution", lambda: self._distribution(platform, metric, as_of)
-        )
-
-    def _distribution(self, platform, metric, as_of) -> bytes:
         version, ctx = self._resolve(as_of)
         platform = self._platform(platform, ctx)
         metric = self._metric(metric, ctx)
@@ -467,42 +462,32 @@ class QueryService:
         self, task: str, *, as_of: int | str | None = None
     ) -> bytes:
         """One pipeline task's artifact, served warm when possible."""
-        return self._instrumented(
-            "analysis", lambda: self._analysis(task, as_of)
-        )
-
-    def _analysis(self, name: str, as_of=None) -> bytes:
         version, ctx = self._resolve(as_of)
-        task = self._task(name)
-        key = ("analysis", version, name)
+        spec = self._task(task)
+        key = ("analysis", version, task)
 
         def build() -> dict[str, object]:
-            self.metrics.add("pipeline_runs")
-            report = self.runner.run(ctx, [name])
-            self.metrics.add("pipeline_executed", report.executed)
-            self.metrics.add("pipeline_cached", report.cached)
-            record = report.records[name]
+            report = self.runner.run(ctx, [task])
+            record = report.records[task]
             if record.status is TaskStatus.FAILED:
-                raise ServiceError(f"task {name!r} failed: {record.error}")
+                raise ServiceError(f"task {task!r} failed: {record.error}")
             if record.status is TaskStatus.SKIPPED:
                 raise Unavailable(
-                    f"task {name!r} unavailable: {record.error}"
+                    f"task {task!r} unavailable: {record.error}"
                 )
             return {
-                "task": name,
-                "title": task.title or name,
-                "section": task.section,
+                "task": task,
+                "title": spec.title or task,
+                "section": spec.section,
                 "key": record.key,
-                "result": report.results[name],
+                "result": report.results[task],
             }
 
         return self._cached(key, build)
 
     def analyses(self) -> bytes:
         """The task catalogue: names, sections, dependencies."""
-        return self._instrumented("analyses", lambda: self._analyses())
 
-    def _analyses(self) -> bytes:
         def build() -> dict[str, object]:
             return {
                 "tasks": [
@@ -520,9 +505,6 @@ class QueryService:
 
     def healthz(self, *, as_of: int | str | None = None) -> bytes:
         """Liveness + dataset identity; never cached."""
-        return self._instrumented("healthz", lambda: self._healthz(as_of))
-
-    def _healthz(self, as_of=None) -> bytes:
         from .. import __version__
 
         version, ctx = self._resolve(as_of)
@@ -545,22 +527,19 @@ class QueryService:
 
     def metrics_payload(self) -> bytes:
         """The ``/v1/metrics`` body: counters, histograms, cache stats."""
-        return self._instrumented("metrics", lambda: self._metrics_payload())
-
-    def _metrics_payload(self) -> bytes:
         return render_payload(self.metrics_snapshot())
 
     def metrics_snapshot(self) -> dict[str, object]:
-        """The ``/v1/metrics`` dict, *without* observing a request.
+        """The ``/v1/metrics`` dict: the span aggregate plus this
+        service's cache, dataset and artifact-store blocks.
 
         The fleet layer merges these per-worker snapshots into one
-        fleet-wide view (see :mod:`repro.fleet.metrics`); the HTTP
-        handler that serves the merged payload observes the request
-        itself, so the split keeps the exactly-once accounting intact.
+        fleet-wide view (see :mod:`repro.fleet.metrics`).
         """
         self._refresh()
         dataset = self.ctx.dataset
-        snapshot = self.metrics.snapshot(cache=self.cache.snapshot())
+        snapshot = span_metrics(AGGREGATE.snapshot())
+        snapshot["cache"] = self.cache.snapshot()
         snapshot["dataset"] = {
             "version": self._latest,
             "months": [str(m) for m in dataset.months],
@@ -587,4 +566,5 @@ __all__ = [
     "DEFAULT_TOP",
     "QueryService",
     "render_payload",
+    "span_metrics",
 ]

@@ -31,7 +31,9 @@ class ServeSpec:
     artifact store defaults to ``<data>/.artifacts`` for a path unless
     ``no_store``; ``as_of`` pins the service to one dataset version.
     ``drain_timeout`` bounds how long a stopping server waits for its
-    in-flight requests.
+    in-flight requests.  ``trace`` is where a server writes its JSONL
+    span trace when it drains; a fleet worker writes its own file next
+    to it (:func:`repro.fleet.worker.worker_trace_path`).
     """
 
     data: "str | Path | BrowsingDataset"
@@ -44,6 +46,7 @@ class ServeSpec:
     small: bool = False
     seed: int | None = None
     as_of: int | None = None
+    trace: "str | Path | None" = None
     drain_timeout: float = 10.0
 
 

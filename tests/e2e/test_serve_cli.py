@@ -4,8 +4,8 @@ Every test starts the real CLI (`python -m repro serve`) over one
 2-country dataset, reads the startup lines, talks HTTP to the URL it
 prints and stops it with SIGTERM, the way an operator or a process
 manager does.  Single-process and 2-worker servers run the same checks:
-health, the KR head, the traced run's JSONL file, byte identity between
-worker counts, and the drain on SIGTERM.
+health, the KR head, the traced run's JSONL file (one per fleet worker),
+byte identity between worker counts, and the drain on SIGTERM.
 """
 
 from __future__ import annotations
@@ -182,12 +182,34 @@ def test_traced_serve_writes_its_spans(datasets, tmp_path):
     spans = [json.loads(line) for line in trace.read_text().splitlines()
              if line.strip()]
     assert spans, "serve trace is empty"
-    assert any(span["name"] == "http.request" for span in spans), spans
+    assert any(span["name"] == "http.rankings" for span in spans), spans
     for span in spans:
         assert {"trace", "span", "name", "ts", "duration_ms",
                 "status"} <= set(span), span
     summary = repro("trace", "summarize", str(trace), "--top", "5")
-    assert "http.request" in summary.stdout
+    assert "http.rankings" in summary.stdout
+
+    # A fleet: each worker writes its own file, summarized together.
+    fleet_trace = tmp_path / "fleet.jsonl"
+    fleet = Served(datasets["columnar"], "--workers", "2",
+                   "--trace", str(fleet_trace))
+    files = [tmp_path / f"fleet.w{index}.jsonl" for index in (0, 1)]
+    try:
+        assert fleet.proc.stdout.readline() == (
+            f"tracing to {fleet_trace} (written on shutdown, "
+            "one .w<N> file per worker)\n")
+        # Readiness polls fan in to every worker's internal port.
+        fleet.wait_ready(2)
+        get(fleet.url + "/v1/rankings?country=KR&top=3")
+    finally:
+        assert fleet.stop() == 0, fleet.output
+    assert not fleet_trace.exists()
+    for path in files:
+        names = {json.loads(line)["name"]
+                 for line in path.read_text().splitlines() if line.strip()}
+        assert {"http.metrics", "store.open"} <= names, (path, names)
+    summary = repro("trace", "summarize", *map(str, files))
+    assert "http.rankings" in summary.stdout and "http.metrics" in summary.stdout
 
 
 @pytest.mark.parametrize("workers", [1, 2])

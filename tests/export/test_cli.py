@@ -334,14 +334,6 @@ class TestServeParser:
         assert args.workers == 4
         assert args.cache_bytes == 1048576
 
-    def test_trace_with_workers_exits_2(self, capsys):
-        code = main([
-            "serve", "--data", "ds", "--workers", "2",
-            "--trace", "t.jsonl",
-        ])
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
-
     def test_port_zero_prints_resolved_port(
         self, dataset_dir, capsys, monkeypatch
     ):

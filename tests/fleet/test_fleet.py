@@ -23,6 +23,7 @@ import pytest
 import repro
 from repro.fleet import FleetSupervisor
 from repro.fleet import worker as worker_module
+from repro.obs import get_tracer, read_trace
 from repro.service import ServeSpec, build_service, create_server
 
 pytestmark = pytest.mark.skipif(
@@ -305,6 +306,47 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="workers"):
             FleetSupervisor(ServeSpec(columnar_data), workers=0)
 
-    def test_serve_facade_rejects_trace_with_fleet(self, columnar_data):
-        with pytest.raises(ValueError, match="trace"):
-            repro.serve(columnar_data, workers=2, trace="t.jsonl")
+    def test_serve_facade_traces_each_fleet_worker(
+        self, columnar_data, tmp_path
+    ):
+        trace = tmp_path / "serve.jsonl"
+        fleet = repro.serve(columnar_data, port=0, workers=2, small=True,
+                            block=False, trace=trace)
+        try:
+            _get(fleet.url + "/v1/rankings?country=US&top=3")
+            # A public metrics request fans in to the peer's internal
+            # port, so both workers answer one.
+            assert _get(fleet.url + "/v1/metrics")[0] == 200
+        finally:
+            fleet.stop()
+        assert not trace.exists()
+        for index in (0, 1):
+            spans = read_trace(tmp_path / f"serve.w{index}.jsonl")
+            names = {span["name"] for span in spans}
+            assert "http.metrics" in names, (index, names)
+            assert "store.open" in names, (index, names)
+            assert all(span["status"] == "ok" for span in spans
+                       if span["name"].startswith("http."))
+
+
+class TestForkedAggregate:
+    def test_workers_start_from_an_empty_aggregate(self, columnar_data):
+        """A worker counts only its own requests: the spans the process
+        that forked it had recorded do not reach ``/v1/metrics``."""
+        for _ in range(3):
+            with get_tracer().span("http.rankings"):
+                pass
+        with FleetSupervisor(
+            ServeSpec(columnar_data, small=True, drain_timeout=5.0),
+            port=0, workers=2,
+        ) as fleet:
+            k = 5
+            for top in range(1, k + 1):
+                assert _get(fleet.url + f"/v1/rankings?country=KR&top={top}"
+                            )[0] == 200
+            first = json.loads(_get(fleet.url + "/v1/metrics")[1])
+            # The first poll is one public and one internal response.
+            second = json.loads(_get(fleet.url + "/v1/metrics")[1])
+        assert first["requests_total"] == k
+        assert first["endpoints"]["rankings"]["requests"] == k
+        assert second["requests_total"] == k + 2

@@ -48,3 +48,31 @@ class TestMergedDatasetBlock:
             {"endpoints": {}, "counters": {}, "requests_total": 1},
         ])
         assert "dataset" not in merged
+
+
+class TestMergedSpans:
+    def test_span_blocks_add_and_render_like_one_process(self):
+        from repro.obs import SpanAggregate
+
+        one, two = SpanAggregate(), SpanAggregate()
+        one.record("http.rankings", 0.5)
+        one.record("pipeline.run", 3.0, counters={"executed": 2})
+        two.record("http.rankings", 30.0, error=True)
+        two.record("http.unknown", 1.5, error=True)
+        two.record("pipeline.run", 7.0, counters={"cached": 1})
+        merged = merge_snapshots([
+            {"spans": one.snapshot(), "cache": {"hits": 1}},
+            {"spans": two.snapshot(), "cache": {"hits": 2}},
+        ])
+        rankings = merged["endpoints"]["rankings"]
+        assert (rankings["requests"], rankings["errors"]) == (2, 1)
+        assert rankings["latency"]["sum_ms"] == 30.5
+        assert rankings["latency"]["max_ms"] == 30.0
+        assert rankings["latency"]["buckets"]["le_1ms"] == 1
+        assert rankings["latency"]["buckets"]["le_50ms"] == 1
+        assert merged["requests_total"] == 3
+        assert merged["counters"] == {
+            "dataset_reloads": 0, "pipeline_cached": 1,
+            "pipeline_executed": 2, "pipeline_runs": 2,
+        }
+        assert merged["cache"] == {"hits": 3}

@@ -1,4 +1,5 @@
-"""Tests for repro.obs: spans, collectors, the shim, JSONL round-trips."""
+"""Tests for repro.obs: spans, collectors, the disabled tracer, JSONL
+round-trips and the trace summary."""
 
 import json
 import threading
@@ -6,12 +7,15 @@ import threading
 import pytest
 
 from repro.obs import (
+    AGGREGATE,
     NULL_TRACER,
     NullTracer,
+    Span,
+    SpanAggregate,
     Tracer,
-    aggregate_spans,
     format_summary,
     get_tracer,
+    name_rows,
     read_trace,
     set_tracer,
     slowest_spans,
@@ -114,14 +118,20 @@ class TestThreadSafety:
 
 
 class TestNullShim:
-    def test_null_span_is_reused_and_inert(self):
+    def test_null_span_times_into_the_aggregate(self):
         tracer = NullTracer()
-        first = tracer.span("a", country="US")
-        second = tracer.span("b")
-        assert first is second  # one shared no-op instance
+        first = tracer.span("test.null_a", country="US")
+        assert isinstance(first, Span) and first.span_id is None
+        assert tracer.span("test.null_b") is not first
+        before = AGGREGATE.snapshot().get("test.null_a", {}).get("count", 0)
         with first as span:
             assert span.set("k", "v") is span
             assert span.add("n", 5) is span
+        entry = AGGREGATE.snapshot()["test.null_a"]
+        assert entry["count"] == before + 1
+        assert entry["counters"]["n"] >= 5
+        assert first.duration_ms >= 0.0 and first.status == "ok"
+        assert tracer.current is None  # nothing joined a span stack
 
     def test_null_tracer_surface(self):
         assert NULL_TRACER.enabled is False
@@ -129,9 +139,11 @@ class TestNullShim:
         assert NULL_TRACER.snapshot() == {"enabled": False}
 
     def test_null_span_swallows_nothing(self):
+        errors = AGGREGATE.snapshot().get("test.null_x", {}).get("errors", 0)
         with pytest.raises(RuntimeError):
-            with NULL_TRACER.span("x"):
+            with NULL_TRACER.span("test.null_x"):
                 raise RuntimeError("through")
+        assert AGGREGATE.snapshot()["test.null_x"]["errors"] == errors + 1
 
     def test_default_active_tracer_is_the_shim(self):
         assert get_tracer() is NULL_TRACER
@@ -222,9 +234,9 @@ class TestSummary:
         assert rows[0][3] == "task=has_app"
 
     def test_aggregate_orders_by_total(self):
-        rows = aggregate_spans(self._spans())
-        assert rows[0][:3] == ("slow", "1", "30.000")
-        assert rows[1][:3] == ("fast", "2", "4.000")
+        rows = name_rows(SpanAggregate.of(self._spans()).snapshot())
+        assert rows[0] == ("slow", "1", "30.000", "30.000", "30.000", "0")
+        assert rows[1] == ("fast", "2", "4.000", "2.000", "3.000", "1")
 
     def test_format_summary_header(self):
         text = format_summary(self._spans(), top=2)

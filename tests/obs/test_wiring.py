@@ -1,7 +1,7 @@
-"""Tracing wired through the engine and pipeline layers.
+"""Tracing wired through the engine, pipeline and store layers.
 
-The serving-layer wiring (``http.request`` spans, the ``trace`` block
-in ``/v1/metrics``) is covered next to the other HTTP tests in
+The serving-layer wiring (``http.<endpoint>`` spans, the ``trace``
+block in ``/v1/metrics``) is covered next to the other HTTP tests in
 ``tests/service/test_http.py``.
 """
 
@@ -157,6 +157,68 @@ class TestStoreWriteTracing:
                         for p in (tmp_path / "text").rglob("*") if p.is_file())
         assert spans[1]["attrs"]["bytes"] == converted
         assert all(s["attrs"]["bytes"] > 0 for s in spans)
+
+
+class TestStoreOpenTracing:
+    def test_each_load_is_one_open_span(self, tmp_path, tracer):
+        from repro.export.io import convert_dataset, load_dataset, save_dataset
+
+        root = save_dataset(
+            make_tiny_dataset(), tmp_path / "ds", format="columnar"
+        )
+        convert_dataset(root, tmp_path / "text", format="text")
+        load_dataset(root)
+        load_dataset(tmp_path / "text", as_of=1)
+
+        spans = _by_name(tracer)["store.open"]
+        assert [s["attrs"] for s in spans] == [
+            {"format": "columnar", "version": 1},  # the convert's read
+            {"format": "columnar", "version": 1},
+            {"format": "text", "version": 1},
+        ]
+
+    def test_an_ingest_reaches_served_metrics_as_reload_and_open(
+        self, generator, tmp_path, tracer
+    ):
+        import json
+        import threading
+        import urllib.request
+
+        from repro.export.io import load_dataset, save_dataset
+        from repro.obs import AGGREGATE
+        from repro.service import QueryService, create_server
+        from repro.service.query import span_metrics
+        from repro.store import ingest_months
+        from tests.service.conftest import moved
+
+        root = save_dataset(generator.generate(
+            countries=("US", "KR"), months=(Month(2021, 11),), **GRID
+        ), tmp_path / "ds", format="columnar")
+        service = QueryService(
+            load_dataset(root), config=generator.config, root=root
+        )
+        server = create_server(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            ingest_months(root, ["2021-12"], config=generator.config)
+            before = span_metrics(AGGREGATE.snapshot())
+            with urllib.request.urlopen(server.url + "/v1/metrics") as resp:
+                served = json.loads(resp.read())
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+        delta = moved(before, served)
+        assert delta["counters"] == {"dataset_reloads": 1}
+        assert delta["spans"]["service.reload"]["count"] == 1
+        assert delta["spans"]["store.open"]["count"] == 1
+        assert served["dataset"]["version"] == 2
+        (reload,) = _by_name(tracer)["service.reload"]
+        opened = _by_name(tracer)["store.open"][-1]
+        assert opened["parent"] == reload["span"]
+        assert opened["attrs"] == {"format": "columnar", "version": 2}
 
 
 class TestStatsTracing:

@@ -1,4 +1,9 @@
-"""Serving-layer fixtures: one small two-country dataset + service."""
+"""Serving-layer fixtures: one small two-country dataset + service.
+
+``/v1/metrics`` renders the process-wide span aggregate, which every
+test of the run adds to, so a test reads what its own requests
+moved (:func:`moved`), never totals.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,22 @@ import pytest
 
 from repro.core import Metric, Platform, REFERENCE_MONTH
 from repro.service import QueryService
+
+
+def moved(before: dict, after: dict) -> dict:
+    """``after - before`` for every number of a (nested) ``/v1/metrics``
+    body, keeping only what moved."""
+    out: dict = {}
+    for key, value in after.items():
+        old = before.get(key)
+        if isinstance(value, dict):
+            inner = moved(old if isinstance(old, dict) else {}, value)
+            if inner:
+                out[key] = inner
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            if value != (old or 0):
+                out[key] = value - (old or 0)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +42,7 @@ def service_dataset(generator):
 
 @pytest.fixture()
 def service(service_dataset, generator, tmp_path) -> QueryService:
-    """A fresh service per test: clean cache, metrics and artifact store."""
+    """A fresh service per test: clean cache and artifact store."""
     return QueryService(
         service_dataset,
         store=tmp_path / "artifacts",

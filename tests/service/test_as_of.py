@@ -116,9 +116,7 @@ class TestAsOfServing:
             str(m) for m in BASE_MONTHS + (NEW_MONTH,)
         ]
         assert 0 <= block["pending_slices"] <= 2 * 3
-        assert service.metrics.snapshot()["counters"].get(
-            "dataset_reloads", 0
-        ) >= 1
+        assert service.metrics_snapshot()["counters"]["dataset_reloads"] >= 1
 
     def test_version_pinned_service_ignores_ingests(self, versioned_root):
         root, _, before = versioned_root

@@ -2,7 +2,6 @@
 
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.service import ENDPOINTS, create_server
+from tests.service.conftest import moved
 
 
 @pytest.fixture()
@@ -163,10 +163,12 @@ class TestErrors:
         assert "concentration" in payload["choices"]
 
     def test_unknown_route_is_404_with_endpoints(self, server, service):
+        before = service.metrics_snapshot()
         status, payload = fetch_json(server, "/v2/everything")
         assert status == 404
         assert payload["choices"] == list(ENDPOINTS)
-        assert service.metrics.snapshot()["endpoints"]["unknown"]["errors"] == 1
+        delta = moved(before, service.metrics_snapshot())
+        assert delta["endpoints"]["unknown"]["errors"] == 1
 
     def test_write_methods_are_405(self, server):
         request = urllib.request.Request(
@@ -181,14 +183,18 @@ class TestErrors:
 class TestAcceptance:
     """The ISSUE's acceptance criteria, asserted over the wire."""
 
-    def test_second_request_served_from_lru_without_pipeline(self, server):
+    def test_second_request_served_from_lru_without_pipeline(
+        self, server, service
+    ):
+        before = service.metrics_snapshot()
         first = fetch(server, "/v1/analyses/concentration")
         second = fetch(server, "/v1/analyses/concentration")
         assert first == second  # status and bytes
         _, metrics = fetch_json(server, "/v1/metrics")
-        assert metrics["counters"]["pipeline_runs"] == 1
+        delta = moved(before, metrics)
+        assert delta["counters"]["pipeline_runs"] == 1
         assert metrics["cache"]["hits"] == 1
-        assert metrics["endpoints"]["analysis"]["requests"] == 2
+        assert delta["endpoints"]["analysis"]["requests"] == 2
 
     def test_concurrent_identical_requests_byte_identical(self, server):
         barrier = threading.Barrier(8)
@@ -204,25 +210,31 @@ class TestAcceptance:
         assert statuses == {200}
         assert len(bodies) == 1
 
-    def test_metrics_track_latency_histograms(self, server):
+    def test_metrics_track_latency_histograms(self, server, service):
+        before = service.metrics_snapshot()
         fetch(server, "/v1/rankings?country=US")
         _, metrics = fetch_json(server, "/v1/metrics")
-        latency = metrics["endpoints"]["rankings"]["latency"]
-        assert latency["count"] == 1
-        assert sum(latency["buckets"].values()) == 1
-        assert metrics["endpoints"]["rankings"]["requests"] == 1
+        rankings = moved(before, metrics)["endpoints"]["rankings"]
+        assert rankings["latency"]["count"] == 1
+        assert sum(rankings["latency"]["buckets"].values()) == 1
+        assert rankings["requests"] == 1
 
 
 class TestExactlyOnceMetrics:
     """Every response is observed exactly once, whatever path produced it."""
 
     def test_counters_equal_responses_sent(self, server, service):
+        def total() -> int:
+            return moved(before, service.metrics_snapshot()).get(
+                "requests_total", 0)
+
+        before = service.metrics_snapshot()
         responses = 0
         for path in (
-            "/",                                  # index (handler-observed)
+            "/",                                  # index
             "/v1/healthz",                        # 200 via the service
             "/v1/rankings?country=US",            # 200 via the service
-            "/v1/rankings",                       # 404 raised in routing
+            "/v1/rankings",                       # 404 raised in the renderer
             "/v1/rankings?country=ZZ",            # 404 raised in the service
             "/v1/rankings?country=US&platform=x", # 400 raised in the service
             "/v2/everything",                     # 404 unknown route
@@ -237,28 +249,31 @@ class TestExactlyOnceMetrics:
             urllib.request.urlopen(request, timeout=10)  # 405
         responses += 1
 
-        assert service.metrics.total_requests() == responses
+        assert total() == responses
         status, metrics = fetch_json(server, "/v1/metrics")
         responses += 1
         assert status == 200
         # The snapshot was taken before its own response went out.
-        assert metrics["requests_total"] == responses - 1
-        assert service.metrics.total_requests() == responses
+        assert moved(before, metrics)["requests_total"] == responses - 1
+        assert total() == responses
 
     def test_route_level_404_reaches_metrics(self, server, service):
-        fetch(server, "/v1/rankings")  # missing ?country — raised in _route
-        stats = service.metrics.snapshot()["endpoints"]["rankings"]
+        before = service.metrics_snapshot()
+        fetch(server, "/v1/rankings")  # missing ?country — raised in _rankings
+        stats = moved(before, service.metrics_snapshot())["endpoints"]["rankings"]
         assert stats == {**stats, "requests": 1, "errors": 1}
 
     def test_405_reaches_metrics(self, server, service):
+        before = service.metrics_snapshot()
         request = urllib.request.Request(
             server.url + "/v1/metrics", data=b"{}", method="PUT"
         )
         with pytest.raises(urllib.error.HTTPError):
             urllib.request.urlopen(request, timeout=10)
-        snapshot = service.metrics.snapshot()
-        stats = snapshot["endpoints"]["method_not_allowed"]
+        delta = moved(before, service.metrics_snapshot())
+        stats = delta["endpoints"]["method_not_allowed"]
         assert stats == {**stats, "requests": 1, "errors": 1}
+        assert delta["requests_total"] == 1
 
 
 class TestTraceWiring:
@@ -280,22 +295,13 @@ class TestTraceWiring:
 
         assert metrics["trace"]["enabled"] is True
         assert metrics["trace"]["trace_id"] == tracer.trace_id
-        # The handler thread closes its span just after the client has
-        # read the body, so give the last span a moment to land.
-        deadline = time.time() + 5
-        while time.time() < deadline:
-            spans = tracer.collector.snapshot()
-            requests = [s for s in spans if s["name"] == "http.request"]
-            if len(requests) == 3:
-                break
-            time.sleep(0.01)
+        # Each response is one span, closed before the response is
+        # written: no other span stands for the request.
+        spans = tracer.collector.snapshot()
         assert sorted(
-            (s["attrs"]["endpoint"], s["attrs"]["status_code"])
-            for s in requests
-        ) == [("metrics", 200), ("rankings", 200), ("unknown", 404)]
-        # Service spans nest under their request span.
-        ranking_request = requests[0]
-        service_span = next(
-            s for s in spans if s["name"] == "service.rankings"
-        )
-        assert service_span["parent"] == ranking_request["span"]
+            (s["name"], s["attrs"]["status_code"], s["status"])
+            for s in spans
+        ) == [("http.metrics", 200, "ok"), ("http.rankings", 200, "ok"),
+              ("http.unknown", 404, "error")]
+        unknown = next(s for s in spans if s["name"] == "http.unknown")
+        assert unknown["error"].startswith("NotFound: unknown endpoint")
