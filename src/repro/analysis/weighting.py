@@ -32,8 +32,8 @@ class CategoryCodes:
     """A labels mapping as one category code per site id of ``vocab``
     (code 0 is :data:`UNKNOWN`), built once and reused for every list.
 
-    The code column extends when the vocabulary grows, as a text-codec
-    dataset's does when its lists are first interned.
+    The code column extends when the vocabulary grows, as a private
+    one does when its lists are first interned.
     """
 
     __slots__ = ("vocab", "labels", "categories", "_code", "_column", "_lock")

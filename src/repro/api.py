@@ -82,10 +82,10 @@ def load(
 ) -> "BrowsingDataset":
     """A :class:`BrowsingDataset` from a saved directory (or passthrough).
 
-    The format is read off the files present: a columnar
-    directory comes back as a memory-mapped
-    :class:`~repro.store.MappedBrowsingDataset` whose lists materialise
-    lazily, a text directory as the eager container.  ``as_of=<version>``
+    The format is read off the files present.  Either way the dataset
+    holds each list as an id window and decodes it on first read: a
+    columnar directory's windows are memory-mapped, a text directory's
+    lists are interned once as it loads.  ``as_of=<version>``
     opens that archived dataset version instead of the latest (raising
     :class:`~repro.export.io.UnknownVersionError` with the available
     versions if it does not exist).  The returned handle carries

@@ -11,6 +11,14 @@ sharing with the authors:
   (category, tags, Android app) that the generator knows and the
   paper's labelled analyses read.
 
+Every dataset holds its lists one way: a site table in id order, plus
+each breakdown's ``(offset, length)`` window into one ``int32`` id
+array.  An engine dataset or a text load interns its lists into that
+form once (:class:`BrowsingDataset`), and a columnar load maps it
+straight off ``vocab.bin`` and ``lists.bin``
+(:meth:`BrowsingDataset.from_windows`).  A list decodes into a
+:class:`RankedList` the first time a read touches it.
+
 Analyses never see the generator; they consume a dataset, exactly as the
 paper's analyses consume the telemetry export.
 """
@@ -18,8 +26,12 @@ paper's analyses consume the telemetry export.
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
+import numpy as np
+
+from ..obs import span as obs_span
 from .distribution import TrafficDistribution
 from .errors import DatasetError, MissingBreakdownError
 from .rankedlist import RankedList
@@ -33,13 +45,21 @@ from .vocab import SiteVocabulary
 TruthSource = "GroundTruth | Callable[[BrowsingDataset], GroundTruth] | None"
 
 
-class BrowsingDataset:
-    """An immutable collection of ranked lists plus distribution curves."""
+def sorted_breakdowns(breakdowns: Iterable[Breakdown]) -> list[Breakdown]:
+    """The canonical order every format writes breakdowns in."""
+    return sorted(
+        breakdowns,
+        key=lambda b: (b.country, b.platform.value, b.metric.value, b.month),
+    )
 
-    #: How this dataset's lists are held; the memory-mapped columnar
-    #: store overrides it (``"columnar-mmap"``).  Surfaced by
-    #: ``/v1/healthz``.
-    storage = "memory"
+
+class BrowsingDataset:
+    """An immutable collection of ranked lists plus distribution curves.
+
+    The constructor interns ``lists`` once, in :func:`sorted_breakdowns`
+    order, so the site table is exactly the ``vocab.bin`` a save of the
+    dataset writes; after that each list is held only as its id window.
+    """
 
     #: The monotonically increasing dataset version.  A freshly
     #: generated dataset is version 1; every ``repro ingest`` that
@@ -48,6 +68,11 @@ class BrowsingDataset:
     #: version per request (``?as_of=``).
     version: int = 1
 
+    #: The directory a loaded dataset was read from (``None`` for one
+    #: built in memory).  The serving layer follows its live manifest
+    #: and opens its archived versions.
+    root: Path | None = None
+
     def __init__(
         self,
         lists: Mapping[Breakdown, RankedList],
@@ -55,19 +80,83 @@ class BrowsingDataset:
         metadata: Mapping[str, object] | None = None,
         ground_truth: TruthSource = None,
     ) -> None:
-        if not lists:
+        vocab = SiteVocabulary()
+        windows: dict[Breakdown, tuple[int, int]] = {}
+        ids = np.empty(sum(map(len, lists.values())), dtype=np.int32)
+        offset = 0
+        for breakdown in sorted_breakdowns(lists):
+            sites = lists[breakdown].sites
+            ids[offset:offset + len(sites)] = vocab.intern_many(sites)
+            windows[breakdown] = (offset, len(sites))
+            offset += len(sites)
+        ids.setflags(write=False)
+        table = np.array(vocab.names(), dtype=object)
+        self._setup(
+            {b: windows[b] for b in lists}, ids, lambda: table,
+            distributions, metadata, ground_truth, storage="memory",
+        )
+
+    @classmethod
+    def from_windows(
+        cls,
+        windows: Mapping[Breakdown, tuple[int, int]],
+        ids: np.ndarray,
+        names: Callable[[], np.ndarray],
+        distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
+        metadata: Mapping[str, object],
+        ground_truth: TruthSource = None,
+        content_fingerprint: str | None = None,
+    ) -> "BrowsingDataset":
+        """A dataset over the memory-mapped id windows of a columnar store.
+
+        ``names`` returns the site table as an object array in id order;
+        it is called on first use, so opening reads no name.
+        """
+        dataset = cls.__new__(cls)
+        dataset._setup(
+            windows, ids, names, distributions, metadata, ground_truth,
+            storage="columnar-mmap", content_fingerprint=content_fingerprint,
+        )
+        return dataset
+
+    def _setup(
+        self,
+        windows: Mapping[Breakdown, tuple[int, int]],
+        ids: np.ndarray,
+        names: Callable[[], np.ndarray],
+        distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
+        metadata: Mapping[str, object] | None,
+        ground_truth: TruthSource,
+        *,
+        storage: str,
+        content_fingerprint: str | None = None,
+    ) -> None:
+        if not windows:
             raise DatasetError("dataset must contain at least one rank list")
-        self._lists = dict(lists)
+        self._windows = dict(windows)
+        self._ids = ids
+        self._names = names
+        #: The lists decoded so far.  Serving reads one dataset from
+        #: many threads, so decoding runs under a lock.
+        self._lists: dict[Breakdown, RankedList] = {}
+        self._decode_lock = threading.Lock()
         self._distributions = dict(distributions)
         self._metadata = dict(metadata or {})
-        self._countries = tuple(sorted({b.country for b in self._lists}))
-        self._platforms = tuple(sorted({b.platform for b in self._lists}, key=lambda p: p.value))
-        self._metrics = tuple(sorted({b.metric for b in self._lists}, key=lambda m: m.value))
-        self._months = tuple(sorted({b.month for b in self._lists}))
+        self._countries = tuple(sorted({b.country for b in self._windows}))
+        self._platforms = tuple(sorted({b.platform for b in self._windows}, key=lambda p: p.value))
+        self._metrics = tuple(sorted({b.metric for b in self._windows}, key=lambda m: m.value))
+        self._months = tuple(sorted({b.month for b in self._windows}))
         self._vocab: SiteVocabulary | None = None
         self._vocab_lock = threading.Lock()
         self._ground_truth = ground_truth
         self._truth_lock = threading.Lock()
+        #: How the id windows are held: ``"memory"`` or
+        #: ``"columnar-mmap"``.  Surfaced by ``/v1/healthz``.
+        self.storage = storage
+        #: The manifest-recorded content fingerprint of a columnar
+        #: dataset, so addressing an artifact store never hashes its
+        #: lists (``None`` for an in-memory dataset).
+        self.content_fingerprint = content_fingerprint
 
     # -- indices ------------------------------------------------------------------
 
@@ -108,21 +197,91 @@ class BrowsingDataset:
         return dataset_fingerprint(self)
 
     def breakdowns(self) -> Iterator[Breakdown]:
-        return iter(self._lists)
+        return iter(self._windows)
 
     def __len__(self) -> int:
-        return len(self._lists)
+        return len(self._windows)
 
     def __contains__(self, breakdown: object) -> bool:
-        return breakdown in self._lists
+        return breakdown in self._windows
+
+    # -- the id windows -----------------------------------------------------------
+
+    def site_table(self) -> np.ndarray:
+        """Every site name in id order, as an object array."""
+        return self._names()
+
+    def window(self, breakdown: Breakdown) -> np.ndarray:
+        """One list's sites as ids into :meth:`site_table`, in rank order.
+
+        A read-only view of the one id array, checked on the ints — ids
+        inside the table and distinct — which is the string check: the
+        table's names are unique and non-empty.
+        """
+        try:
+            offset, length = self._windows[breakdown]
+        except KeyError:
+            raise MissingBreakdownError(breakdown) from None
+        window = self._ids[offset:offset + length]
+        names = self._names()
+        where = f"{self.root}: " if self.root is not None else ""
+        ordered = np.sort(window)
+        if length and not 0 <= ordered[0] <= ordered[-1] < len(names):
+            raise DatasetError(
+                f"{where}list for {breakdown} references site ids outside "
+                f"the {len(names)}-entry vocabulary"
+            )
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise DatasetError(
+                f"{where}list for {breakdown} repeats site {names[repeated[0]]!r}"
+            )
+        return window
+
+    @property
+    def pending(self) -> int:
+        """How many lists have not been decoded yet."""
+        return len(self._windows) - len(self._lists)
+
+    def materialize(self, breakdowns: Iterable[Breakdown] | None = None) -> None:
+        """Decode the requested (default: all) still-pending lists.
+
+        Thread-safe: concurrent readers (e.g. server threads) serialize
+        here, and a list is decoded at most once.  Each decode is one
+        ``store.materialize`` span (attributes ``slices``, ``sites``).
+        When the vocabulary has been built, a decoded list is pre-seeded
+        with its id window, so kernels read the ids without re-interning.
+        """
+        wanted = self._windows if breakdowns is None else breakdowns
+        with self._decode_lock:
+            wanted = [b for b in dict.fromkeys(wanted)
+                      if b in self._windows and b not in self._lists]
+            if not wanted:
+                return
+            names = self._names()
+            vocab = self._vocab
+            with obs_span("store.materialize") as span:
+                sites = 0
+                for breakdown in wanted:
+                    window = self.window(breakdown)
+                    ranked = RankedList._trusted(tuple(names[window].tolist()))
+                    if vocab is not None:
+                        ranked._ids_cache = (vocab, window)
+                    self._lists[breakdown] = ranked
+                    sites += len(window)
+                span.set("slices", len(wanted))
+                span.set("sites", sites)
 
     # -- lookups ------------------------------------------------------------------
 
     def __getitem__(self, breakdown: Breakdown) -> RankedList:
-        try:
-            return self._lists[breakdown]
-        except KeyError:
-            raise MissingBreakdownError(breakdown) from None
+        ranked = self._lists.get(breakdown)
+        if ranked is None:
+            if breakdown not in self._windows:
+                raise MissingBreakdownError(breakdown)
+            self.materialize((breakdown,))
+            ranked = self._lists[breakdown]
+        return ranked
 
     def get(
         self,
@@ -141,32 +300,30 @@ class BrowsingDataset:
         metric: Metric,
         month: Month,
     ) -> RankedList | None:
-        return self._lists.get(Breakdown(country, platform, metric, month))
+        breakdown = Breakdown(country, platform, metric, month)
+        return self[breakdown] if breakdown in self._windows else None
 
     def vocabulary(self) -> SiteVocabulary:
-        """The dataset-wide site vocabulary, built lazily and shared.
+        """The dataset-wide site vocabulary: the site table, interned.
 
         One vocabulary per dataset keeps every list's cached id array
         (:meth:`RankedList.ids`) valid across analyses — the wRBO
         matrix, the intersection curves and the temporal sweeps all
-        index the same id space.  The vocabulary grows on demand as
-        lists are interned, so requesting it costs nothing and a run
-        that touches three slices interns three slices.
+        index the same id space, the one the id windows use, so a
+        decoded list's ids are its window without re-interning.
         """
         vocab = self._vocab
         if vocab is None:
             with self._vocab_lock:
                 if self._vocab is None:
-                    self._vocab = SiteVocabulary()
+                    self._vocab = SiteVocabulary(self._names().tolist())
                 vocab = self._vocab
         return vocab
 
     def all_sites(self) -> frozenset[str]:
-        """Every site appearing in any of the dataset's lists."""
-        union: set[str] = set()
-        for breakdown in self.breakdowns():
-            union.update(self[breakdown].sites)
-        return frozenset(union)
+        """Every site appearing in any of the dataset's lists: the site
+        table, read without decoding a list."""
+        return frozenset(self._names().tolist())
 
     def ground_truth(self) -> GroundTruth | None:
         """The per-site ground truth stored with the dataset (or ``None``).
@@ -211,49 +368,22 @@ class BrowsingDataset:
         Countries with no list for the breakdown are silently omitted
         (small countries fall below the privacy threshold in some months).
         """
-        wanted = tuple(countries) if countries is not None else self._countries
-        out: dict[str, RankedList] = {}
-        for country in wanted:
-            ranked = self._lists.get(Breakdown(country, platform, metric, month))
-            if ranked is not None:
-                out[country] = ranked
-        return out
-
-    def filter(
-        self,
-        predicate: Callable[[Breakdown], bool],
-    ) -> "BrowsingDataset":
-        """A new dataset keeping only breakdowns matching ``predicate``."""
-        kept = {b: rl for b, rl in self._lists.items() if predicate(b)}
-        if not kept:
-            raise DatasetError("filter removed every breakdown")
-        return BrowsingDataset(
-            kept, self._distributions, self._metadata,
-            ground_truth=lambda _: self.ground_truth(),
-        )
-
-    def restrict_countries(self, countries: Iterable[str]) -> "BrowsingDataset":
-        wanted = set(countries)
-        return self.filter(lambda b: b.country in wanted)
-
-    def map_lists(
-        self, transform: Callable[[Breakdown, RankedList], RankedList]
-    ) -> "BrowsingDataset":
-        """Apply a per-list transformation (e.g. eTLD merging) to all lists.
-
-        The result carries no ground truth: the transform may rename
-        sites, and the table is keyed by the original names.
-        """
-        return BrowsingDataset(
-            {b: transform(b, rl) for b, rl in self._lists.items()},
-            self._distributions,
-            self._metadata,
-        )
+        wanted = {
+            country: Breakdown(country, platform, metric, month)
+            for country in (self._countries if countries is None else countries)
+        }
+        self.materialize(wanted.values())
+        return {
+            country: self._lists[breakdown]
+            for country, breakdown in wanted.items()
+            if breakdown in self._windows
+        }
 
     def __repr__(self) -> str:
         return (
-            f"BrowsingDataset(countries={len(self._countries)}, "
+            f"BrowsingDataset(storage={self.storage}, pending={self.pending}, "
+            f"countries={len(self._countries)}, "
             f"platforms={[p.value for p in self._platforms]}, "
             f"metrics={[m.value for m in self._metrics]}, "
-            f"months={[str(m) for m in self._months]}, lists={len(self._lists)})"
+            f"months={[str(m) for m in self._months]}, lists={len(self._windows)})"
         )

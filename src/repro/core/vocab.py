@@ -9,12 +9,12 @@ per element.  A :class:`SiteVocabulary` interns site names to dense
 (:meth:`repro.core.rankedlist.RankedList.ids`) and every kernel in
 :mod:`repro.stats.kernels` runs as a handful of numpy passes.
 
-The vocabulary grows on demand — interning a list assigns fresh ids to
-sites not seen before — so building one costs nothing up front and a
-dataset-wide vocabulary (``BrowsingDataset.vocabulary()``) only ever
-pays for the lists an analysis actually touches.  Ids are assigned in
-first-seen order; they are *not* stable across vocabularies, which is
-why kernels always take id arrays drawn from one shared vocabulary.
+Interning a list assigns fresh ids to sites not seen before, in
+first-seen order.  A dataset's vocabulary
+(``BrowsingDataset.vocabulary()``) is its site table interned in id
+order, so its ids are the dataset's stored id windows.  Ids are *not*
+stable across vocabularies, which is why kernels always take id arrays
+drawn from one shared vocabulary.
 """
 
 from __future__ import annotations

@@ -121,13 +121,14 @@ class GenerationEngine:
         )
 
     def ground_truth(self, dataset: BrowsingDataset) -> GroundTruth:
-        """The ground-truth table for ``dataset``'s sites.
+        """The ground-truth table for ``dataset``'s sites, in site-id
+        order — the row order a save writes.
 
         The source engine datasets defer to: it needs the universe, so
         the generator is built (if no run has built it) only when the
         table is first read (e.g. by ``save_dataset``).
         """
-        return self.generator.ground_truth(sorted(dataset.all_sites()))
+        return self.generator.ground_truth(dataset.site_table().tolist())
 
     def __repr__(self) -> str:
         return f"GenerationEngine(fingerprint={self.fingerprint})"

@@ -64,7 +64,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.dataset import BrowsingDataset
+from ..core.dataset import BrowsingDataset, sorted_breakdowns
 from ..core.distribution import TrafficDistribution
 from ..core.errors import DatasetError, RankListError
 from ..core.rankedlist import RankedList
@@ -87,14 +87,6 @@ VERSIONS_DIR = "versions"
 #: Each format's live manifest, in detection order: a binary manifest
 #: wins when a directory carries both.
 MANIFESTS = {"columnar": "manifest.bin", "text": "manifest.json"}
-
-
-def dataset_version(dataset: BrowsingDataset) -> int:
-    """The dataset's monotonic version (1 for pre-versioned saves)."""
-    try:
-        return int(getattr(dataset, "version", 1))
-    except (TypeError, ValueError):
-        return 1
 
 
 class UnknownVersionError(DatasetError):
@@ -149,14 +141,6 @@ def _jsonable_metadata(metadata: Mapping[str, object]) -> dict[str, object]:
     return out
 
 
-def sorted_breakdowns(breakdowns: Iterable[Breakdown]) -> list[Breakdown]:
-    """The canonical order every format writes breakdowns in."""
-    return sorted(
-        breakdowns,
-        key=lambda b: (b.country, b.platform.value, b.metric.value, b.month),
-    )
-
-
 def distribution_entries(
     distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
 ) -> list[dict]:
@@ -200,32 +184,34 @@ def dataset_fingerprint(dataset: BrowsingDataset) -> str:
     ``fingerprint`` in their metadata, and save/load round-trips it, so
     the recorded value is authoritative when present.  Columnar
     datasets additionally record the computed content fingerprint in
-    their binary manifest
-    (:attr:`~repro.store.MappedBrowsingDataset.content_fingerprint`),
+    their binary manifest (:attr:`BrowsingDataset.content_fingerprint`),
     so an unprovenanced import still resolves without touching a single
     list page.  Only when neither record exists is the fingerprint a
     SHA-256 over every breakdown slug and its sites in canonical
     order — still a pure function of the content, just paid per call.
     """
-    return _fingerprint(
-        dataset.metadata, dataset.breakdowns(), dataset.__getitem__,
-        getattr(dataset, "content_fingerprint", None),
-    )
+    return (_recorded(dataset.metadata, dataset.content_fingerprint)
+            or _content_fingerprint(dataset))
 
 
-def _fingerprint(
-    metadata: Mapping[str, object],
-    breakdowns: Iterable[Breakdown],
-    lists: Callable[[Breakdown], RankedList],
-    content: str | None = None,
-) -> str:
-    """The fingerprint rule: the recorded provenance, else the recorded
-    ``content`` fingerprint, else a content hash over every list."""
+def _recorded(
+    metadata: Mapping[str, object], content: str | None = None
+) -> str | None:
+    """The recorded fingerprint: the provenance in ``metadata``, else
+    the ``content`` fingerprint a columnar manifest records."""
     for recorded in (metadata.get("fingerprint"), content):
         if isinstance(recorded, str) and recorded:
             return recorded
+    return None
+
+
+def _content_fingerprint(*datasets: BrowsingDataset) -> str:
+    """The content hash over every list of ``datasets``, each read as
+    its id window into its dataset's site table."""
+    owner = {b: dataset for dataset in datasets for b in dataset.breakdowns()}
     return content_hash(
-        (breakdown_slug(b), lists(b).sites) for b in sorted_breakdowns(breakdowns)
+        (breakdown_slug(b), owner[b].site_table()[owner[b].window(b)].tolist())
+        for b in sorted_breakdowns(owner)
     )
 
 
@@ -377,9 +363,9 @@ def refuse_dataset_at(root: Path) -> None:
 class Stored:
     """The live version an ingest grows; a save grows the empty store."""
 
+    #: Its sites (:meth:`BrowsingDataset.site_table`) keep their ids,
+    #: and new sites are numbered after them.
     dataset: BrowsingDataset
-    #: Its sites in stored id order; new sites are numbered after them.
-    names: tuple[str, ...]
     #: Its manifest, kept verbatim under ``versions/``.
     manifest: bytes
 
@@ -389,10 +375,14 @@ class Grown:
     """The store after a write: what the shared steps hand an encoder."""
 
     root: Path
-    #: The lists this write adds, in canonical order, and their ids.
-    lists: list[tuple[Breakdown, RankedList]]
-    ids: list[np.ndarray]
-    #: Every site name in id order: the stored ones, then the new.
+    #: The lists this write adds, in canonical order: their id windows
+    #: into the source's site table ``sites``, and the stored id of each
+    #: source id (so a list's stored ids are ``renumber[window]``).
+    breakdowns: list[Breakdown]
+    windows: list[np.ndarray]
+    sites: np.ndarray
+    renumber: np.ndarray
+    #: Every site name in stored id order: the stored ones, then the new.
     names: tuple[str, ...]
     truth: GroundTruth | None
     version: int
@@ -405,7 +395,7 @@ class Grown:
     def entries(self, new: list[dict]) -> list[dict]:
         """The stored and the ``new`` breakdown records, in canonical order."""
         merged = dict(self.stored_entries)
-        merged.update((b, entry) for (b, _), entry in zip(self.lists, new))
+        merged.update(zip(self.breakdowns, new))
         return [merged[b] for b in sorted_breakdowns(merged)]
 
 
@@ -425,27 +415,48 @@ def _grown_truth(
     return truth.extend(truth_for([s for s in sites if s not in known]))
 
 
+def _first_appearance(windows: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """The ids of a ``size``-entry table in order of first appearance
+    over ``windows``.
+
+    Each window holds distinct ids, so its unseen ids are exactly its
+    new ones: a mask pass per window, no sort (``np.unique`` with
+    ``return_index`` sorts every id).
+    """
+    seen = np.zeros(size, dtype=bool)
+    order = []
+    for window in windows:
+        new = window[~seen[window]]
+        seen[new] = True
+        order.append(new)
+    return np.concatenate(order)
+
+
 def write_dataset(
     root: Path,
     format: str,
-    lists: Mapping[Breakdown, RankedList],
+    source: BrowsingDataset,
     *,
-    metadata: Mapping[str, object],
-    distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
-    version: int,
     truth_for: Callable[[Sequence[str]], GroundTruth] | None = None,
     stored: Stored | None = None,
 ) -> Path:
-    """Write ``lists`` under ``format`` onto the store at ``root``.
+    """Write the lists of ``source`` under ``format`` onto the store at ``root``.
 
     A save passes no ``stored`` version: the lists go onto an empty
-    store, and a directory that already holds a dataset is refused.  An
-    ingest passes the live version it grows; its manifest is archived
-    under ``versions/`` and its lists, ids and ground-truth rows are
-    kept.  ``truth_for`` gives the ground-truth rows of sites the store
-    lacks (``None``: the dataset has no ground truth).  One
-    ``store.write`` span (attributes ``lists`` and ``bytes``) covers
-    the write.
+    store with the source's metadata, distributions and version, and a
+    directory that already holds a dataset is refused.  An ingest
+    passes the live version it grows: its manifest is archived under
+    ``versions/``, its lists, ids, ground-truth rows, metadata and
+    distributions are kept, and the version goes up by one.
+    ``truth_for`` gives the ground-truth rows of sites the store lacks
+    (``None``: the dataset has no ground truth).
+
+    The lists are read as id windows.  The source's ids are numbered by
+    first appearance over its lists in canonical order, after the
+    stored sites, with one ``intern_many`` over the distinct names;
+    each list's stored ids are then a gather (by the columnar encoder,
+    straight into ``lists.bin``).  One ``store.write`` span (attributes
+    ``lists`` and ``bytes``) covers the write.
     """
     if format not in MANIFESTS:
         raise DatasetError(
@@ -455,28 +466,36 @@ def write_dataset(
     root = Path(root)
     if stored is None:
         refuse_dataset_at(root)
+    base = source if stored is None else stored.dataset
     with obs_span("store.write") as span:
-        ordered = [(b, lists[b]) for b in sorted_breakdowns(lists)]
-        vocab = SiteVocabulary(stored.names if stored else ())
-        ids = [vocab.intern_many(ranked.sites) for _, ranked in ordered]
+        order = sorted_breakdowns(source.breakdowns())
+        windows = [source.window(b) for b in order]
+        table = source.site_table()
+        appear = _first_appearance(windows, len(table))
+        vocab = SiteVocabulary(
+            stored.dataset.site_table().tolist() if stored else ()
+        )
+        renumber = np.zeros(len(table), dtype=np.int32)
+        renumber[appear] = vocab.intern_many(table[appear].tolist())
         names = vocab.names()
         truth = stored.dataset.ground_truth() if stored else None
         if truth_for is not None:
             truth = _grown_truth(truth, names, truth_for)
-        every = [*lists, *(stored.dataset.breakdowns() if stored else ())]
         grown = Grown(
             root=root,
-            lists=ordered,
-            ids=ids,
+            breakdowns=order,
+            windows=windows,
+            sites=table,
+            renumber=renumber,
             names=names,
             truth=truth,
-            version=version,
-            metadata=_jsonable_metadata(metadata),
-            fingerprint=_fingerprint(
-                metadata, every,
-                lambda b: lists[b] if b in lists else stored.dataset[b],
+            version=(source.version if stored is None
+                     else stored.dataset.version + 1),
+            metadata=_jsonable_metadata(base.metadata),
+            fingerprint=_recorded(base.metadata) or _content_fingerprint(
+                source, *([stored.dataset] if stored else [])
             ),
-            distributions=distribution_entries(distributions),
+            distributions=distribution_entries(base.distributions()),
             # Both loaders key a dataset by its manifest's breakdown
             # records, in the manifest's order.
             stored_entries={} if stored is None else dict(zip(
@@ -492,13 +511,13 @@ def write_dataset(
 
             files = encode_columnar(grown)
         if stored is not None:
-            archived = _manifest_name(format, dataset_version(stored.dataset))
+            archived = _manifest_name(format, stored.dataset.version)
             files = {archived: stored.manifest, **files}
         # Archive first, data files next, the manifest last: a torn
         # write leaves the previous version (or no dataset) live.
         for path, data in files.items():
             atomic_write(root / path, data)
-        span.set("lists", len(ordered))
+        span.set("lists", len(order))
         span.set("bytes", sum(map(len, files.values())))
     return root
 
@@ -514,12 +533,7 @@ def save_dataset(
     """
     truth = dataset.ground_truth()
     return write_dataset(
-        Path(root),
-        format,
-        {b: dataset[b] for b in dataset.breakdowns()},
-        metadata=dataset.metadata,
-        distributions=dataset.distributions(),
-        version=dataset_version(dataset),
+        Path(root), format, dataset,
         truth_for=None if truth is None else truth.reindex,
     )
 
@@ -603,9 +617,10 @@ def _encode_text(grown: Grown) -> dict[str, bytes]:
     """One ``lists/<slug>.txt`` per new list, the sidecar, the manifest."""
     files: dict[str, bytes] = {}
     entries = []
-    for breakdown, ranked in grown.lists:
+    for breakdown, window in zip(grown.breakdowns, grown.windows):
         name = f"lists/{breakdown_slug(breakdown)}.txt"
-        files[name] = ("\n".join(ranked.sites) + "\n").encode("utf-8")
+        sites = grown.sites[window].tolist()
+        files[name] = ("\n".join(sites) + "\n").encode("utf-8")
         entries.append(breakdown_entry(breakdown, file=name))
     manifest = {
         "format_version": TEXT_FORMAT_VERSION,
@@ -666,4 +681,5 @@ def _load_text(root: Path, manifest_path: Path) -> BrowsingDataset:
         ground_truth=_text_truth_loader(root, manifest, manifest_path),
     )
     dataset.version = int(manifest.get("dataset_version", 1))
+    dataset.root = root
     return dataset

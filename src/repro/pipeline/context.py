@@ -84,10 +84,9 @@ class TaskContext:
 
         Ground-truth tasks restrict their artifacts to this union: a
         table may hold rows beyond it (an ``as_of`` version reads a
-        grown table's prefix, a filtered dataset its parent's table).
-        Columnar datasets answer from their packed string table in one
-        bulk decode (:meth:`~repro.store.MappedBrowsingDataset.all_sites`)
-        instead of materialising every list.
+        grown table's prefix).  The dataset answers from its site table
+        (:meth:`~repro.core.BrowsingDataset.all_sites`) without decoding
+        a list.
         """
         with self._lock:
             if self._sites is None:

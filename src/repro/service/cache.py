@@ -50,22 +50,23 @@ class PayloadCache:
         self.evictions = 0
         self.oversized = 0
 
-    def get(self, key: PayloadKey, *, record_miss: bool = True) -> bytes | None:
+    def get(self, key: PayloadKey, *, record: bool = True) -> bytes | None:
         """The cached payload (refreshing recency), or ``None``.
 
-        ``record_miss=False`` suppresses the miss counter for
-        re-checks that follow an already-counted miss (the
-        single-flight path), so ``hits + misses`` equals the number of
-        requests, not the number of probes.
+        ``record=False`` counts neither a hit nor a miss, for re-checks
+        that follow an already-counted miss (the single-flight path),
+        so ``hits + misses`` equals the number of requests, not the
+        number of probes.
         """
         with self._lock:
             value = self._entries.get(key)
             if value is None:
-                if record_miss:
+                if record:
                     self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
+            if record:
+                self.hits += 1
             return value
 
     def put(self, key: PayloadKey, value: bytes) -> bytes:

@@ -1,11 +1,10 @@
 """The query service: every read path of the serving layer.
 
-:class:`QueryService` wraps a loaded :class:`BrowsingDataset` (eager,
-or a memory-mapped :class:`~repro.store.MappedBrowsingDataset` —
-``repro serve`` over a columnar directory opens the dataset read-only
-via mmap, so N worker processes share one physical copy of the pages
-and cold start never parses a list) plus the reproduction pipeline,
-and answers four families of queries:
+:class:`QueryService` wraps a loaded :class:`BrowsingDataset` (held in
+memory, or memory-mapped — ``repro serve`` over a columnar directory
+opens the dataset read-only via mmap, so N worker processes share one
+physical copy of the pages and cold start never parses a list) plus
+the reproduction pipeline, and answers four families of queries:
 
 * **rankings** — the top of one (country, platform, metric, month) list;
 * **site** — one site's rank across every country of a slice;
@@ -121,18 +120,18 @@ class QueryService:
         self._flights: dict[PayloadKey, threading.Lock] = {}
         self._flights_guard = threading.Lock()
         # -- dataset versioning (``?as_of=``) --------------------------
-        # ``root`` (the saved dataset directory, defaulting to a mapped
+        # ``root`` (the saved dataset directory, defaulting to a loaded
         # dataset's own root) lets the service load archived versions
         # on demand and pick up ingests; ``version`` pins the service
         # to one version (it never follows the live manifest).
         if root is None:
-            root = getattr(dataset, "root", None)
+            root = dataset.root
         self.root = Path(root) if root is not None else None
         self._config = config
         self._month_pin = month
         self._pinned = version is not None
         self._versions_lock = threading.Lock()
-        self._latest = int(getattr(dataset, "version", 1))
+        self._latest = dataset.version
         self._contexts: dict[int, TaskContext] = {self._latest: self.ctx}
         self._manifest_stat = self._stat_manifest()
         if version is not None and int(version) != self._latest:
@@ -183,7 +182,7 @@ class QueryService:
                 ctx = TaskContext(
                     dataset, config=self._config, month=self._month_pin
                 )
-                version = int(getattr(dataset, "version", 1))
+                version = dataset.version
                 span.set("version", version)
             self._contexts[version] = ctx
             self._latest = version
@@ -326,7 +325,7 @@ class QueryService:
             return hit
         try:
             with self._flight(key):
-                hit = self.cache.get(key, record_miss=False)
+                hit = self.cache.get(key, record=False)
                 if hit is not None:
                     return hit
                 return self.cache.put(key, render_payload(build()))
@@ -521,7 +520,7 @@ class QueryService:
             "months": [str(m) for m in dataset.months],
             "lists": len(dataset),
             "tasks": len(self.registry),
-            "pending_slices": int(getattr(dataset, "pending", 0) or 0),
+            "pending_slices": dataset.pending,
         }
         return render_payload(payload)
 
@@ -543,7 +542,7 @@ class QueryService:
         snapshot["dataset"] = {
             "version": self._latest,
             "months": [str(m) for m in dataset.months],
-            "pending_slices": int(getattr(dataset, "pending", 0) or 0),
+            "pending_slices": dataset.pending,
         }
         snapshot["trace"] = get_tracer().snapshot()
         if self.store is not None:

@@ -79,6 +79,5 @@ def build_service(spec: ServeSpec) -> "QueryService":
         month=month,
         cache=spec.cache_size,
         cache_bytes=spec.cache_bytes,
-        root=spec.data if on_disk else getattr(dataset, "root", None),
         version=int(spec.as_of) if spec.as_of is not None else None,
     )

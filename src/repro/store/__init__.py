@@ -9,9 +9,9 @@ The store gives every layer above it a zero-copy cold path:
   site id, and a binary manifest carrying the breakdown index,
   metadata, distribution vectors and content fingerprints;
 * :func:`open_columnar` memory-maps those files back as a
-  :class:`MappedBrowsingDataset` — cold start is O(open), lists
-  materialise lazily from mapped ids plus the shared vocabulary, and
-  multiple processes share one physical copy of the pages.
+  :class:`~repro.core.BrowsingDataset` over the mapped id windows and
+  :class:`MappedStringTable` — cold start is O(open), lists decode
+  lazily, and multiple processes share one physical copy of the pages.
 
 ``save_dataset(..., format="columnar")`` writes this layout and
 ``load_dataset`` opens any directory holding a ``manifest.bin``, so
@@ -30,14 +30,13 @@ from .columnar import (
 )
 from .format import COLUMNAR_VERSION
 from .ingest import IngestReport, ingest_months
-from .mapped import MappedBrowsingDataset, MappedStringTable
+from .mapped import MappedStringTable
 
 __all__ = [
     "COLUMNAR_VERSION",
     "IngestReport",
     "LISTS_NAME",
     "MANIFEST_NAME",
-    "MappedBrowsingDataset",
     "MappedStringTable",
     "TRUTH_NAME",
     "VOCAB_NAME",

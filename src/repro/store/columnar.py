@@ -22,9 +22,10 @@ ground-truth column family is keyed by the same site ids; its digest
 and row count sit in the manifest next to the other files'.
 
 Opening is O(open): read the manifest, validate the index, and
-``numpy.memmap`` the two data files.  No list page is touched until a
-breakdown is actually read (:class:`repro.store.MappedBrowsingDataset`
-materialises lazily), and ``truth.bin`` is read — and checked against
+``numpy.memmap`` the two data files into the one dataset class
+(:meth:`repro.core.BrowsingDataset.from_windows`).  No list page is
+touched until a breakdown is actually read (lists decode lazily), and
+``truth.bin`` is read — and checked against
 the manifest's digest — only when the ground truth is first asked for.
 """
 
@@ -32,6 +33,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
+from ..core.dataset import BrowsingDataset
 from ..core.errors import DatasetError
 from ..core.truth import check_entries
 from ..core.types import Breakdown
@@ -56,7 +60,7 @@ from .format import (
     unpack_ground_truth,
     unpack_manifest,
 )
-from .mapped import MappedBrowsingDataset, MappedStringTable
+from .mapped import MappedStringTable
 
 #: The file whose presence marks a columnar dataset directory.
 MANIFEST_NAME = MANIFESTS["columnar"]
@@ -65,32 +69,21 @@ LISTS_NAME = "lists.bin"
 TRUTH_NAME = "truth.bin"
 
 
-def encode_columnar(grown: Grown) -> dict[str, bytes]:
+def encode_columnar(grown: Grown) -> dict[str, bytes | bytearray]:
     """``vocab.bin``, ``lists.bin``, ``truth.bin`` and the manifest.
 
     The new lists' ids are appended after the stored id prefix of
     ``lists.bin`` (the windows the stored manifest records), so every
     stored window stays a valid view of the grown file.
     """
-    offset = sum(int(e["length"]) for e in grown.stored_entries.values())
-    stored_ids = b""
-    if offset:
-        with open(grown.root / LISTS_NAME, "rb") as handle:
-            handle.seek(HEADER_SIZE)
-            stored_ids = handle.read(4 * offset)
-    entries = []
-    for (breakdown, _), ids in zip(grown.lists, grown.ids):
-        entries.append(breakdown_entry(breakdown, offset=offset, length=int(ids.size)))
-        offset += int(ids.size)
-    files = {
-        VOCAB_NAME: pack_string_table(grown.names),
-        LISTS_NAME: b"".join(
-            (pack_header(MAGIC_LISTS, offset), stored_ids, *grown.ids)
-        ),
-    }
-    counts = {VOCAB_NAME: len(grown.names), LISTS_NAME: offset}
-    if grown.truth is not None:
-        files[TRUTH_NAME] = pack_ground_truth(grown.truth)
+    files = {VOCAB_NAME: pack_string_table(grown.names)}
+    truth = None if grown.truth is None else pack_ground_truth(grown.truth)
+    # The id buffer last, once the packers' temporaries are freed.
+    files[LISTS_NAME], entries = _pack_lists(grown)
+    counts = {VOCAB_NAME: len(grown.names),
+              LISTS_NAME: (len(files[LISTS_NAME]) - HEADER_SIZE) // 4}
+    if truth is not None:
+        files[TRUTH_NAME] = truth
         counts[TRUTH_NAME] = len(grown.names)
     files[MANIFEST_NAME] = pack_manifest({
         "format_version": COLUMNAR_VERSION,
@@ -105,9 +98,33 @@ def encode_columnar(grown: Grown) -> dict[str, bytes]:
     return files
 
 
+def _pack_lists(grown: Grown) -> tuple[bytearray, list[dict]]:
+    """``lists.bin`` and the new lists' manifest records.
+
+    The stored id prefix is copied as it is; each new list is gathered
+    into its stored ids in place, in the file's buffer.
+    """
+    stored = sum(int(e["length"]) for e in grown.stored_entries.values())
+    total = stored + sum(map(len, grown.windows))
+    data = bytearray(HEADER_SIZE + 4 * total)
+    data[:HEADER_SIZE] = pack_header(MAGIC_LISTS, total)
+    if stored:
+        with open(grown.root / LISTS_NAME, "rb") as handle:
+            handle.seek(HEADER_SIZE)
+            handle.readinto(memoryview(data)[HEADER_SIZE:HEADER_SIZE + 4 * stored])
+    ids = np.frombuffer(data, np.int32, offset=HEADER_SIZE)
+    entries = []
+    offset = stored
+    for breakdown, window in zip(grown.breakdowns, grown.windows):
+        np.take(grown.renumber, window, out=ids[offset:offset + len(window)])
+        entries.append(breakdown_entry(breakdown, offset=offset, length=len(window)))
+        offset += len(window)
+    return data, entries
+
+
 def open_columnar(
     root: str | Path, manifest_path: Path | None = None
-) -> MappedBrowsingDataset:
+) -> BrowsingDataset:
     """Memory-map the columnar dataset at ``root``; O(open), no list reads.
 
     ``manifest_path`` overrides the live manifest — used by versioned
@@ -166,21 +183,17 @@ def open_columnar(
         windows[breakdown] = (offset, length)
 
     fingerprint = manifest.get("dataset_fingerprint")
-    dataset = MappedBrowsingDataset(
-        root,
-        windows=windows,
-        ids=ids,
-        table=table,
-        distributions=parse_distribution_entries(
-            manifest.get("distributions", [])
-        ),
-        metadata=manifest.get("metadata", {}),
-        content_fingerprint=(
-            fingerprint if isinstance(fingerprint, str) else None
-        ),
-        ground_truth=_truth_loader(root, files, manifest_path),
+    dataset = BrowsingDataset.from_windows(
+        windows,
+        ids,
+        table.names,
+        parse_distribution_entries(manifest.get("distributions", [])),
+        manifest.get("metadata", {}),
+        _truth_loader(root, files, manifest_path),
+        fingerprint if isinstance(fingerprint, str) else None,
     )
     dataset.version = int(manifest.get("dataset_version", 1))
+    dataset.root = root
     return dataset
 
 
@@ -210,7 +223,7 @@ def _truth_loader(root: Path, files: dict, manifest_path: Path):
         return None
     sha256 = files[TRUTH_NAME].get("sha256")
 
-    def load(dataset: MappedBrowsingDataset):
+    def load(dataset: BrowsingDataset):
         path = root / TRUTH_NAME
         try:
             data = path.read_bytes()
@@ -219,7 +232,7 @@ def _truth_loader(root: Path, files: dict, manifest_path: Path):
                 f"columnar dataset at {root} is torn: the manifest "
                 f"references {TRUTH_NAME}, but the file is absent"
             ) from None
-        truth = unpack_ground_truth(data, dataset._table.decode_all(), path)
+        truth = unpack_ground_truth(data, dataset.site_table(), path)
         return check_entries(truth, entries, sha256, pack_ground_truth, path)
 
     return load

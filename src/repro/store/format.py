@@ -80,13 +80,18 @@ def read_header(data: bytes, magic: bytes, path: Path) -> int:
 
 
 def pack_string_table(names: Sequence[str]) -> bytes:
-    """Serialise names as header + int64 offsets + UTF-8 blob."""
-    encoded = [name.encode("utf-8") for name in names]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum([len(e) for e in encoded], out=offsets[1:])
-    return b"".join(
-        (pack_header(MAGIC_VOCAB, len(encoded)), offsets.tobytes(), *encoded)
-    )
+    """Serialise names as header + int64 offsets + UTF-8 blob.
+
+    The blob is encoded in one pass, not name by name, so a large table
+    holds no per-name bytes objects.
+    """
+    blob = "".join(names).encode("utf-8")
+    lengths = map(len, names)
+    if not blob.isascii():  # multi-byte characters: count bytes
+        lengths = map(len, map(str.encode, names))
+    offsets = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(lengths, np.int64, len(names)), out=offsets[1:])
+    return b"".join((pack_header(MAGIC_VOCAB, len(names)), offsets.tobytes(), blob))
 
 
 def unpack_string_table(data: bytes, path: Path) -> tuple[str, ...]:

@@ -44,20 +44,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from ..core.dataset import BrowsingDataset
 from ..core.errors import DatasetError
 from ..core.types import Month
-from ..core.vocab import SiteVocabulary
 from ..export.io import (
     MANIFESTS,
     Stored,
-    dataset_version,
     detect_format,
     load_dataset,
-    sorted_breakdowns,
     write_dataset,
 )
-from .mapped import MappedBrowsingDataset
 
 
 @dataclass(frozen=True)
@@ -92,18 +87,6 @@ class IngestReport:
         }
 
 
-def _stored_names(dataset: BrowsingDataset) -> tuple[str, ...]:
-    """The stored sites in id order: a columnar dataset's vocabulary
-    file, else the order a save numbers them (first seen over the lists
-    in canonical order)."""
-    if isinstance(dataset, MappedBrowsingDataset):
-        return dataset._table.decode_all()
-    vocab = SiteVocabulary()
-    for breakdown in sorted_breakdowns(dataset.breakdowns()):
-        vocab.intern_many(dataset[breakdown].sites)
-    return vocab.names()
-
-
 def _coerce_months(months: Iterable[Month | str]) -> tuple[Month, ...]:
     out = []
     for month in months:
@@ -134,7 +117,7 @@ def ingest_months(
     root = Path(root)
     dataset = load_dataset(root)
     fmt = detect_format(root)
-    version_before = dataset_version(dataset)
+    version_before = dataset.version
     requested = _coerce_months(months)
     wanted = tuple(m for m in requested if m not in dataset.months)
     if not wanted:
@@ -169,18 +152,14 @@ def ingest_months(
         dataset.countries, dataset.platforms, dataset.metrics, wanted
     )
     engine = GenerationEngine(config)
-    produced = engine.run(plan)
+    produced = engine.generate_plan(plan)
 
     write_dataset(
         root,
         fmt,
         produced,
-        metadata=dataset.metadata,
-        distributions=dataset.distributions(),
-        version=version_before + 1,
         truth_for=engine.generator.ground_truth,
-        stored=Stored(dataset, _stored_names(dataset),
-                      (root / MANIFESTS[fmt]).read_bytes()),
+        stored=Stored(dataset, (root / MANIFESTS[fmt]).read_bytes()),
     )
 
     return IngestReport(

@@ -88,19 +88,6 @@ class TestSlicing:
         lists = ds.select(Platform.WINDOWS, Metric.PAGE_LOADS, MONTH, countries=("BR",))
         assert set(lists) == {"BR"}
 
-    def test_restrict_countries(self):
-        ds = _mini_dataset().restrict_countries(["US"])
-        assert ds.countries == ("US",)
-
-    def test_filter_to_nothing_raises(self):
-        with pytest.raises(DatasetError):
-            _mini_dataset().filter(lambda b: False)
-
-    def test_map_lists_transforms_every_list(self):
-        ds = _mini_dataset().map_lists(lambda b, rl: rl.top(1))
-        for breakdown in ds.breakdowns():
-            assert len(ds[breakdown]) == 1
-
 
 class TestGeneratedDataset:
     def test_generated_dataset_has_45_countries(self, reference_dataset):

@@ -113,9 +113,7 @@ class TestDerivedListFastPaths:
 class TestDatasetVocabulary:
     def test_shared_and_grows_on_demand(self, reference_dataset):
         # The dataset vocabulary is a shared singleton; interning a list
-        # through it covers at least that list's sites.  (Grow-on-demand
-        # emptiness is asserted on a fresh dataset below, because the
-        # session-scoped fixture's vocabulary is shared across tests.)
+        # through it covers at least that list's sites.
         vocab = reference_dataset.vocabulary()
         assert vocab is reference_dataset.vocabulary()
         breakdown = next(iter(reference_dataset.breakdowns()))
@@ -124,11 +122,26 @@ class TestDatasetVocabulary:
         assert len(ids) == len(ranked)
         assert len(vocab) >= len(ranked)
 
-    def test_fresh_dataset_vocabulary_starts_empty(self):
-        from repro.core import Breakdown, BrowsingDataset, Metric, Month, Platform
+    def test_one_id_space_across_codecs(self, generator, tmp_path):
+        # An engine dataset interns its lists once, in canonical
+        # breakdown order: that table is the one a text save reloads
+        # and the one a columnar save writes to vocab.bin.
+        from pathlib import Path
 
-        dataset = BrowsingDataset({
-            Breakdown("US", Platform.WINDOWS, Metric.PAGE_LOADS,
-                      Month(2022, 2)): RankedList(["a", "b"]),
-        }, {})
-        assert len(dataset.vocabulary()) == 0  # nothing interned yet
+        from repro.core import Metric, Month, Platform
+        from repro.export.io import load_dataset, save_dataset
+        from repro.store import VOCAB_NAME
+        from repro.store.format import unpack_string_table
+
+        dataset = generator.generate(
+            countries=("US", "KR"), platforms=(Platform.WINDOWS, Platform.ANDROID),
+            metrics=(Metric.PAGE_LOADS,), months=(Month(2021, 11), Month(2021, 12)),
+        )
+        names = dataset.vocabulary().names()
+        text = load_dataset(save_dataset(dataset, tmp_path / "text"))
+        columnar = save_dataset(dataset, tmp_path / "col", format="columnar")
+        stored = unpack_string_table(
+            (columnar / VOCAB_NAME).read_bytes(), Path(VOCAB_NAME)
+        )
+        assert len(names) == len(dataset.all_sites())
+        assert names == text.vocabulary().names() == stored

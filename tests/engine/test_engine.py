@@ -12,7 +12,6 @@ from repro.obs import read_trace
 from repro.core import Breakdown, Metric, Platform, REFERENCE_MONTH
 from repro.engine import GenerationEngine, SlicePlan
 from repro.export.io import load_dataset, save_dataset
-from repro.store import MappedBrowsingDataset
 
 COUNTRIES = ("US", "KR", "BR")
 
@@ -99,7 +98,7 @@ class TestLazyDataset:
         return load_dataset(tmp_path / "ds")
 
     def test_starts_fully_pending(self, lazy):
-        assert isinstance(lazy, MappedBrowsingDataset)
+        assert lazy.storage == "columnar-mmap"
         assert lazy.pending == len(lazy) == len(COUNTRIES) * 4
         assert len(lazy.countries) == len(COUNTRIES)
 
@@ -132,13 +131,6 @@ class TestLazyDataset:
         assert lazy.pending == 0
         for breakdown in eager.breakdowns():
             assert _blob(lazy[breakdown]) == _blob(eager[breakdown])
-
-    def test_filter_and_map_lists_materialise(self, lazy):
-        filtered = lazy.filter(lambda b: b.country == "US")
-        assert {b.country for b in filtered.breakdowns()} == {"US"}
-        truncated = lazy.map_lists(lambda b, rl: rl.top(5))
-        assert all(len(truncated[b]) == 5 for b in truncated.breakdowns())
-        assert lazy.pending == 0
 
 
 class TestExecutorRegistry:

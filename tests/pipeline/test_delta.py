@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.core import Metric, Month, Platform
 from repro.export.io import load_dataset, save_dataset
 from repro.pipeline import TaskStatus, run_pipeline
@@ -99,3 +100,31 @@ class TestDeltaInvalidation:
         assert again.executed == 0
         assert again.cached == len(again.records)
         assert again.results == warm.results
+
+
+def _tree(root):
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "columnar"])
+def test_delta_report_artifacts_equal_a_cold_report(fmt, generator, tmp_path):
+    # A delta report after a one-month ingest serves warm artifacts for
+    # every task the month left alone; its artifacts/ must be byte for
+    # byte what a cold report over the grown dataset writes.
+    root = tmp_path / "data"
+    save_dataset(generator.generate(
+        countries=COUNTRIES, platforms=Platform.studied(),
+        metrics=Metric.studied(), months=MONTHS,
+    ), root, format=fmt)
+    api.report(root, tmp_path / "before", config=CONFIG, month=PIN)
+    ingest_months(root, [NEW_MONTH], config=CONFIG)
+    delta = api.report(root, tmp_path / "delta", config=CONFIG, month=PIN)
+    cold = api.report(root, tmp_path / "cold", config=CONFIG, month=PIN,
+                      no_store=True)
+    assert 0 < delta.executed < cold.executed and delta.cached > 0
+    artifacts = _tree(tmp_path / "cold" / "artifacts")
+    assert artifacts
+    assert _tree(tmp_path / "delta" / "artifacts") == artifacts

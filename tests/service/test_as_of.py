@@ -61,7 +61,7 @@ class TestAsOfServing:
         after = json.loads(service.healthz())
         assert after["dataset_version"] == 2
         assert after["months"] == [str(m) for m in BASE_MONTHS + (NEW_MONTH,)]
-        # Mapped slices materialise on demand: pending counts the
+        # Slices decode on demand: pending counts the
         # not-yet-decoded windows, so it only has to be a sane count.
         assert 0 <= after["pending_slices"] <= 2 * 3
 
@@ -127,3 +127,16 @@ class TestAsOfServing:
         assert pinned.rankings(
             "US", month=str(BASE_MONTHS[-1])
         ) == before["rankings_v1"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "columnar"])
+def test_a_loaded_dataset_roots_its_service(fmt, generator, tmp_path):
+    # Either codec's load records the directory it read, so a service
+    # built from the dataset alone follows an ingest into it.
+    root = save_dataset(generator.generate(
+        countries=COUNTRIES, platforms=(Platform.WINDOWS,),
+        metrics=(Metric.PAGE_LOADS,), months=BASE_MONTHS,
+    ), tmp_path / fmt, format=fmt)
+    service = QueryService(load_dataset(root), config=CONFIG)
+    ingest_months(root, [NEW_MONTH], config=CONFIG)
+    assert json.loads(service.healthz())["dataset_version"] == 2

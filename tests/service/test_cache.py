@@ -18,8 +18,10 @@ class TestBasics:
 
     def test_record_miss_false_suppresses_the_counter(self):
         cache = PayloadCache(capacity=4)
-        assert cache.get(("a",), record_miss=False) is None
-        assert cache.misses == 0
+        assert cache.get(("a",), record=False) is None
+        cache.put(("a",), b"payload")
+        assert cache.get(("a",), record=False) == b"payload"
+        assert (cache.hits, cache.misses) == (0, 0)
 
     def test_first_writer_wins(self):
         cache = PayloadCache(capacity=4)

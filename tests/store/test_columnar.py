@@ -1,16 +1,17 @@
 """Tests for the columnar dataset layout and its memory-mapped view."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core import Metric, Platform, SiteVocabulary
+from repro.core import BrowsingDataset, Metric, Platform, SiteVocabulary
 from repro.core.errors import DatasetError, MissingBreakdownError
 from repro.export.io import dataset_fingerprint, save_dataset
 from repro.store import (
     LISTS_NAME,
     MANIFEST_NAME,
     VOCAB_NAME,
-    MappedBrowsingDataset,
     open_columnar,
 )
 from repro.store.format import (
@@ -22,6 +23,7 @@ from repro.store.format import (
     pack_manifest,
     pack_string_table,
     unpack_manifest,
+    unpack_string_table,
 )
 
 from .conftest import KR_TIME, US_PAGE_LOADS, make_tiny_dataset
@@ -81,7 +83,7 @@ class TestLayout:
 class TestMappedDataset:
     def test_open_returns_mapped_dataset(self, columnar_root):
         mapped = open_columnar(columnar_root)
-        assert isinstance(mapped, MappedBrowsingDataset)
+        assert type(mapped) is BrowsingDataset
         assert mapped.storage == "columnar-mmap"
 
     def test_opening_is_lazy_then_materialises_on_read(self, columnar_root):
@@ -159,7 +161,8 @@ class TestZeroCopyIds:
     def test_vocabulary_reproduces_stored_id_space(self, columnar_root):
         mapped = open_columnar(columnar_root)
         vocab = mapped.vocabulary()
-        assert vocab.names() == mapped._table.decode_all()
+        stored = (columnar_root / VOCAB_NAME).read_bytes()
+        assert vocab.names() == unpack_string_table(stored, Path(VOCAB_NAME))
 
 
 class TestErrors:
@@ -249,7 +252,7 @@ class TestErrors:
 
     def _rename_site(self, root, sid, name):
         path = root / VOCAB_NAME
-        names = list(open_columnar(root)._table.decode_all())
+        names = open_columnar(root).site_table().tolist()
         names[sid] = name
         path.write_bytes(pack_string_table(names))
 

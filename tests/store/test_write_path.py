@@ -20,9 +20,15 @@ import pytest
 
 import repro.export.io as io
 from repro import api
-from repro.core import Metric, Month, Platform
+from repro.core import BrowsingDataset, Metric, Month, Platform, RankedList
 from repro.core.errors import DatasetError
-from repro.export.io import dataset_versions, load_dataset, save_dataset
+from repro.export.io import (
+    convert_dataset,
+    dataset_versions,
+    load_dataset,
+    save_dataset,
+)
+from repro.obs import AGGREGATE
 from repro.store import ingest_months
 from repro.synth import GeneratorConfig
 
@@ -91,7 +97,10 @@ def tiny(generator):
 @pytest.fixture(scope="module")
 def other(tiny):
     """A different dataset to save over ``tiny``: its lists reversed."""
-    return tiny.map_lists(lambda _, ranked: type(ranked)(ranked.sites[::-1]))
+    return BrowsingDataset(
+        {b: RankedList(tiny[b].sites[::-1]) for b in tiny.breakdowns()},
+        tiny.distributions(), tiny.metadata,
+    )
 
 
 class TestSaveRefusesADataset:
@@ -129,6 +138,25 @@ class TestSaveRefusesADataset:
         (tmp_path / "ds" / "versions").mkdir(parents=True)
         with pytest.raises(DatasetError, match="already holds a dataset"):
             save_dataset(tiny, tmp_path / "ds")
+
+
+def _materialized() -> int:
+    """``store.materialize`` spans this process has closed so far."""
+    return AGGREGATE.snapshot().get("store.materialize", {}).get("count", 0)
+
+
+def test_convert_and_ingest_decode_no_list(generator, tmp_path):
+    # The writer reads every list as its id window, so a columnar ->
+    # columnar convert and a columnar ingest decode none of them.
+    root = save_dataset(generator.generate(
+        countries=("US", "KR", "BR"), platforms=(Platform.WINDOWS, Platform.ANDROID),
+        metrics=Metric.studied(), months=(Month(2021, 11), Month(2021, 12)),
+    ), tmp_path / "src", format="columnar")
+    before = _materialized()
+    convert_dataset(root, tmp_path / "dst", format="columnar")
+    converted = _materialized() - before
+    ingest_months(root, ["2022-01"], config=CONFIG)
+    assert (converted, _materialized() - before - converted) == (0, 0)
 
 
 # -- crash at every write ---------------------------------------------------------
