@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from .rankedlist import RankedList
 from .truth import GroundTruth
 from .types import Breakdown, Metric, Month, Platform
 from .vocab import SiteVocabulary
+
+if TYPE_CHECKING:
+    from ..synth.universe import Universe
 
 #: A dataset's ground truth: the table itself, a function of the
 #: dataset producing it on first use (engine datasets and the codecs'
@@ -72,6 +75,11 @@ class BrowsingDataset:
     #: built in memory).  The serving layer follows its live manifest
     #: and opens its archived versions.
     root: Path | None = None
+
+    #: The universe a generated dataset was scored from (set by the
+    #: generation engine); a save writes it as ``universe.bin``.
+    #: ``None`` for any other dataset.
+    universe: Universe | None = None
 
     def __init__(
         self,

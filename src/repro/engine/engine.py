@@ -115,10 +115,12 @@ class GenerationEngine:
         )
 
     def generate_plan(self, plan: SlicePlan) -> BrowsingDataset:
-        return BrowsingDataset(
+        dataset = BrowsingDataset(
             self.run(plan), global_distributions(), self.metadata(),
             ground_truth=self.ground_truth,
         )
+        dataset.universe = self.generator.universe
+        return dataset
 
     def ground_truth(self, dataset: BrowsingDataset) -> GroundTruth:
         """The ground-truth table for ``dataset``'s sites, in site-id

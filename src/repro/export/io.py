@@ -40,6 +40,10 @@ key there — the :meth:`GeneratorConfig.fingerprint` content address of
 every generation knob — so an export can be matched to the exact
 configuration that produced it.
 
+A generated dataset also carries its universe as :data:`UNIVERSE_FILE`
+in either format (written first; a convert copies it verbatim), which
+``ingest`` restores instead of building the universe.
+
 Both formats store the dataset's :class:`~repro.core.truth.GroundTruth`
 (category, tags and Android-app flag per site) with its row count and
 SHA-256 in the manifest, and read it lazily, checking the digest, when
@@ -60,7 +64,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,6 +76,9 @@ from ..core.truth import GroundTruth, check_entries
 from ..core.types import Breakdown, Metric, Month, Platform
 from ..core.vocab import SiteVocabulary
 from ..obs import span as obs_span
+
+if TYPE_CHECKING:
+    from ..synth.universe import Universe
 
 TEXT_FORMAT_VERSION = 1
 
@@ -87,6 +94,13 @@ VERSIONS_DIR = "versions"
 #: Each format's live manifest, in detection order: a binary manifest
 #: wins when a directory carries both.
 MANIFESTS = {"columnar": "manifest.bin", "text": "manifest.json"}
+
+#: The packed universe a generated dataset carries in either format
+#: (:func:`repro.synth.universe.pack_universe`), so an ingest restores
+#: it instead of building it.  No manifest names it: the universe is a
+#: pure function of its config, so it never changes across versions,
+#: and the file carries its own config and SHA-256.
+UNIVERSE_FILE = "universe.bin"
 
 
 class UnknownVersionError(DatasetError):
@@ -333,13 +347,18 @@ def load_dataset(root: str | Path, *, as_of: int | None = None) -> BrowsingDatas
 # -- the one write path -------------------------------------------------------------
 
 
-def atomic_write(path: Path, data: bytes) -> None:
-    """Crash-safe write: a temp sibling ``os.replace``\\ d onto ``path``."""
+def atomic_write(path: Path, data) -> None:
+    """Crash-safe write: a temp sibling ``os.replace``\\ d onto ``path``.
+
+    ``data`` is bytes, or a sequence of buffers (arrays included)
+    written one after another, with no joined copy.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for buffer in [data] if isinstance(data, (bytes, bytearray)) else data:
+                handle.write(buffer)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -439,6 +458,7 @@ def write_dataset(
     *,
     truth_for: Callable[[Sequence[str]], GroundTruth] | None = None,
     stored: Stored | None = None,
+    universe: Universe | Path | None = None,
 ) -> Path:
     """Write the lists of ``source`` under ``format`` onto the store at ``root``.
 
@@ -449,7 +469,10 @@ def write_dataset(
     ``versions/``, its lists, ids, ground-truth rows, metadata and
     distributions are kept, and the version goes up by one.
     ``truth_for`` gives the ground-truth rows of sites the store lacks
-    (``None``: the dataset has no ground truth).
+    (``None``: the dataset has no ground truth).  ``universe`` is written
+    as :data:`UNIVERSE_FILE` before any other file: a
+    :class:`~repro.synth.universe.Universe` is packed, a path (another
+    dataset's file) copied verbatim, and ``None`` writes no file.
 
     The lists are read as id windows.  The source's ids are numbered by
     first appearance over its lists in canonical order, after the
@@ -468,6 +491,20 @@ def write_dataset(
         refuse_dataset_at(root)
     base = source if stored is None else stored.dataset
     with obs_span("store.write") as span:
+        written = 0
+        if universe is not None:
+            # First, so its buffers are freed before the encoders run.
+            # No manifest names the file: a cut after it leaves the
+            # previous version (or no dataset) live.
+            if isinstance(universe, Path):
+                buffers = [universe.read_bytes()]
+            else:
+                from ..synth.universe import pack_universe
+
+                buffers = pack_universe(universe)
+            atomic_write(root / UNIVERSE_FILE, buffers)
+            written = sum(memoryview(b).nbytes for b in buffers)
+            del buffers
         order = sorted_breakdowns(source.breakdowns())
         windows = [source.window(b) for b in order]
         table = source.site_table()
@@ -518,7 +555,7 @@ def write_dataset(
         for path, data in files.items():
             atomic_write(root / path, data)
         span.set("lists", len(order))
-        span.set("bytes", sum(map(len, files.values())))
+        span.set("bytes", written + sum(map(len, files.values())))
     return root
 
 
@@ -530,12 +567,23 @@ def save_dataset(
     A directory that already holds a dataset (a ``manifest.json``, a
     ``manifest.bin`` or a ``versions/`` archive) raises
     :class:`DatasetError`: grow it with ``repro ingest`` instead.
+
+    A generated dataset's universe is written as :data:`UNIVERSE_FILE`;
+    a loaded dataset's file, when it has one, is copied verbatim.
     """
     truth = dataset.ground_truth()
     return write_dataset(
         Path(root), format, dataset,
         truth_for=None if truth is None else truth.reindex,
+        universe=dataset.universe or _universe_file(dataset.root),
     )
+
+
+def _universe_file(root: Path | None) -> Path | None:
+    """The :data:`UNIVERSE_FILE` of the dataset at ``root``, if it has one."""
+    if root is not None and (root / UNIVERSE_FILE).is_file():
+        return root / UNIVERSE_FILE
+    return None
 
 
 def convert_dataset(

@@ -17,6 +17,15 @@ uses (:func:`repro.export.io.write_dataset`), which appends them.
   ``truth.bin``.  Old windows keep their offsets and old ids keep their
   meaning, because every file only ever grows at the tail.
 
+The generator scores the universe the dataset carries: a save of a
+generated dataset writes it as ``universe.bin``, and ingest restores it
+(:func:`repro.synth.universe.load_universe`) instead of building it.
+A file that is missing, holds another config's universe or fails its
+SHA-256 is never used: the universe is built as before, and the ingest
+writes the file for the next one.  A process that already holds the
+universe (it generated, or ingested before) checks only the file's
+magic, version and config, not its digest.
+
 Ingest holds the generator, so it is also where the ground truth of a
 dataset saved before ground truth was stored gets written: the table
 gains a row for every site it lacks, so one ingest backfills it.
@@ -29,8 +38,8 @@ grown store.  Readers holding the old manifest — or an old mmap — keep
 seeing exactly the old bytes: the manifest lands via ``os.replace``,
 and open maps pin the old inode.
 
-Crash safety is the save path's: archive first, data files next,
-manifest last.
+Crash safety is the save path's: ``universe.bin`` (when written) and
+the archive first, data files next, manifest last.
 A crash mid-ingest leaves the old manifest live over grown-but-unread
 data files.  Readers take every count from the manifest, never from a
 file header, so the orphaned tails stay invisible, and the next ingest
@@ -48,6 +57,7 @@ from ..core.errors import DatasetError
 from ..core.types import Month
 from ..export.io import (
     MANIFESTS,
+    UNIVERSE_FILE,
     Stored,
     detect_format,
     load_dataset,
@@ -135,6 +145,7 @@ def ingest_months(
     from ..engine.engine import GenerationEngine
     from ..engine.plan import SlicePlan
     from ..pipeline.context import infer_config
+    from ..synth.universe import load_universe
 
     if config is None:
         config = infer_config(dataset, small=small, seed=seed)
@@ -151,6 +162,9 @@ def ingest_months(
     plan = SlicePlan.from_grid(
         dataset.countries, dataset.platforms, dataset.metrics, wanted
     )
+    # A restored universe is memoised, so the engine's generator scores
+    # it instead of building one.
+    restored = load_universe(root / UNIVERSE_FILE, config.resolved_universe())
     engine = GenerationEngine(config)
     produced = engine.generate_plan(plan)
 
@@ -160,6 +174,8 @@ def ingest_months(
         produced,
         truth_for=engine.generator.ground_truth,
         stored=Stored(dataset, (root / MANIFESTS[fmt]).read_bytes()),
+        # A file that could not be used is rewritten for the next ingest.
+        universe=None if restored is not None else produced.universe,
     )
 
     return IngestReport(

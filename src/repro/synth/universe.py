@@ -14,8 +14,13 @@ endemic pools use ``prevalence × (1 − global_fraction)``.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
-from dataclasses import dataclass, field
+import mmap
+import struct
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -586,3 +591,179 @@ def _build_universe_uncached(config: UniverseConfig) -> Universe:
 
     return universe
 
+
+
+# -- the packed universe (``universe.bin``) -----------------------------------------
+
+#: ``universe.bin`` starts with this fixed prefix: magic, layout version,
+#: the SHA-256 of every byte after the digest, and the JSON header's
+#: byte length.  The digest covers the length field, the header and
+#: the body, so any flipped byte past the version is caught.
+UNIVERSE_MAGIC = b"RPROUNI1"
+UNIVERSE_VERSION = 1
+_PREFIX = struct.Struct("<8sI32sI")
+_DIGESTED = _PREFIX.size - 4
+
+#: The per-site numeric columns, stored raw in their built dtypes.
+_PACKED_COLUMNS = ("category_id", "log_strength", "log_mobile", "log_time",
+                   "log_december", "noise_scale", "archetype", "multi_cctld",
+                   "has_android_app", "non_public")
+
+
+def _string_table(values: list[str]) -> np.ndarray:
+    """A string table: the UTF-8 names, NUL-separated, so a restore
+    splits it in one call.  (A domain or a label holds no NUL; a name
+    that did would split into more names than sites, and the restore
+    would reject the file.)"""
+    return np.frombuffer("\0".join(values).encode("utf-8"), dtype=np.uint8)
+
+
+def _strings(table: np.ndarray, count: int) -> list[str]:
+    names = table.tobytes().decode("utf-8").split("\0") if count else []
+    if len(names) != count:
+        raise ValueError("a string table holds another number of names")
+    return names
+
+
+def pack_universe(universe: Universe) -> list:
+    """``universe.bin`` as a list of buffers, to be written in order.
+
+    After the prefix comes a JSON header — the :class:`UniverseConfig`,
+    the category names, the home-country codes, ``named_uid``, ``tags``,
+    each country's candidate count and the section table — padded to 8
+    bytes, then the body: each section's raw array, padded to 8 bytes.
+    The numeric columns and the candidate pools are written straight
+    from the universe's own arrays (no joined copy); ``canonical`` and
+    ``labels`` are string tables, ``home`` an ``int16`` code per site
+    and ``country_boost`` its nonzero entries only.  The bytes are a
+    pure function of the universe.
+    """
+    countries = list(universe.country_candidates)
+    homes = sorted(set(universe.home) - {None})
+    code_of = {home: code for code, home in enumerate(homes)}
+    code_of[None] = -1
+    sections: list[tuple[str, object]] = [
+        (name, getattr(universe, name)) for name in _PACKED_COLUMNS]
+    sections.append(("canonical", _string_table(universe.canonical)))
+    sections.append(("labels", _string_table(universe.labels)))
+    sections.append(("home", np.fromiter(map(code_of.__getitem__, universe.home),
+                                         np.int16, universe.n_sites)))
+    sections.append(("candidates", [universe.country_candidates[c] for c in countries]))
+    boost = np.concatenate([universe.country_boost[c] for c in countries])
+    nonzero = np.flatnonzero(boost)
+    sections += [("boost.index", nonzero), ("boost.value", boost[nonzero])]
+
+    table, body = [], []
+    for name, arrays in sections:
+        arrays = arrays if isinstance(arrays, list) else [arrays]
+        dtype = arrays[0].dtype
+        count = sum(map(len, arrays))
+        table.append([name, dtype.str, count])
+        body.extend(np.ascontiguousarray(array) for array in arrays)
+        pad = -(count * dtype.itemsize) % 8
+        if pad:
+            body.append(bytes(pad))
+    header = json.dumps({
+        "config": asdict(universe.config),
+        "sites": universe.n_sites,
+        "categories": list(universe.categories),
+        "homes": homes,
+        "named_uid": universe.named_uid,
+        "tags": [[uid, list(tags)] for uid, tags in universe.tags.items()],
+        "countries": [[c, len(universe.country_candidates[c])] for c in countries],
+        "sections": table,
+    }, separators=(",", ":")).encode("utf-8")
+    header += b" " * (-(len(header) + _PREFIX.size) % 8)
+    length = struct.pack("<I", len(header))
+    digest = hashlib.sha256(length)
+    digest.update(header)
+    for buffer in body:
+        digest.update(buffer)
+    prefix = _PREFIX.pack(UNIVERSE_MAGIC, UNIVERSE_VERSION, digest.digest(),
+                          len(header))
+    return [prefix, header, *body]
+
+
+def load_universe(path: Path, config: UniverseConfig) -> Universe | None:
+    """The universe for ``config`` that ``path`` holds, or ``None``.
+
+    A file that is missing, holds another config's universe, or fails
+    its digest gives ``None``: the caller builds instead (and rewrites
+    the file).  A good file is restored in one ``synth.universe_load``
+    span (attributes ``bytes`` and ``sites``) and memoised like a build,
+    so this process's :func:`build_universe` returns it; the numeric
+    columns and the candidate pools are read-only views over an mmap.
+
+    When this process already holds ``config``'s universe it is returned
+    after a check of the file's magic, version and config alone: the
+    body is neither hashed nor decoded, so a corrupt body behind a good
+    header goes unnoticed until a process without the memo reads it.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):  # absent, unreadable or empty
+        return None
+    cached = _UNIVERSE_CACHE.get(config)
+    if cached is not None:
+        return cached if _holds(data, config) else None
+    with get_tracer().span("synth.universe_load", bytes=len(data)) as span:
+        universe = _unpack(data, config)
+        if universe is None:
+            return None
+        span.set("sites", universe.n_sites)
+    _UNIVERSE_CACHE[config] = universe
+    return universe
+
+
+def _holds(data: mmap.mmap, config: UniverseConfig) -> bool:
+    """Whether ``data`` has this layout's magic and version, and its
+    header opens with ``config`` exactly as :func:`pack_universe` writes
+    it — a byte comparison, so it costs no hash and no JSON parse."""
+    lead = json.dumps({"config": asdict(config)}, separators=(",", ":"))
+    lead = lead[:-1].encode("utf-8") + b","
+    return (data[:12] == struct.pack("<8sI", UNIVERSE_MAGIC, UNIVERSE_VERSION)
+            and data[_PREFIX.size:_PREFIX.size + len(lead)] == lead)
+
+
+def _unpack(data: mmap.mmap, config: UniverseConfig) -> Universe | None:
+    """Decode a ``universe.bin`` of ``config``, or ``None`` if it is not one."""
+    if not _holds(data, config):
+        return None
+    _, _, digest, length = _PREFIX.unpack_from(data)
+    if hashlib.sha256(memoryview(data)[_DIGESTED:]).digest() != digest:
+        return None
+    try:
+        header = json.loads(data[_PREFIX.size:_PREFIX.size + length].decode("utf-8"))
+        sections: dict[str, np.ndarray] = {}
+        offset = _PREFIX.size + length
+        for name, dtype, count in header["sections"]:
+            sections[name] = np.frombuffer(data, dtype, count, offset)
+            offset += sections[name].nbytes
+            offset += -offset % 8
+        homes = np.array(header["homes"] + [None], dtype=object)
+        universe = Universe(
+            config=config,
+            canonical=_strings(sections["canonical"], header["sites"]),
+            labels=_strings(sections["labels"], header["sites"]),
+            categories=tuple(header["categories"]),
+            home=homes[sections["home"]].tolist(),
+            tags={uid: tuple(tags) for uid, tags in header["tags"]},
+            named_uid=header["named_uid"],
+            **{name: sections[name] for name in _PACKED_COLUMNS},
+        )
+        candidates = sections["candidates"]
+        boost = np.zeros(len(candidates), dtype=np.float64)
+        boost[sections["boost.index"]] = sections["boost.value"]
+        start = 0
+        for country, count in header["countries"]:
+            universe.country_candidates[country] = candidates[start:start + count]
+            universe.country_boost[country] = boost[start:start + count]
+            start += count
+    except (ValueError, TypeError, KeyError, IndexError):  # a damaged layout
+        return None
+    columns = [sections[name] for name in _PACKED_COLUMNS] + [sections["home"]]
+    if (offset != len(data) or start != len(candidates)
+            or any(len(column) != universe.n_sites for column in columns)):
+        return None
+    return universe

@@ -4,7 +4,8 @@ Five base months are generated and reported cold (warming an artifact
 store); a single-process server is started over version 1 and kept up
 while a sixth month is ingested in place.  Then:
 
-- the ingest's ``--trace`` holds one ``synth.universe_build`` span;
+- the ingest's ``--trace`` holds one ``synth.universe_load`` span and
+  no ``synth.universe_build`` span;
 - the delta report on the warm store executes a strict subset of the
   cold report's tasks, and every version-1 site keeps its label;
 - the ``as_of=1`` rankings bytes do not move across the ingest, and a
@@ -96,10 +97,16 @@ def test_ingest_bumps_the_version(ingested):
     assert "dataset version 1 -> 2" in ingested["ingest"], ingested["ingest"]
 
 
-def test_ingest_trace_holds_one_universe_build(ingested):
+def test_ingest_trace_restores_the_universe(ingested):
+    # The generate wrote universe.bin: the ingest restores it and
+    # builds nothing.
     assert "wrote trace ingest-trace.jsonl" in ingested["ingest"]
     trace = ingested["root"] / "ingest-trace.jsonl"
-    assert len(named(trace, "synth.universe_build")) == 1
+    assert len(named(trace, "synth.universe_build")) == 0
+    [load] = named(trace, "synth.universe_load")
+    assert load["attrs"]["bytes"] == (
+        ingested["root"] / "data" / "universe.bin").stat().st_size
+    assert load["attrs"]["sites"] > 0
 
 
 def test_delta_report_executes_a_strict_subset(ingested):

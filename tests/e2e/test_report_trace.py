@@ -58,6 +58,7 @@ def test_generate_builds_the_universe_once(traced):
 @pytest.mark.parametrize("trace", ["report", "report-col"])
 def test_report_never_builds_the_universe(traced, trace):
     assert named(traced[trace], "synth.universe_build") == []
+    assert named(traced[trace], "synth.universe_load") == []
     summary = repro("trace", "summarize", str(traced[trace]), "--top", "5")
     assert "pipeline.run" in summary.stdout
 

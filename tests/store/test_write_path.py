@@ -5,7 +5,8 @@ Saves, converts and ingests of both formats all go through
 :func:`repro.export.io.atomic_write` — archive first, data files next,
 manifest last.  These tests pin the bytes it writes for a tiny grid,
 check that a save never lands on a directory that already holds a
-dataset, and cut a save and an ingest at every one of their writes.
+dataset, and cut a save, an ingest and an ingest that backfills
+``universe.bin`` at every one of their writes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro import api
 from repro.core import BrowsingDataset, Metric, Month, Platform, RankedList
 from repro.core.errors import DatasetError
 from repro.export.io import (
+    UNIVERSE_FILE,
     convert_dataset,
     dataset_versions,
     load_dataset,
@@ -37,8 +39,8 @@ TINY = dict(small=True, countries=("US", "KR"), platforms=("windows",),
 NEW_MONTH = "2021-12"
 CONFIG = GeneratorConfig.small()
 
-#: SHA-256 over (relative path, bytes) of every file each tree holds:
-#: any change to a written byte shows up here.
+#: SHA-256 over (relative path, bytes) of every file each tree holds
+#: but ``universe.bin``: any change to a written byte shows up here.
 PINNED = {
     "generate-text":
         "1938618f2fa5714bcb238406ef35a024a13b860c513b06d232437d4c8ce1a769",
@@ -55,35 +57,58 @@ PINNED = {
         "1938618f2fa5714bcb238406ef35a024a13b860c513b06d232437d4c8ce1a769",
 }
 
+#: SHA-256 of the ``universe.bin`` every tree above holds: the small
+#: seed-2022 universe, written by the generate, kept by the ingest and
+#: copied by each convert.
+UNIVERSE_PINNED = "29aa9a76b4e00f0fd265c929161232590e9797c8ef9945bfe663110638392b03"
 
-def tree_digest(root: Path) -> str:
+
+def tree_digest(root: Path, skip: tuple[str, ...] = ()) -> str:
     digest = hashlib.sha256()
     for path in sorted(Path(root).rglob("*")):
-        if path.is_file():
+        if path.is_file() and path.name not in skip:
             digest.update(str(path.relative_to(root)).encode())
             digest.update(b"\x00")
             digest.update(path.read_bytes())
     return digest.hexdigest()
 
 
-def written_trees(work: Path) -> dict[str, str]:
-    """Digests of a tiny generate, ingest and convert under both formats."""
+def written_trees(work: Path) -> dict[str, Path]:
+    """A tiny generate, ingest and convert under both formats."""
     trees = {}
     for fmt in ("text", "columnar"):
-        api.generate(out=work / f"gen-{fmt}", format=fmt, **TINY)
-        trees[f"generate-{fmt}"] = tree_digest(work / f"gen-{fmt}")
-        shutil.copytree(work / f"gen-{fmt}", work / f"ing-{fmt}")
-        api.ingest(work / f"ing-{fmt}", [NEW_MONTH], small=True)
-        trees[f"ingest-{fmt}"] = tree_digest(work / f"ing-{fmt}")
-    api.convert(work / "gen-text", work / "t2c", format="columnar")
-    api.convert(work / "t2c", work / "t2c2t", format="text")
-    trees["convert-text-columnar"] = tree_digest(work / "t2c")
-    trees["convert-columnar-text"] = tree_digest(work / "t2c2t")
+        trees[f"generate-{fmt}"] = work / f"gen-{fmt}"
+        api.generate(out=trees[f"generate-{fmt}"], format=fmt, **TINY)
+        trees[f"ingest-{fmt}"] = work / f"ing-{fmt}"
+        shutil.copytree(work / f"gen-{fmt}", trees[f"ingest-{fmt}"])
+        api.ingest(trees[f"ingest-{fmt}"], [NEW_MONTH], small=True)
+    trees["convert-text-columnar"] = api.convert(
+        work / "gen-text", work / "t2c", format="columnar")
+    trees["convert-columnar-text"] = api.convert(
+        work / "t2c", work / "t2c2t", format="text")
     return trees
 
 
 def test_written_bytes_are_pinned(tmp_path):
-    assert written_trees(tmp_path) == PINNED
+    trees = written_trees(tmp_path)
+    assert {name: tree_digest(root, skip=(UNIVERSE_FILE,))
+            for name, root in trees.items()} == PINNED
+    assert {name: hashlib.sha256((root / UNIVERSE_FILE).read_bytes()).hexdigest()
+            for name, root in trees.items()} == dict.fromkeys(PINNED, UNIVERSE_PINNED)
+
+
+@pytest.mark.parametrize("src_fmt, dst_fmt", [("text", "columnar"),
+                                              ("columnar", "text")])
+def test_convert_copies_the_universe_file_verbatim(src_fmt, dst_fmt, tiny, tmp_path):
+    # Even bytes that are no universe at all: a convert copies the
+    # file, and only an ingest reads (and judges) it.
+    src = save_dataset(tiny, tmp_path / "src", format=src_fmt)
+    (src / UNIVERSE_FILE).write_bytes(b"not a universe\x00\xff")
+    dst = convert_dataset(src, tmp_path / "dst", format=dst_fmt)
+    assert (dst / UNIVERSE_FILE).read_bytes() == b"not a universe\x00\xff"
+    (src / UNIVERSE_FILE).unlink()
+    dst = convert_dataset(src, tmp_path / "none", format=dst_fmt)
+    assert not (dst / UNIVERSE_FILE).exists()
 
 
 @pytest.fixture(scope="module")
@@ -205,16 +230,20 @@ def _state(root: Path):
 
 
 @pytest.mark.parametrize("fmt", ["text", "columnar"])
-@pytest.mark.parametrize("op", ["save", "ingest"])
+@pytest.mark.parametrize("op", ["save", "ingest", "backfill"])
 def test_a_write_cut_at_any_step_leaves_a_whole_version(
     op, fmt, tiny, tmp_path, monkeypatch
 ):
+    # "backfill" is an ingest into a dataset without universe.bin,
+    # which writes the file.
     base = tmp_path / "base"
-    if op == "ingest":
+    if op != "save":
         save_dataset(tiny, base, format=fmt)
+    if op == "backfill":
+        (base / UNIVERSE_FILE).unlink()
 
     def prepare(root: Path) -> None:
-        if op == "ingest":
+        if op != "save":
             shutil.copytree(base, root)
 
     def run(root: Path):
@@ -234,8 +263,10 @@ def test_a_write_cut_at_any_step_leaves_a_whole_version(
     new, clean_bytes = _state(clean), tree_digest(clean)
     assert new is not None and new != old
     # Every list file (or the id and vocabulary files), the ground truth
-    # and the manifest, plus the archived manifest on an ingest.
-    assert len(writes) == 4 + (op == "ingest")
+    # and the manifest, plus the archived manifest on an ingest and the
+    # universe file on a save or a backfill.
+    assert len(writes) == 4 + (op != "save") + (op != "ingest")
+    assert (clean / UNIVERSE_FILE in writes) == (op != "ingest")
     assert writes[-1].name.startswith("manifest.")
 
     for at in range(1, len(writes) + 1):
