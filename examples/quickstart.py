@@ -28,8 +28,11 @@ def main() -> None:
     dataset = repro.generate(small=True, seed=2022)
     print(dataset, "\n")
 
-    # 2. The deep API is still there when an analysis needs generator
-    #    ground truth (here: the category labels).
+    # 2. Each site's ground truth (category, tags, Android app) lives
+    #    in the synthetic universe; the generator's deep API reads it
+    #    directly (here: the category labels).  A saved dataset carries
+    #    the universe as universe.bin and reaches it through its
+    #    per-site uid column.
     generator = TelemetryGenerator(GeneratorConfig.small(seed=2022))
     labels = generator.site_categories()
 

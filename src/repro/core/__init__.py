@@ -15,7 +15,6 @@ from .errors import (
     TaxonomyError,
 )
 from .rankedlist import RankedList
-from .truth import GroundTruth
 from .vocab import SiteVocabulary
 from .types import (
     DECEMBER,
@@ -35,7 +34,6 @@ __all__ = [
     "DatasetError",
     "DistributionError",
     "GenerationError",
-    "GroundTruth",
     "Metric",
     "MissingBreakdownError",
     "Month",

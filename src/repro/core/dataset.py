@@ -7,16 +7,17 @@ sharing with the authors:
   (country, platform, metric, month) breakdown, and
 * one global :class:`~repro.core.distribution.TrafficDistribution` per
   (platform, metric) pair (Section 4.1.1's traffic-volume curves), and
-* optionally, the per-site :class:`~repro.core.truth.GroundTruth`
-  (category, tags, Android app) that the generator knows and the
-  paper's labelled analyses read.
+* optionally, each site's universe uid (:meth:`BrowsingDataset.site_uids`),
+  through which the paper's labelled analyses read the category, tags
+  and Android-app flag the universe holds for the site.
 
 Every dataset holds its lists one way: a site table in id order, plus
 each breakdown's ``(offset, length)`` window into one ``int32`` id
-array.  An engine dataset or a text load interns its lists into that
-form once (:class:`BrowsingDataset`), and a columnar load maps it
-straight off ``vocab.bin`` and ``lists.bin``
-(:meth:`BrowsingDataset.from_windows`).  A list decodes into a
+array.  The generation engine numbers its sites from the universe ids
+it scores, and a columnar load maps the windows straight off
+``vocab.bin`` and ``lists.bin`` (both via
+:meth:`BrowsingDataset.from_windows`); the constructor interns lists
+given as names (a text load).  A list decodes into a
 :class:`RankedList` the first time a read touches it.
 
 Analyses never see the generator; they consume a dataset, exactly as the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -35,17 +36,17 @@ from ..obs import span as obs_span
 from .distribution import TrafficDistribution
 from .errors import DatasetError, MissingBreakdownError
 from .rankedlist import RankedList
-from .truth import GroundTruth
 from .types import Breakdown, Metric, Month, Platform
 from .vocab import SiteVocabulary
 
 if TYPE_CHECKING:
     from ..synth.universe import Universe
 
-#: A dataset's ground truth: the table itself, a function of the
-#: dataset producing it on first use (engine datasets and the codecs'
-#: loaders), or ``None`` when the dataset has none.
-TruthSource = "GroundTruth | Callable[[BrowsingDataset], GroundTruth] | None"
+#: A dataset's universe uid per site id (-1: a site the universe does
+#: not name, e.g. an ``emit="domains"`` ccTLD variant): the column
+#: itself, a function reading it on first use (the columnar loader),
+#: or ``None`` when the dataset stores none.
+UidSource = "np.ndarray | Callable[[], np.ndarray] | None"
 
 
 def sorted_breakdowns(breakdowns: Iterable[Breakdown]) -> list[Breakdown]:
@@ -54,6 +55,23 @@ def sorted_breakdowns(breakdowns: Iterable[Breakdown]) -> list[Breakdown]:
         breakdowns,
         key=lambda b: (b.country, b.platform.value, b.metric.value, b.month),
     )
+
+
+def first_appearance(windows: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """The ids of a ``size``-entry table in order of first appearance
+    over ``windows``.
+
+    Each window holds distinct ids, so its unseen ids are exactly its
+    new ones: a mask pass per window, no sort (``np.unique`` with
+    ``return_index`` sorts every id).
+    """
+    seen = np.zeros(size, dtype=bool)
+    order = [np.empty(0, dtype=np.int32)]
+    for window in windows:
+        new = window[~seen[window]]
+        seen[new] = True
+        order.append(new)
+    return np.concatenate(order)
 
 
 class BrowsingDataset:
@@ -86,23 +104,9 @@ class BrowsingDataset:
         lists: Mapping[Breakdown, RankedList],
         distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
         metadata: Mapping[str, object] | None = None,
-        ground_truth: TruthSource = None,
     ) -> None:
-        vocab = SiteVocabulary()
-        windows: dict[Breakdown, tuple[int, int]] = {}
-        ids = np.empty(sum(map(len, lists.values())), dtype=np.int32)
-        offset = 0
-        for breakdown in sorted_breakdowns(lists):
-            sites = lists[breakdown].sites
-            ids[offset:offset + len(sites)] = vocab.intern_many(sites)
-            windows[breakdown] = (offset, len(sites))
-            offset += len(sites)
-        ids.setflags(write=False)
-        table = np.array(vocab.names(), dtype=object)
-        self._setup(
-            {b: windows[b] for b in lists}, ids, lambda: table,
-            distributions, metadata, ground_truth, storage="memory",
-        )
+        windows, ids, table = intern_lists(lists, SiteVocabulary())
+        self._setup(windows, ids, lambda: table, distributions, metadata, None)
 
     @classmethod
     def from_windows(
@@ -112,19 +116,18 @@ class BrowsingDataset:
         names: Callable[[], np.ndarray],
         distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
         metadata: Mapping[str, object],
-        ground_truth: TruthSource = None,
+        uids: UidSource = None,
         content_fingerprint: str | None = None,
     ) -> "BrowsingDataset":
-        """A dataset over the memory-mapped id windows of a columnar store.
+        """A dataset over id windows: a columnar store's memory maps, an
+        engine run's numbered uids, or a text load's sidecar-ordered ids.
 
         ``names`` returns the site table as an object array in id order;
         it is called on first use, so opening reads no name.
         """
         dataset = cls.__new__(cls)
-        dataset._setup(
-            windows, ids, names, distributions, metadata, ground_truth,
-            storage="columnar-mmap", content_fingerprint=content_fingerprint,
-        )
+        dataset._setup(windows, ids, names, distributions, metadata, uids,
+                       content_fingerprint=content_fingerprint)
         return dataset
 
     def _setup(
@@ -134,9 +137,7 @@ class BrowsingDataset:
         names: Callable[[], np.ndarray],
         distributions: Mapping[tuple[Platform, Metric], TrafficDistribution],
         metadata: Mapping[str, object] | None,
-        ground_truth: TruthSource,
-        *,
-        storage: str,
+        uids: UidSource,
         content_fingerprint: str | None = None,
     ) -> None:
         if not windows:
@@ -156,11 +157,11 @@ class BrowsingDataset:
         self._months = tuple(sorted({b.month for b in self._windows}))
         self._vocab: SiteVocabulary | None = None
         self._vocab_lock = threading.Lock()
-        self._ground_truth = ground_truth
-        self._truth_lock = threading.Lock()
+        self._uids = uids
+        self._uids_lock = threading.Lock()
         #: How the id windows are held: ``"memory"`` or
         #: ``"columnar-mmap"``.  Surfaced by ``/v1/healthz``.
-        self.storage = storage
+        self.storage = "columnar-mmap" if isinstance(ids, np.memmap) else "memory"
         #: The manifest-recorded content fingerprint of a columnar
         #: dataset, so addressing an artifact store never hashes its
         #: lists (``None`` for an in-memory dataset).
@@ -333,20 +334,20 @@ class BrowsingDataset:
         table, read without decoding a list."""
         return frozenset(self._names().tolist())
 
-    def ground_truth(self) -> GroundTruth | None:
-        """The per-site ground truth stored with the dataset (or ``None``).
+    def site_uids(self) -> np.ndarray | None:
+        """Each site id's universe uid, or ``None`` without the column.
 
-        Engine datasets compute it from their generator and saved
-        datasets read it from the codec's ground-truth file, both on
-        first use; datasets saved before ground truth was stored with
-        them have none.  The table may hold rows for sites beyond this
-        dataset's lists, so readers filter by :meth:`all_sites`.
+        -1 marks a site the universe does not name (an ``emit="domains"``
+        ccTLD variant such as ``google.co.kr``): it has no category, no
+        tags and no app.  A columnar dataset reads (and digest-checks)
+        the column on first use; datasets saved before datasets stored
+        it have none.
         """
-        with self._truth_lock:
-            truth = self._ground_truth
-            if callable(truth):
-                truth = self._ground_truth = truth(self)
-            return truth
+        with self._uids_lock:
+            uids = self._uids
+            if callable(uids):
+                uids = self._uids = uids()
+            return uids
 
     def distribution(self, platform: Platform, metric: Metric) -> TrafficDistribution:
         """The global traffic-distribution curve for a (platform, metric)."""
@@ -395,3 +396,22 @@ class BrowsingDataset:
             f"metrics={[m.value for m in self._metrics]}, "
             f"months={[str(m) for m in self._months]}, lists={len(self._windows)})"
         )
+
+
+def intern_lists(
+    lists: Mapping[Breakdown, RankedList], vocab: SiteVocabulary
+) -> tuple[dict[Breakdown, tuple[int, int]], np.ndarray, np.ndarray]:
+    """``lists`` as id windows, interned into ``vocab`` in
+    :func:`sorted_breakdowns` order: the windows (in ``lists`` order),
+    the one id array and the site table."""
+    windows: dict[Breakdown, tuple[int, int]] = {}
+    ids = np.empty(sum(map(len, lists.values())), dtype=np.int32)
+    offset = 0
+    for breakdown in sorted_breakdowns(lists):
+        sites = lists[breakdown].sites
+        ids[offset:offset + len(sites)] = vocab.intern_many(sites)
+        windows[breakdown] = (offset, len(sites))
+        offset += len(sites)
+    ids.setflags(write=False)
+    return ({b: windows[b] for b in lists}, ids,
+            np.array(vocab.names(), dtype=object))

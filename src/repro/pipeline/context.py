@@ -3,8 +3,10 @@
 The context carries what tasks may not compute for themselves: the
 loaded dataset, the reference month (default: the dataset's last
 month), and — optionally — the :class:`GeneratorConfig` matching the
-dataset.  Ground-truth tasks (labels, tags, app roster) read the table
-stored with the dataset; the config only addresses their artifacts.
+dataset.  Ground-truth tasks (labels, tags, app roster) read each
+site's facts from the universe the dataset carries (``universe.bin``),
+through the dataset's uid column; the config addresses their artifacts
+and names the universe to restore.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from ..core.types import Metric, Month, Platform
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.weighting import CategoryCodes
     from ..synth.generator import GeneratorConfig
+    from ..synth.universe import SiteFacts
 
 
 class TaskContext:
@@ -36,8 +39,8 @@ class TaskContext:
         self.config = config
         self.month = month or dataset.months[-1]
         self._fingerprint: str | None = None
-        self._sites: frozenset[str] | None = None
         self._codes: "CategoryCodes | None" = None
+        self._facts: "SiteFacts | None" = None
         self._lock = threading.Lock()
 
     # -- identity -----------------------------------------------------------------
@@ -79,19 +82,35 @@ class TaskContext:
 
     # -- dataset conveniences -----------------------------------------------------
 
-    def sites(self) -> frozenset[str]:
-        """Every site appearing anywhere in the dataset (memoised).
+    def site_facts(self) -> "SiteFacts":
+        """Each universe site's category, tags and app flag (memoised).
 
-        Ground-truth tasks restrict their artifacts to this union: a
-        table may hold rows beyond it (an ``as_of`` version reads a
-        grown table's prefix).  The dataset answers from its site table
-        (:meth:`~repro.core.BrowsingDataset.all_sites`) without decoding
-        a list.
+        An engine dataset holds its universe; a saved one carries it as
+        ``universe.bin``, read here in one ``synth.universe_load`` span
+        and never built.  A missing file, another config's, or a
+        truncated or corrupt one raises :class:`TaskUnavailable` naming
+        the file and ``repro ingest``, which rewrites it.
         """
+        from ..export.io import UNIVERSE_FILE
+        from ..synth.universe import SiteFacts, load_site_facts
+
         with self._lock:
-            if self._sites is None:
-                self._sites = self.dataset.all_sites()
-            return self._sites
+            if self._facts is None:
+                if self.dataset.universe is not None:
+                    facts = SiteFacts.of(self.dataset.universe)
+                elif self.dataset.root is None:
+                    raise TaskUnavailable("the dataset carries no universe")
+                else:
+                    path = self.dataset.root / UNIVERSE_FILE
+                    self.config_fingerprint()  # raises without a config
+                    facts = load_site_facts(path, self.config.resolved_universe())
+                    if facts is None:
+                        raise TaskUnavailable(
+                            f"{path} is missing, damaged or of another "
+                            "config; `repro ingest` a month to rewrite it"
+                        )
+                self._facts = facts
+            return self._facts
 
     def category_codes(self, labels: Mapping[str, str]) -> "CategoryCodes":
         """The ``labels`` artifact coded over the dataset's vocabulary.

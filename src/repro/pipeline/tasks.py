@@ -58,17 +58,21 @@ REGISTRY = TaskRegistry()
 
 # -- ground truth ---------------------------------------------------------------------
 #
-# The table is stored with the dataset (see repro.core.truth); the keys
-# still fold in the generator-config fingerprint that produced it.
+# A site's category, tags and Android-app flag live once, in the
+# universe the dataset carries; the dataset's uid column says which
+# universe site each of its sites is.  The keys still fold in the
+# generator-config fingerprint that names that universe.
 
-def _ground_truth(ctx: TaskContext):
-    truth = ctx.dataset.ground_truth()
-    if truth is None:
+def _site_facts(ctx: TaskContext):
+    """The site table, each site's universe uid (-1: none) and the
+    universe's facts per uid."""
+    uids = ctx.dataset.site_uids()
+    if uids is None:
         raise TaskUnavailable(
-            "the dataset stores no ground truth (it was saved before "
-            "datasets carried it); `repro ingest` a month to write it"
+            "the dataset stores no universe ids (it was saved before "
+            "datasets carried them); `repro ingest` a month to write them"
         )
-    return truth
+    return ctx.dataset.site_table(), uids, ctx.site_facts()
 
 
 @REGISTRY.task(
@@ -76,10 +80,15 @@ def _ground_truth(ctx: TaskContext):
     context_key=_config_key, reads="all-months",
 )
 def _labels(ctx: TaskContext, inputs: dict[str, object]) -> object:
-    """Ground-truth category per site, restricted to the dataset's sites."""
-    labels = _ground_truth(ctx).labels()
-    present = ctx.sites()
-    return {site: labels[site] for site in sorted(present) if site in labels}
+    """Ground-truth category per site, for the dataset's sites."""
+    import numpy as np
+
+    names, uids, facts = _site_facts(ctx)
+    named = uids >= 0
+    categories = np.array(facts.categories, dtype=object)
+    labels = dict(zip(names[named].tolist(),
+                      categories[facts.category_id[uids[named]]].tolist()))
+    return {site: labels[site] for site in sorted(labels)}
 
 
 @REGISTRY.task(
@@ -87,10 +96,12 @@ def _labels(ctx: TaskContext, inputs: dict[str, object]) -> object:
     context_key=_config_key, reads="all-months",
 )
 def _tags(ctx: TaskContext, inputs: dict[str, object]) -> object:
-    present = ctx.sites()
-    return {site: list(tags)
-            for site, tags in _ground_truth(ctx).tags_by_site().items()
-            if site in present}
+    import numpy as np
+
+    names, uids, facts = _site_facts(ctx)
+    tagged = np.flatnonzero(np.isin(uids, list(facts.tags)))
+    return {names[sid]: list(facts.tags[uid])
+            for sid, uid in zip(tagged.tolist(), uids[tagged].tolist())}
 
 
 @REGISTRY.task(
@@ -98,9 +109,10 @@ def _tags(ctx: TaskContext, inputs: dict[str, object]) -> object:
     context_key=_config_key, reads="all-months",
 )
 def _has_app(ctx: TaskContext, inputs: dict[str, object]) -> object:
-    present = ctx.sites()
-    return {"sites": sorted(site for site in _ground_truth(ctx).app_sites()
-                            if site in present)}
+    names, uids, facts = _site_facts(ctx)
+    apps = uids >= 0
+    apps[apps] = facts.has_android_app[uids[apps]]
+    return {"sites": sorted(names[apps].tolist())}
 
 
 # -- concentration (§4.1, Figure 1) ---------------------------------------------------

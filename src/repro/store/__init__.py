@@ -5,8 +5,8 @@ The store gives every layer above it a zero-copy cold path:
 * :func:`~repro.store.columnar.encode_columnar` is the format's
   encoder for the one write path (:func:`repro.export.io.write_dataset`):
   a packed vocabulary string table, one contiguous ``int32`` id array
-  holding every ranked list, the ground-truth column family keyed by
-  site id, and a binary manifest carrying the breakdown index,
+  holding every ranked list, each site's universe uid keyed by site
+  id, and a binary manifest carrying the breakdown index,
   metadata, distribution vectors and content fingerprints;
 * :func:`open_columnar` memory-maps those files back as a
   :class:`~repro.core.BrowsingDataset` over the mapped id windows and
@@ -24,7 +24,7 @@ dataset of either format.
 from .columnar import (
     LISTS_NAME,
     MANIFEST_NAME,
-    TRUTH_NAME,
+    UIDS_NAME,
     VOCAB_NAME,
     open_columnar,
 )
@@ -38,7 +38,7 @@ __all__ = [
     "LISTS_NAME",
     "MANIFEST_NAME",
     "MappedStringTable",
-    "TRUTH_NAME",
+    "UIDS_NAME",
     "VOCAB_NAME",
     "ingest_months",
     "open_columnar",

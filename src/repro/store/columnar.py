@@ -7,26 +7,24 @@ Directory layout (see :mod:`repro.store.format` for byte layouts)::
     <root>/vocab.bin        # packed string table: site id -> UTF-8 name
     <root>/lists.bin        # one contiguous int32 id array; each
                             # breakdown owns an (offset, length) window
-    <root>/truth.bin        # ground truth per site id: category, tags,
-                            # has-Android-app (absent for datasets saved
-                            # before ground truth was stored)
+    <root>/uids.bin         # universe uid per site id (absent for
+                            # datasets saved before it was stored)
 
 :func:`encode_columnar` is this format's encoder for the one write
 path (:func:`repro.export.io.write_dataset`): the ids of the lists a
-write adds go after the stored ones in ``lists.bin``, the grown
-vocabulary and ground truth replace ``vocab.bin`` and ``truth.bin``
-(stored names and rows keep their ids, so every file only grows at the
-tail), and the manifest records each breakdown's window together with
-per-file SHA-256 fingerprints and the dataset fingerprint.  The
-ground-truth column family is keyed by the same site ids; its digest
-and row count sit in the manifest next to the other files'.
+write adds go after the stored ones in ``lists.bin``, and the added
+sites' names and uids after the stored ones in ``vocab.bin`` and
+``uids.bin`` (stored ids keep their meaning, so every file only grows
+at the tail, and the stored bytes are copied, never decoded).  The
+manifest records each breakdown's window together with per-file
+SHA-256 fingerprints, element counts and the dataset fingerprint.
 
 Opening is O(open): read the manifest, validate the index, and
 ``numpy.memmap`` the two data files into the one dataset class
 (:meth:`repro.core.BrowsingDataset.from_windows`).  No list page is
 touched until a breakdown is actually read (lists decode lazily), and
-``truth.bin`` is read — and checked against
-the manifest's digest — only when the ground truth is first asked for.
+``uids.bin`` is read — and checked against the manifest's digest —
+only when a site's universe uid is first asked for.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import numpy as np
 
 from ..core.dataset import BrowsingDataset
 from ..core.errors import DatasetError
-from ..core.truth import check_entries
 from ..core.types import Breakdown
 from ..export.io import (
     MANIFESTS,
@@ -53,12 +50,12 @@ from .format import (
     MAGIC_LISTS,
     file_fingerprint,
     map_id_array,
-    pack_ground_truth,
     pack_header,
     pack_manifest,
     pack_string_table,
-    unpack_ground_truth,
+    pack_uids,
     unpack_manifest,
+    unpack_uids,
 )
 from .mapped import MappedStringTable
 
@@ -66,25 +63,32 @@ from .mapped import MappedStringTable
 MANIFEST_NAME = MANIFESTS["columnar"]
 VOCAB_NAME = "vocab.bin"
 LISTS_NAME = "lists.bin"
-TRUTH_NAME = "truth.bin"
+UIDS_NAME = "uids.bin"
 
 
 def encode_columnar(grown: Grown) -> dict[str, bytes | bytearray]:
-    """``vocab.bin``, ``lists.bin``, ``truth.bin`` and the manifest.
+    """``vocab.bin``, ``lists.bin``, ``uids.bin`` and the manifest.
 
     The new lists' ids are appended after the stored id prefix of
-    ``lists.bin`` (the windows the stored manifest records), so every
-    stored window stays a valid view of the grown file.
+    ``lists.bin`` (the windows the stored manifest records), and the
+    added names after the stored prefix of ``vocab.bin``, so every
+    stored window and id stays valid in the grown files.
     """
-    files = {VOCAB_NAME: pack_string_table(grown.names)}
-    truth = None if grown.truth is None else pack_ground_truth(grown.truth)
+    added = grown.sites[grown.added].tolist()
+    sites = grown.stored_sites + len(added)
+    if grown.stored_sites:
+        vocab = MappedStringTable(grown.root / VOCAB_NAME, grown.stored_sites)
+        files = {VOCAB_NAME: vocab.extended(added)}
+    else:
+        files = {VOCAB_NAME: pack_string_table(added)}
+    del added
     # The id buffer last, once the packers' temporaries are freed.
     files[LISTS_NAME], entries = _pack_lists(grown)
-    counts = {VOCAB_NAME: len(grown.names),
+    counts = {VOCAB_NAME: sites,
               LISTS_NAME: (len(files[LISTS_NAME]) - HEADER_SIZE) // 4}
-    if truth is not None:
-        files[TRUTH_NAME] = truth
-        counts[TRUTH_NAME] = len(grown.names)
+    if grown.uids is not None:
+        files[UIDS_NAME] = pack_uids(grown.uids)
+        counts[UIDS_NAME] = sites
     files[MANIFEST_NAME] = pack_manifest({
         "format_version": COLUMNAR_VERSION,
         "dataset_version": grown.version,
@@ -189,7 +193,7 @@ def open_columnar(
         table.names,
         parse_distribution_entries(manifest.get("distributions", [])),
         manifest.get("metadata", {}),
-        _truth_loader(root, files, manifest_path),
+        _uids_loader(root, files, manifest_path),
         fingerprint if isinstance(fingerprint, str) else None,
     )
     dataset.version = int(manifest.get("dataset_version", 1))
@@ -216,23 +220,22 @@ def _entries(files: dict, name: str, manifest_path: Path) -> int | None:
         ) from exc
 
 
-def _truth_loader(root: Path, files: dict, manifest_path: Path):
-    """The dataset's lazy ground-truth source, or ``None`` without one."""
-    entries = _entries(files, TRUTH_NAME, manifest_path)
+def _uids_loader(root: Path, files: dict, manifest_path: Path):
+    """The dataset's lazy uid column, or ``None`` without one."""
+    entries = _entries(files, UIDS_NAME, manifest_path)
     if entries is None:
         return None
-    sha256 = files[TRUTH_NAME].get("sha256")
+    sha256 = files[UIDS_NAME].get("sha256")
 
-    def load(dataset: BrowsingDataset):
-        path = root / TRUTH_NAME
+    def load():
+        path = root / UIDS_NAME
         try:
             data = path.read_bytes()
         except FileNotFoundError:
             raise DatasetError(
                 f"columnar dataset at {root} is torn: the manifest "
-                f"references {TRUTH_NAME}, but the file is absent"
+                f"references {UIDS_NAME}, but the file is absent"
             ) from None
-        truth = unpack_ground_truth(data, dataset.site_table(), path)
-        return check_entries(truth, entries, sha256, pack_ground_truth, path)
+        return unpack_uids(data, entries, sha256, path)
 
     return load

@@ -11,11 +11,15 @@ uses (:func:`repro.export.io.write_dataset`), which appends them.
 
 * **text**: new ``lists/<slug>.txt`` files are written, the manifest
   gains the new breakdown rows (canonical sort order preserved) and the
-  ground-truth sidecar gains rows for the new sites;
+  ``sites.tsv`` sidecar gains a ``site<TAB>uid`` line per new site;
 * **columnar**: the new id windows are *appended* to ``lists.bin``, new
-  site names to ``vocab.bin`` and their ground-truth rows to
-  ``truth.bin``.  Old windows keep their offsets and old ids keep their
-  meaning, because every file only ever grows at the tail.
+  site names to ``vocab.bin`` and their universe uids to ``uids.bin``.
+  Old windows keep their offsets and old ids keep their meaning,
+  because every file only ever grows at the tail.
+
+A generated month's sites are matched to the stored ones by universe
+uid, through a uid-indexed array: no site name is looked up (a ccTLD
+variant under ``emit="domains"``, uid -1, is matched by name).
 
 The generator scores the universe the dataset carries: a save of a
 generated dataset writes it as ``universe.bin``, and ingest restores it
@@ -26,9 +30,10 @@ writes the file for the next one.  A process that already holds the
 universe (it generated, or ingested before) checks only the file's
 magic, version and config, not its digest.
 
-Ingest holds the generator, so it is also where the ground truth of a
-dataset saved before ground truth was stored gets written: the table
-gains a row for every site it lacks, so one ingest backfills it.
+Ingest holds the universe, so it is also where the uid column of a
+dataset saved before datasets stored one gets written: each stored
+site's uid is looked up once by canonical name, so one ingest
+backfills the column.
 
 Every ingest bumps the manifest's monotonic ``dataset_version`` and
 archives the superseded manifest under ``versions/manifest.v<N>.*``.
@@ -50,8 +55,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from ..core.errors import DatasetError
 from ..core.types import Month
@@ -168,12 +176,14 @@ def ingest_months(
     engine = GenerationEngine(config)
     produced = engine.generate_plan(plan)
 
+    uids = dataset.site_uids()
+    if uids is None:
+        uids = _uids_by_name(dataset.site_table(), produced.universe)
     write_dataset(
         root,
         fmt,
         produced,
-        truth_for=engine.generator.ground_truth,
-        stored=Stored(dataset, (root / MANIFESTS[fmt]).read_bytes()),
+        stored=Stored(dataset, (root / MANIFESTS[fmt]).read_bytes(), uids),
         # A file that could not be used is rewritten for the next ingest.
         universe=None if restored is not None else produced.universe,
     )
@@ -190,3 +200,11 @@ def ingest_months(
         slices_added=len(produced),
         seconds=time.perf_counter() - start,
     )
+
+
+def _uids_by_name(sites: np.ndarray, universe) -> np.ndarray:
+    """Each site's uid by canonical name (-1: none): the backfill of a
+    dataset saved before datasets stored their uid column."""
+    uid_of = dict(zip(universe.canonical, range(universe.n_sites)))
+    return np.fromiter(map(uid_of.get, sites.tolist(), repeat(-1)),
+                       np.int32, len(sites))

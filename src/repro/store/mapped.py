@@ -19,11 +19,19 @@ are opened read-only (``mode="r"``).
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from ..core.errors import DatasetError
-from .format import HEADER_SIZE, MAGIC_VOCAB, decode_names, read_header
+from .format import (
+    HEADER_SIZE,
+    MAGIC_VOCAB,
+    decode_names,
+    encode_names,
+    pack_header,
+    read_header,
+)
 
 
 class MappedStringTable:
@@ -98,6 +106,18 @@ class MappedStringTable:
                 self._reject(names)
             self._names = np.array(names, dtype=object)
         return self._names
+
+    def extended(self, names: Sequence[str]) -> bytes:
+        """This table with ``names`` appended: the bytes
+        :func:`~repro.store.format.pack_string_table` writes for all of
+        them, with the stored names copied as bytes, never decoded."""
+        offsets, blob = encode_names(names)
+        end = int(self._offsets[-1])
+        return b"".join((
+            pack_header(MAGIC_VOCAB, len(self) + len(names)),
+            self._offsets.tobytes(), (offsets[1:] + end).tobytes(),
+            self._blob[:end].tobytes(), blob,
+        ))
 
     def _reject(self, names: tuple[str, ...]) -> None:
         """Raise for the first empty or repeated name (equal hashes of

@@ -1,8 +1,9 @@
 """End-to-end checks of a traced `repro report`, driven as a subprocess.
 
-A report reads the ground truth stored with the dataset, so only
-`generate` (and `ingest`) ever build the universe: the generate trace
-holds exactly one `synth.universe_build` span and the report trace none.
+A report restores the universe the dataset carries (`universe.bin`)
+to read each site's ground truth, so only `generate` ever builds it:
+the generate trace holds exactly one `synth.universe_build` span, and
+the report trace none and exactly one `synth.universe_load`.
 Over a columnar dataset every list the report reads is decoded in a
 `store.materialize` span, so those spans' `slices` add up to the lists
 an identical in-process report materialises.  Every span a task causes
@@ -58,7 +59,7 @@ def test_generate_builds_the_universe_once(traced):
 @pytest.mark.parametrize("trace", ["report", "report-col"])
 def test_report_never_builds_the_universe(traced, trace):
     assert named(traced[trace], "synth.universe_build") == []
-    assert named(traced[trace], "synth.universe_load") == []
+    assert len(named(traced[trace], "synth.universe_load")) == 1
     summary = repro("trace", "summarize", str(traced[trace]), "--top", "5")
     assert "pipeline.run" in summary.stdout
 

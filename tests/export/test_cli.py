@@ -119,8 +119,8 @@ class TestConvert:
                 original.read_bytes()
         assert (back / "manifest.json").read_bytes() == \
             (dataset_dir / "manifest.json").read_bytes()
-        assert (back / "ground_truth.jsonl").read_bytes() == \
-            (dataset_dir / "ground_truth.jsonl").read_bytes()
+        assert (back / "sites.tsv").read_bytes() == \
+            (dataset_dir / "sites.tsv").read_bytes()
         text, mapped = load_dataset(dataset_dir), load_dataset(col)
         assert mapped.storage == "columnar-mmap"
         assert dataset_fingerprint(text) == dataset_fingerprint(mapped)

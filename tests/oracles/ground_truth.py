@@ -1,10 +1,11 @@
-"""The generator-path ground-truth tasks: the stored table's oracle.
+"""The generator-path ground-truth tasks: the uid-column tasks' oracle.
 
-Before datasets stored their ground truth, the ``labels``, ``tags`` and
-``has_app`` tasks read the synthetic universe through the generator.
-:func:`generator_path_registry` is the default registry with those three
-bodies swapped back in, so a run over it yields the artifacts the
-stored-table tasks must reproduce byte for byte.
+The ``labels``, ``tags`` and ``has_app`` tasks gather each site's facts
+from the universe through the dataset's uid column.  These bodies read
+the generator's universe by canonical name instead, and
+:func:`generator_path_registry` is the default registry with them
+swapped in, so a run over it yields the artifacts the uid-column tasks
+must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ def generator_path_registry(generator: TelemetryGenerator) -> TaskRegistry:
 
     def labels(ctx, inputs):
         labels = generator.site_categories()
-        present = ctx.sites()
+        present = ctx.dataset.all_sites()
         return {site: labels[site] for site in sorted(present) if site in labels}
 
     def tags(ctx, inputs):
-        present = ctx.sites()
+        present = ctx.dataset.all_sites()
         return {
             universe.canonical[uid]: list(site_tags)
             for uid, site_tags in universe.tags.items()
@@ -34,7 +35,7 @@ def generator_path_registry(generator: TelemetryGenerator) -> TaskRegistry:
         }
 
     def has_app(ctx, inputs):
-        present = ctx.sites()
+        present = ctx.dataset.all_sites()
         return {"sites": sorted(
             universe.canonical[int(uid)]
             for uid in np.flatnonzero(universe.has_android_app)

@@ -1,13 +1,14 @@
-"""Ground-truth tasks read the table stored with the dataset.
+"""Ground-truth tasks read the universe the dataset carries.
 
 No reader builds the synthetic universe: with the universe and
 generator memos emptied and the uncached build made to raise, the cold
 report, the delta report after an ingest, an ``as_of=1`` report and the
-serving layer's analyses all still produce the artifacts the
-generator-path tasks produced (``tests/oracles/ground_truth.py``), under
-both codecs and for an ``emit="domains"`` dataset.  A dataset saved
-before ground truth was stored skips exactly the ground-truth tasks and
-their dependents until one ingest writes the table.
+serving layer's analyses all restore ``universe.bin`` and, through the
+dataset's uid column, still produce the artifacts the generator-path
+tasks produced (``tests/oracles/ground_truth.py``), under both codecs
+and for an ``emit="domains"`` dataset.  A dataset saved before datasets
+stored the uid column skips exactly the ground-truth tasks and their
+dependents until one ingest writes it.
 """
 
 from __future__ import annotations
@@ -127,9 +128,10 @@ def test_domains_emit_labels_canonical_sites_only(tmp_path, monkeypatch):
         with no_universe_build(monkeypatch):
             got = run_pipeline(load_dataset(tmp_path / fmt), config=config)
         assert _results(got) == want
-    # google.co.kr is a ccTLD variant: a vocabulary site with no label.
+    # google.co.kr is a ccTLD variant: one site with uid -1, no label.
     labels = run.results["labels"]
-    assert "google.co.kr" in dataset.all_sites()
+    uid_of = dict(zip(dataset.site_table().tolist(), dataset.site_uids().tolist()))
+    assert uid_of["google.co.kr"] == -1
     assert "google.co.kr" not in labels
 
 
@@ -151,7 +153,7 @@ def test_dataset_without_ground_truth_skips_until_ingest(
     fmt, generator, expected, tmp_path, monkeypatch
 ):
     dataset = generator.generate(countries=COUNTRIES, months=MONTHS)
-    # Saved the way datasets were before they carried ground truth.
+    # Saved the way datasets were before they carried a uid column.
     bare = BrowsingDataset({b: dataset[b] for b in dataset.breakdowns()},
                            dataset.distributions(), dataset.metadata)
     data = tmp_path / "data"
@@ -172,5 +174,5 @@ def test_dataset_without_ground_truth_skips_until_ingest(
         backfilled = run_pipeline(load_dataset(data), config=generator.config,
                                   month=PIN)
         assert _results(backfilled) == expected["v2"]
-        # The archived version stays as it was saved: no table, no fallback.
-        assert load_dataset(data, as_of=1).ground_truth() is None
+        # The archived version stays as it was saved: no column, no fallback.
+        assert load_dataset(data, as_of=1).site_uids() is None

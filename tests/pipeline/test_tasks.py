@@ -65,7 +65,7 @@ class TestFullRun:
     def test_labels_restricted_to_dataset_sites(self, report, pipeline_ctx):
         labels = report.results["labels"]
         assert labels  # non-empty
-        assert set(labels) <= pipeline_ctx.sites()
+        assert set(labels) <= pipeline_ctx.dataset.all_sites()
 
 
 class TestDegradedDatasets:

@@ -9,7 +9,11 @@ building it.  These tests hold that contract under both codecs:
 - a file that is missing, flipped, truncated or another seed's is never
   used: the ingest builds the universe once, writes the same dataset,
   and rewrites ``universe.bin`` with the right bytes;
-- a restored universe is the built one, digest for digest.
+- a restored universe is the built one, digest for digest;
+- a report over a bad file never builds the universe and never
+  crashes: the ground-truth tasks, whose only source of a site's facts
+  is the file, skip with their dependents, naming the file and
+  ``repro ingest``.
 """
 
 from __future__ import annotations
@@ -22,12 +26,17 @@ import pytest
 
 from repro.core import Metric, Month, Platform
 from repro.engine import engine as engine_module
-from repro.export.io import UNIVERSE_FILE, atomic_write, save_dataset
+from repro.export.io import UNIVERSE_FILE, atomic_write, load_dataset, save_dataset
 from repro.obs import Tracer, set_tracer
+from repro.pipeline import TaskStatus, canonical_json, run_pipeline
 from repro.store import ingest_months
 from repro.synth import GeneratorConfig, UniverseConfig, universe as universe_module
 from repro.synth.universe import load_universe, pack_universe
-from tests.pipeline.test_ground_truth import no_universe_build
+from tests.pipeline.test_ground_truth import (
+    GROUND_TRUTH,
+    _dependents,
+    no_universe_build,
+)
 from tests.synth.test_universe import universe_digest
 
 CONFIG = GeneratorConfig.small()
@@ -151,6 +160,42 @@ def test_a_bad_universe_file_is_rebuilt(fmt, damage, saved, ingested,
     assert builds == [CONFIG.resolved_universe()]
     # The same dataset, universe.bin rewritten with the right bytes.
     assert tree(root) == ingested[fmt]
+
+
+def _outcome(run) -> dict[str, tuple[str, str | None]]:
+    return {name: (record.status.value,
+                   canonical_json(run.results[name]) if name in run.results else None)
+            for name, record in run.records.items()}
+
+
+@pytest.fixture(scope="module")
+def intact_runs(saved) -> dict[str, object]:
+    """Each saved dataset's report, with its universe file intact."""
+    return {fmt: run_pipeline(load_dataset(root), config=CONFIG)
+            for fmt, root in saved.items()}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_a_report_over_a_bad_universe_file_skips_the_site_facts(
+        fmt, damage, saved, repacked, intact_runs, tmp_path, monkeypatch):
+    root = shutil.copytree(saved[fmt], tmp_path / "ds")
+    DAMAGE[damage](root / UNIVERSE_FILE, repacked)
+    with counted_builds(monkeypatch) as builds:
+        run = run_pipeline(load_dataset(root), config=CONFIG)
+    assert builds == []
+    assert run.failed == 0
+    lost = _dependents(GROUND_TRUTH)
+    intact = intact_runs[fmt]
+    assert set(GROUND_TRUTH) <= set(intact.results)
+    for name, outcome in _outcome(intact).items():
+        if name in lost:
+            assert run.records[name].status is TaskStatus.SKIPPED, name
+        else:
+            assert _outcome(run)[name] == outcome, name
+    for name in GROUND_TRUTH:
+        assert str(root / UNIVERSE_FILE) in run.records[name].error
+        assert "repro ingest" in run.records[name].error
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

@@ -43,18 +43,18 @@ CONFIG = GeneratorConfig.small()
 #: but ``universe.bin``: any change to a written byte shows up here.
 PINNED = {
     "generate-text":
-        "1938618f2fa5714bcb238406ef35a024a13b860c513b06d232437d4c8ce1a769",
+        "868520ade01f768d569179338f7826110ccd414763ba2aa521eeee8e3a4b2d04",
     "generate-columnar":
-        "2ede8e6b9146eef201eefb86fbdfe8f98e7d69bc72877021023d5a3686faa34e",
+        "e231023344307b0b03c3ff3d642a16ac0376c6ad5faed52b936b9e7fdec20eb9",
     "ingest-text":
-        "524b4cffeb90eb2190a36d8fcace151c71d2dffd186918a5f2cc56542030fb3e",
+        "e9737af0ef09bfd4273bc25c0ab5b73ed171df7ae03cd026a3312db29430fcf9",
     "ingest-columnar":
-        "f48229d6e4189a7774a6dd3fcc9783f10bf52a5f0012f74be8b93b6a63d0e787",
+        "98964979cf0047cab6cf6a0a1aa2b11feb8720c662aa4057d34e0c01eb1b7e5a",
     # A convert writes exactly what a save of the same dataset writes.
     "convert-text-columnar":
-        "2ede8e6b9146eef201eefb86fbdfe8f98e7d69bc72877021023d5a3686faa34e",
+        "e231023344307b0b03c3ff3d642a16ac0376c6ad5faed52b936b9e7fdec20eb9",
     "convert-columnar-text":
-        "1938618f2fa5714bcb238406ef35a024a13b860c513b06d232437d4c8ce1a769",
+        "868520ade01f768d569179338f7826110ccd414763ba2aa521eeee8e3a4b2d04",
 }
 
 #: SHA-256 of the ``universe.bin`` every tree above holds: the small
@@ -221,11 +221,11 @@ def _state(root: Path):
         dataset = load_dataset(root)
     except DatasetError:
         return None
-    truth = dataset.ground_truth()
+    uids = dataset.site_uids()
     return (
         dataset.version,
         {b: dataset[b].sites for b in dataset.breakdowns()},
-        tuple(truth.rows()) if truth is not None else None,
+        None if uids is None else (dataset.site_table().tolist(), uids.tolist()),
     )
 
 
@@ -262,7 +262,7 @@ def test_a_write_cut_at_any_step_leaves_a_whole_version(
     monkeypatch.undo()
     new, clean_bytes = _state(clean), tree_digest(clean)
     assert new is not None and new != old
-    # Every list file (or the id and vocabulary files), the ground truth
+    # Every list file (or the id and vocabulary files), the uid column
     # and the manifest, plus the archived manifest on an ingest and the
     # universe file on a save or a backfill.
     assert len(writes) == 4 + (op != "save") + (op != "ingest")
