@@ -12,8 +12,10 @@ build is paid once up front, outside all timings):
 
 * per-slice (:func:`tests.oracles.scorer.execute_reference`) — the
   byte-identity oracle, scoring one breakdown at a time;
-* batched (:meth:`GenerationEngine.run`) — the engine's one path,
-  asserted ≥ 3× the per-slice baseline and byte-identical to it.
+* batched (:meth:`GenerationEngine.generate_plan`) — the engine's one
+  path, scoring each country in one pass and numbering the emitted
+  sites into a dataset, asserted ≥ 3× the per-slice baseline and
+  byte-identical to it.
 
 Results land in ``BENCH_engine.json`` next to the other CI artifacts.
 """
@@ -65,11 +67,11 @@ def test_engine_full_grid(benchmark):
     batched_engine = GenerationEngine(config)
     batched_t, batched_lists = _timed(
         lambda: benchmark.pedantic(
-            batched_engine.run, args=(plan,), rounds=1, iterations=1
+            batched_engine.generate_plan, args=(plan,), rounds=1, iterations=1
         )
     )
 
-    assert set(perslice_lists) == set(batched_lists)
+    assert set(perslice_lists) == set(batched_lists.breakdowns())
     for breakdown, ranked in perslice_lists.items():
         assert ranked.sites == batched_lists[breakdown].sites, breakdown
 

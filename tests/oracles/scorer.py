@@ -101,7 +101,7 @@ def rank_list_reference(
     if n == 0:
         raise GenerationError(f"no candidates survive for {country}")
     top_uids = uids[gen._top_order(scores, n)]
-    ranked = RankedList(gen._emit_names(country)[top_uids].tolist())
+    ranked = RankedList(gen.site_names(gen.emitted_sites(country, top_uids)).tolist())
     if gen.config.privacy.client_threshold > 0:
         install_base = get_country(country).web_scale * INSTALL_BASE_UNIT
         dist = gen.distribution(

@@ -1,5 +1,6 @@
 """Tests for the telemetry generator — the heart of the substitution."""
 
+import numpy as np
 import pytest
 
 from repro.core import Metric, Month, Platform, REFERENCE_MONTH
@@ -254,21 +255,21 @@ class TestDomainEmission:
         assert "google.com" in us.top(5)
 
     def test_emit_array_matches_per_uid_lookup(self):
-        """The vectorized per-country name array is exactly what the old
-        per-uid ``domain_in_country`` loop produced, for every uid."""
+        """Every uid's emitted name, numbered and named by array ops, is
+        what the per-uid ``domain_in_country`` lookup gives."""
         gen = TelemetryGenerator(GeneratorConfig.small(emit="domains"))
         uni = gen.universe
+        uids = np.arange(uni.n_sites, dtype=np.int32)
         for country in ("GB", "BR"):
-            names = gen._emit_names(country)
-            assert len(names) == uni.n_sites
-            for uid in range(uni.n_sites):
-                assert names[uid] == uni.domain_in_country(uid, country)
-            # Cached: the second lookup is the same array object.
-            assert gen._emit_names(country) is names
+            names = gen.site_names(gen.emitted_sites(country, uids))
+            assert names.tolist() == [uni.domain_in_country(uid, country)
+                                      for uid in range(uni.n_sites)]
 
     def test_canonical_emit_shares_one_array(self, generator):
-        assert generator._emit_names("US") is generator._canonical_names
-        assert generator._emit_names("KR") is generator._canonical_names
+        uids = np.arange(5, dtype=np.int32)
+        for country in ("US", "KR"):
+            assert generator.emitted_sites(country, uids) is uids
+        assert generator.site_names(uids).tolist() == generator.universe.canonical[:5]
 
 
 class TestMonthWalkIncremental:
